@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import criteria, oracle, qstate, witness
 from .criteria import Criterion
-from .loo import LOOBasis, gell_mann_basis
+from .loo import LOOBasis, gell_mann_basis, transpose_basis
 from .qstate import DensityMatrix
 
 BOUND_NAMES = ("bound_ppt", "bound_realign", "bound_lmax", "bound_combined")
@@ -56,12 +56,12 @@ class ScanSpec:
 
 def scan_score(rho: DensityMatrix, criterion: str) -> tuple[float, bool]:
     """Score and detection flag for a Verdict criterion or a bound name."""
+    spectra = criteria.spectra(rho)
     if criterion in BOUND_NAMES:
-        bounds = criteria.concurrence_lower_bounds(rho)
-        value = getattr(bounds, criterion)
-        return value, value > criteria.DETECTION_MARGIN
-    verdict = criteria.evaluate(rho, Criterion(criterion))
-    return verdict.score, verdict.detected
+        value = getattr(spectra.concurrence_bounds(), criterion)
+    else:
+        value = spectra.score(criterion)
+    return value, value > criteria.DETECTION_MARGIN
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,9 @@ def _basis_document(basis: LOOBasis) -> list:
 
 
 def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
-    verdicts = criteria.evaluate_all(rho)
-    cert = witness.certify(rho)
-    bounds = criteria.concurrence_lower_bounds(rho)
+    spectra = criteria.spectra(rho)
+    reference_a = gell_mann_basis(rho.dim_a)
+    reference_b = transpose_basis(gell_mann_basis(rho.dim_b))
     doc = {
         "dims": [rho.dim_a, rho.dim_b],
         "verdicts": [
@@ -181,25 +181,21 @@ def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
                 "score": v.score,
                 "threshold_form": v.threshold_form,
             }
-            for v in verdicts
+            for v in spectra.verdicts()
         ],
         "linear": {
-            "min": cert.linear_min,
-            "value_at_reference_basis": cert.linear_value_at_basis,
+            "min": spectra.linear_min,
+            "value_at_reference_basis": witness.linear_witness_value(rho, reference_a, reference_b),
         },
         "nonlinear": {
-            "min": cert.nonlinear_min,
-            "l_max": cert.l_max,
-            "value_at_reference_basis": cert.nonlinear_value_at_basis,
+            "min": spectra.nonlinear_min,
+            "l_max": spectra.l_max,
+            "value_at_reference_basis": witness.nonlinear_witness_value(
+                rho, reference_a, reference_b
+            ),
         },
-        "purities": [cert.purity_a, cert.purity_b],
-        "concurrence_bounds": {
-            "dim_min": bounds.dim_min,
-            "bound_ppt": bounds.bound_ppt,
-            "bound_realign": bounds.bound_realign,
-            "bound_lmax": bounds.bound_lmax,
-            "bound_combined": bounds.bound_combined,
-        },
+        "purities": [spectra.purity_a, spectra.purity_b],
+        "concurrence_bounds": asdict(spectra.concurrence_bounds()),
     }
     if emit_bases:
         linear = witness.optimal_linear_min(rho)

@@ -4,6 +4,11 @@ Each criterion is scored so that a positive value certifies entanglement:
 PPT and realignment use trace norms minus one, the two witness criteria use
 the negated optimal witness minima.  All four scores are invariant under
 local unitaries.
+
+Every score is arithmetic on the spectra of R(ρ), R(ρ - ρ_A⊗ρ_B) and
+ρ^{T_A} (R: realignment), computed once per state by :func:`spectra`.  The
+witness minima use the covariance form of Zhang et al., PRA 77, 060301(R)
+(2008); no LOO basis is built here (see ``witness.optimal_*`` for those).
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import qstate, witness
-from .qstate import DensityMatrix
+from . import qstate
+from .qstate import DensityMatrix, _frozen
 
 # Scores this close to zero are treated as float noise, not detections.
 DETECTION_MARGIN = 1e-9
@@ -48,28 +53,6 @@ def _verdict(criterion: Criterion, score: float) -> Verdict:
     return Verdict(criterion, score > DETECTION_MARGIN, score, _THRESHOLD_FORMS[criterion])
 
 
-def criterion_score(rho: DensityMatrix, criterion: Criterion) -> float:
-    if criterion == Criterion.PPT:
-        return qstate.trace_norm(qstate.partial_transpose(rho, "A")) - 1.0
-    if criterion == Criterion.REALIGN:
-        return qstate.trace_norm(qstate.realign(rho)) - 1.0
-    if criterion == Criterion.LINEAR_OPT:
-        return -witness.optimal_linear_min(rho).value
-    if criterion == Criterion.NONLINEAR_OPT:
-        return -witness.optimal_nonlinear_min(rho).value
-    raise ValueError(f"unknown criterion {criterion!r}")
-
-
-def evaluate(rho: DensityMatrix, criterion: Criterion) -> Verdict:
-    return _verdict(criterion, criterion_score(rho, criterion))
-
-
-def evaluate_all(rho: DensityMatrix) -> list[Verdict]:
-    """All four verdicts, in the fixed order PPT, REALIGN, LINEAR_OPT,
-    NONLINEAR_OPT."""
-    return [evaluate(rho, c) for c in Criterion]
-
-
 def max_concurrence(dim_min: int) -> float:
     """Largest possible I-concurrence for min subsystem dimension m."""
     return math.sqrt(2.0 * (dim_min - 1) / dim_min)
@@ -100,32 +83,100 @@ class ConcurrenceBound:
     bound_combined: float
 
 
-def concurrence_lower_bounds(rho: DensityMatrix) -> ConcurrenceBound:
-    """PPT-, realignment- and witness-maximum-based concurrence bounds.
+@dataclass(frozen=True, eq=False)
+class Spectra:
+    """σ(R(ρ)), σ(R(ρ - ρ_A⊗ρ_B)) and eig(ρ^{T_A}) of one state, with its
+    subsystem purities; every score, verdict and bound is read from these."""
 
-    ``bound_lmax`` uses ℒ_max - 1 where ℒ_max = Σ_k σ_k(τ) + mean purity; it
-    is never weaker than the realignment bound.  ``bound_combined`` is the
-    max of all three.  Scores inside the float-noise margin clamp to exactly
-    zero, like the verdicts.
+    dim_a: int
+    dim_b: int
+    realigned: np.ndarray
+    covariance: np.ndarray
+    partial_transpose: np.ndarray
+    purity_a: float
+    purity_b: float
+
+    def __post_init__(self) -> None:
+        for name in ("realigned", "covariance", "partial_transpose"):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
+
+    @property
+    def linear_min(self) -> float:
+        """Linear witness minimum over all LOO pairs, 1 - ‖R(ρ)‖_tr."""
+        return 1.0 - float(self.realigned.sum())
+
+    @property
+    def l_max(self) -> float:
+        """ℒ_max = ‖R(ρ - ρ_A⊗ρ_B)‖_tr + (Tr ρ_A² + Tr ρ_B²)/2."""
+        return float(self.covariance.sum()) + (self.purity_a + self.purity_b) / 2.0
+
+    @property
+    def nonlinear_min(self) -> float:
+        """Nonlinear witness minimum over all LOO pairs, 1 - ℒ_max."""
+        return 1.0 - self.l_max
+
+    def score(self, criterion: Criterion | str) -> float:
+        criterion = Criterion(criterion)
+        if criterion == Criterion.PPT:
+            return float(np.abs(self.partial_transpose).sum()) - 1.0
+        if criterion == Criterion.NONLINEAR_OPT:
+            return -self.nonlinear_min
+        return -self.linear_min  # REALIGN and LINEAR_OPT
+
+    def verdicts(self) -> list[Verdict]:
+        """Verdicts in the order PPT, REALIGN, LINEAR_OPT, NONLINEAR_OPT."""
+        return [_verdict(c, self.score(c)) for c in Criterion]
+
+    def concurrence_bounds(self) -> ConcurrenceBound:
+        """PPT-, realignment- and ℒ_max-based bounds and their max; scores
+        inside the float-noise margin clamp to exactly zero.  ``bound_lmax``
+        (from ℒ_max - 1) is never weaker than ``bound_realign``."""
+        m = min(self.dim_a, self.dim_b)
+        if m < 2:
+            raise ValueError(f"concurrence bounds need min dim >= 2, got {m}")
+        factor = math.sqrt(2.0 / (m * (m - 1)))
+
+        def bound(score: float) -> float:
+            return factor * score if score > DETECTION_MARGIN else 0.0
+
+        bound_ppt = bound(self.score(Criterion.PPT))
+        bound_realign = bound(self.score(Criterion.REALIGN))
+        bound_lmax = bound(self.l_max - 1.0)
+        return ConcurrenceBound(
+            dim_min=m,
+            bound_ppt=bound_ppt,
+            bound_realign=bound_realign,
+            bound_lmax=bound_lmax,
+            bound_combined=max(bound_ppt, bound_realign, bound_lmax),
+        )
+
+
+def spectra(rho: DensityMatrix) -> Spectra:
+    """Values-only SVDs of R(ρ) and R(ρ - ρ_A⊗ρ_B), and eig(ρ^{T_A}).
+
+    R(ρ_A⊗ρ_B) is the outer product of the row-major flattened reduced
+    states, so the covariance needs no Kronecker product.
     """
-    m = min(rho.dim_a, rho.dim_b)
-    if m < 2:
-        raise ValueError(f"concurrence bounds need min dim >= 2, got {m}")
-    factor = math.sqrt(2.0 / (m * (m - 1)))
-
-    def bound(score: float) -> float:
-        return factor * score if score > DETECTION_MARGIN else 0.0
-
-    score_ppt = criterion_score(rho, Criterion.PPT)
-    score_realign = criterion_score(rho, Criterion.REALIGN)
-    score_lmax = witness.optimal_nonlinear_min(rho).l_max - 1.0
-    bound_ppt = bound(score_ppt)
-    bound_realign = bound(score_realign)
-    bound_lmax = bound(score_lmax)
-    return ConcurrenceBound(
-        dim_min=m,
-        bound_ppt=bound_ppt,
-        bound_realign=bound_realign,
-        bound_lmax=bound_lmax,
-        bound_combined=max(bound_ppt, bound_realign, bound_lmax),
+    reduced_a = qstate.partial_trace(rho, "B")
+    reduced_b = qstate.partial_trace(rho, "A")
+    realigned = qstate.realign(rho)
+    covariance = realigned - np.outer(reduced_a.ravel(), reduced_b.ravel())
+    return Spectra(
+        dim_a=rho.dim_a,
+        dim_b=rho.dim_b,
+        realigned=np.linalg.svd(realigned, compute_uv=False),
+        covariance=np.linalg.svd(covariance, compute_uv=False),
+        partial_transpose=np.linalg.eigvalsh(qstate.partial_transpose(rho, "A")),
+        purity_a=qstate.purity(reduced_a),
+        purity_b=qstate.purity(reduced_b),
     )
+
+
+def evaluate_all(rho: DensityMatrix) -> list[Verdict]:
+    """Verdicts in the order PPT, REALIGN, LINEAR_OPT, NONLINEAR_OPT."""
+    return spectra(rho).verdicts()
+
+
+def concurrence_lower_bounds(rho: DensityMatrix) -> ConcurrenceBound:
+    """See :meth:`Spectra.concurrence_bounds`."""
+    return spectra(rho).concurrence_bounds()

@@ -294,21 +294,24 @@ def make_state(name: str, p: float | None = None) -> DensityMatrix:
       with ψ_s = (|01⟩-|10⟩)/√2; requires p.
     - ``upb``: the 3×3 bound entangled tiles-UPB state.
     - ``upb_noise``: p·upb + (1-p)·I/9; requires p.
+
+    ``bell`` and ``upb`` take no p and reject one.
     """
+    if name not in STATE_NAMES:
+        raise ValueError(f"unknown state name {name!r}; known: {', '.join(STATE_NAMES)}")
+    takes_p = name in ("noisy_singlet", "upb_noise")
+    if takes_p and p is None:
+        raise ValueError(f"{name} requires the mixing parameter p")
+    if not takes_p and p is not None:
+        raise ValueError(f"{name} takes no mixing parameter, got p={p!r}")
     if name == "bell":
         return _bell()
-    if name == "noisy_singlet":
-        if p is None:
-            raise ValueError("noisy_singlet requires the mixing parameter p")
-        _check_unit_interval(p)
-        return _noisy_singlet(p)
     if name == "upb":
         return _upb()
-    if name == "upb_noise":
-        if p is None:
-            raise ValueError("upb_noise requires the mixing parameter p")
-        return white_noise_mixture(_upb(), p)
-    raise ValueError(f"unknown state name {name!r}; known: {', '.join(STATE_NAMES)}")
+    if name == "noisy_singlet":
+        _check_unit_interval(p)
+        return _noisy_singlet(p)
+    return white_noise_mixture(_upb(), p)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +395,9 @@ def state_from_document(doc) -> DensityMatrix:
     dims = doc["dims"]
     if not (isinstance(dims, (list, tuple)) and len(dims) == 2):
         raise ValueError(f"dims must be a pair [d_a, d_b], got {dims!r}")
-    da, db = int(dims[0]), int(dims[1])
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+        raise ValueError(f"dims must be integers, got {dims!r}")
+    da, db = dims
     n = da * db
     matrix = doc["matrix"]
     if not isinstance(matrix, list) or len(matrix) != n:

@@ -14,32 +14,29 @@ and the nonlinear minimum is 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2 with
 The optimizing bases are recovered from the SVD factors.  Subsystems of
 unequal dimension need no special casing beyond zero-padding the shorter
 basis when a witness is evaluated elementwise.
+
+The optima cost a d⁶ expectation einsum, a full SVD and two basis
+rotations, so they run only when the bases themselves are wanted
+(``analyze --emit-bases``); the minima alone are read from
+:func:`loowit.criteria.spectra`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from . import qstate
-from .loo import LOOBasis, expectation_matrix, gell_mann_basis, rotate, transpose_basis
+from .loo import LOOBasis, expectation_matrix, gell_mann_basis, rotate
 from .qstate import DensityMatrix, _frozen
-
-
-class CorrelationKind(str, Enum):
-    MU = "mu"
-    TAU = "tau"
-
 
 @dataclass(frozen=True, eq=False)
 class CorrelationData:
     """A real dim_a²×dim_b² correlation (μ) or covariance (τ) matrix with its
     singular value decomposition: matrix = left · Σ · rightᵀ."""
 
-    kind: CorrelationKind
     matrix: np.ndarray
     singular_values: np.ndarray
     left_factor: np.ndarray
@@ -61,9 +58,9 @@ class CorrelationData:
         return self.left_factor @ sigma @ self.right_factor.T
 
 
-def _svd_data(kind: CorrelationKind, matrix: np.ndarray) -> CorrelationData:
+def _svd_data(matrix: np.ndarray) -> CorrelationData:
     u, s, vt = np.linalg.svd(matrix, full_matrices=True)
-    return CorrelationData(kind, matrix, s, u, vt.T)
+    return CorrelationData(matrix, s, u, vt.T)
 
 
 def correlation_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> CorrelationData:
@@ -72,7 +69,7 @@ def correlation_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis)
     The expansion ρ = Σ_lm μ_lm G_l^A ⊗ G_m^B reconstructs the state for any
     LOO pair, and Σ_k σ_k(μ) is basis-independent.
     """
-    return _svd_data(CorrelationKind.MU, expectation_matrix(rho, basis_a, basis_b))
+    return _svd_data(expectation_matrix(rho, basis_a, basis_b))
 
 
 def local_expectations(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis):
@@ -89,7 +86,7 @@ def covariance_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) 
     expectations removed; vanishes identically on product states."""
     mu = expectation_matrix(rho, basis_a, basis_b)
     a, b = local_expectations(rho, basis_a, basis_b)
-    return _svd_data(CorrelationKind.TAU, mu - np.outer(a, b))
+    return _svd_data(mu - np.outer(a, b))
 
 
 def _paired_expectation_sum(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
@@ -196,58 +193,3 @@ def lmax_pure(coefficients) -> float:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"squared coefficients must sum to 1, got {total!r}")
     return float(c.sum()) ** 2
-
-
-@dataclass(frozen=True)
-class WitnessCertificate:
-    """Everything the two witnesses say about one state.
-
-    ``linear_value_at_basis`` / ``nonlinear_value_at_basis`` are evaluated at
-    the basis pair handed to :func:`certify`; the minima are global over all
-    LOO pairs, and the stored optimal bases belong to the requested kind.
-    """
-
-    linear_value_at_basis: float
-    linear_min: float
-    nonlinear_value_at_basis: float
-    nonlinear_min: float
-    l_max: float
-    optimal_basis_a: LOOBasis
-    optimal_basis_b: LOOBasis
-    purity_a: float
-    purity_b: float
-
-
-def certify(
-    rho: DensityMatrix,
-    basis_a: LOOBasis | None = None,
-    basis_b: LOOBasis | None = None,
-    kind: str = "nonlinear",
-) -> WitnessCertificate:
-    """Evaluate both witnesses at a reference basis pair and at their optima.
-
-    Defaults to the standard basis on A and its elementwise transpose on B.
-    ``kind`` ("linear" or "nonlinear") selects which optimizing bases are
-    stored on the certificate.
-    """
-    if kind not in ("linear", "nonlinear"):
-        raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
-    if basis_a is None:
-        basis_a = gell_mann_basis(rho.dim_a)
-    if basis_b is None:
-        basis_b = transpose_basis(gell_mann_basis(rho.dim_b))
-    linear = optimal_linear_min(rho)
-    nonlinear = optimal_nonlinear_min(rho)
-    purity_a, purity_b = subsystem_purities(rho)
-    opt = linear if kind == "linear" else nonlinear
-    return WitnessCertificate(
-        linear_value_at_basis=linear_witness_value(rho, basis_a, basis_b),
-        linear_min=linear.value,
-        nonlinear_value_at_basis=nonlinear_witness_value(rho, basis_a, basis_b),
-        nonlinear_min=nonlinear.value,
-        l_max=nonlinear.l_max,
-        optimal_basis_a=opt.basis_a,
-        optimal_basis_b=opt.basis_b,
-        purity_a=purity_a,
-        purity_b=purity_b,
-    )

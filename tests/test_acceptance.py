@@ -10,7 +10,7 @@ import pytest
 
 from loowit import criteria, qstate, witness
 from loowit.cli import ScanSpec, run_scan
-from loowit.criteria import Criterion, concurrence_lower_bounds, criterion_score
+from loowit.criteria import Criterion, concurrence_lower_bounds, spectra
 from loowit.loo import gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.oracle import sampled_max_trace
 from loowit.qstate import make_state, realign, trace_norm, white_noise_mixture
@@ -99,8 +99,9 @@ def test_criterion_2_noisy_singlet_thresholds():
     optimal_threshold = result.threshold
 
     rho_at = make_state("noisy_singlet", optimal_threshold)
-    lin_score = criterion_score(rho_at, Criterion.LINEAR_OPT)
-    realign_score = criterion_score(rho_at, Criterion.REALIGN)
+    spectra_at = spectra(rho_at)
+    lin_score = spectra_at.score(Criterion.LINEAR_OPT)
+    realign_score = spectra_at.score(Criterion.REALIGN)
     elapsed = time.perf_counter() - start
 
     ok = (

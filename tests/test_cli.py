@@ -5,7 +5,14 @@ import pytest
 
 from loowit import cli, qstate
 from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
+from loowit.loo import LOOBasis, gell_mann_basis
 from loowit.qstate import load_state, make_state, save_state
+from loowit.witness import covariance_matrix, linear_witness_value, nonlinear_witness_value
+
+
+def basis_from_document(raw) -> LOOBasis:
+    pairs = np.asarray(raw, dtype=float)
+    return LOOBasis(pairs.shape[1], pairs[..., 0] + 1j * pairs[..., 1])
 
 
 @pytest.fixture
@@ -55,6 +62,12 @@ class TestGen:
         assert main(["gen", "upb_noise", "--p", "1.5"]) == 1
         assert "[0, 1]" in capsys.readouterr().err
 
+    def test_unused_parameter_fails(self, tmp_path, capsys):
+        out = tmp_path / "upb.json"
+        assert main(["gen", "upb", "--p", "0.5", "--out", str(out)]) == 1
+        assert "takes no mixing parameter" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_bell_json_report(self, bell_file, capsys):
@@ -89,12 +102,9 @@ class TestAnalyze:
         assert main(["analyze", "--state", bell_file, "--json", "--emit-bases"]) == 0
         doc = json.loads(capsys.readouterr().out)
         bases = doc["optimal_bases"]["nonlinear"]
-        obs_a = np.array([[[complex(re, im) for re, im in row] for row in g] for g in bases["basis_a"]])
-        obs_b = np.array([[[complex(re, im) for re, im in row] for row in g] for g in bases["basis_b"]])
-        from loowit.loo import LOOBasis
-        from loowit.witness import nonlinear_witness_value
-
-        value = nonlinear_witness_value(make_state("bell"), LOOBasis(2, obs_a), LOOBasis(2, obs_b))
+        basis_a = basis_from_document(bases["basis_a"])
+        basis_b = basis_from_document(bases["basis_b"])
+        value = nonlinear_witness_value(make_state("bell"), basis_a, basis_b)
         assert value == pytest.approx(doc["nonlinear"]["min"], abs=1e-9)
 
     def test_invalid_state_reports_residuals(self, tmp_path, capsys):
@@ -108,6 +118,48 @@ class TestAnalyze:
 
     def test_missing_file_fails(self, capsys):
         assert main(["analyze", "--state", "/nonexistent/state.json"]) == 1
+
+    @pytest.mark.parametrize("dims", [[2.7, 2.2], [True, "4"]])
+    def test_non_integer_dims_fail(self, tmp_path, capsys, dims):
+        doc = qstate.state_to_document(make_state("bell"))
+        doc["dims"] = dims
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--state", str(path)]) == 1
+        assert "integers" in capsys.readouterr().err
+
+
+class TestAnalysisDocument:
+    def test_invariants_on_random_states(self):
+        rng = np.random.default_rng(45)
+        for da, db in [(2, 2), (2, 3), (3, 3)]:
+            rho = qstate.random_mixed_state(da, db, rng)
+            doc = cli._analysis_document(rho, emit_bases=False)
+            linear, nonlinear = doc["linear"], doc["nonlinear"]
+            purity_a, purity_b = doc["purities"]
+            assert linear["min"] <= linear["value_at_reference_basis"] + 1e-9
+            assert nonlinear["min"] <= nonlinear["value_at_reference_basis"] + 1e-9
+            tau_sum = covariance_matrix(
+                rho, gell_mann_basis(da), gell_mann_basis(db)
+            ).singular_value_sum
+            expected_lmax = tau_sum + (purity_a + purity_b) / 2
+            assert nonlinear["l_max"] == pytest.approx(expected_lmax, abs=1e-10)
+            assert nonlinear["l_max"] == pytest.approx(1.0 - nonlinear["min"], abs=1e-12)
+            assert 0.0 < purity_a <= 1.0 + 1e-12
+            assert 0.0 < purity_b <= 1.0 + 1e-12
+
+    def test_optimal_bases_match_requested_kind(self):
+        rho = make_state("noisy_singlet", 0.8)
+        doc = cli._analysis_document(rho, emit_bases=True)
+        for kind, witness_value in (
+            ("linear", linear_witness_value),
+            ("nonlinear", nonlinear_witness_value),
+        ):
+            bases = doc["optimal_bases"][kind]
+            basis_a = basis_from_document(bases["basis_a"])
+            basis_b = basis_from_document(bases["basis_b"])
+            value = witness_value(rho, basis_a, basis_b)
+            assert value == pytest.approx(doc[kind]["min"], abs=1e-9)
 
 
 class TestScanSpec:

@@ -8,8 +8,10 @@ from loowit.criteria import (
     concurrence_pure,
     evaluate_all,
     max_concurrence,
+    spectra,
 )
 from loowit.qstate import DensityMatrix, make_state
+from loowit.witness import optimal_linear_min, optimal_nonlinear_min
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
 
@@ -60,6 +62,35 @@ class TestVerdicts:
             rotated = qstate.local_unitary_conjugate(rho, ua, ub)
             for v in evaluate_all(rotated):
                 assert v.score == pytest.approx(base[v.criterion], abs=1e-8)
+
+
+class TestSpectra:
+    @pytest.mark.parametrize("rank", [1, None], ids=["rank1", "full"])
+    @pytest.mark.parametrize(
+        "dims", [(2, 3), (3, 2), (4, 4), (8, 16), (16, 16)], ids=lambda d: f"{d[0]}x{d[1]}"
+    )
+    def test_matches_optimal_witnesses(self, dims, rank):
+        rng = np.random.default_rng([59, *dims, rank or 0])
+        rho = qstate.random_mixed_state(*dims, rng, rank=rank)
+        spec = spectra(rho)
+        nonlinear = optimal_nonlinear_min(rho)
+        linear_score = spec.score(Criterion.LINEAR_OPT)
+        assert linear_score == pytest.approx(-optimal_linear_min(rho).value, abs=1e-12)
+        assert spec.score(Criterion.NONLINEAR_OPT) == pytest.approx(-nonlinear.value, abs=1e-12)
+        assert spec.l_max == pytest.approx(nonlinear.l_max, abs=1e-12)
+        assert spec.score(Criterion.REALIGN) == linear_score
+
+    def test_verdicts_and_bounds_read_the_same_record(self):
+        rho = make_state("upb_noise", 0.95)
+        spec = spectra(rho)
+        assert evaluate_all(rho) == spec.verdicts()
+        assert concurrence_lower_bounds(rho) == spec.concurrence_bounds()
+        assert [v.score for v in spec.verdicts()] == [spec.score(c) for c in Criterion]
+
+    def test_spectra_are_read_only(self):
+        spec = spectra(make_state("bell"))
+        with pytest.raises(ValueError):
+            spec.realigned[0] = 0.0
 
 
 class TestConcurrencePure:

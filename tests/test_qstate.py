@@ -246,6 +246,11 @@ class TestGenerators:
         with pytest.raises(ValueError, match="requires"):
             make_state("noisy_singlet")
 
+    @pytest.mark.parametrize("name", ["bell", "upb"])
+    def test_unused_parameter_rejected(self, name):
+        with pytest.raises(ValueError, match="takes no mixing parameter"):
+            make_state(name, 0.3)
+
     def test_all_generated_states_validate(self):
         rng = np.random.default_rng(12)
         states = [
@@ -313,3 +318,10 @@ class TestStateFiles:
         path.write_text(json.dumps({"dims": [1, 1], "matrix": [[1.0]]}))
         with pytest.raises(ValueError, match="pair"):
             load_state(path)
+
+    @pytest.mark.parametrize("dims", [[2.7, 2.2], [2.0, 2.0], [True, "4"], [2, None]])
+    def test_rejects_non_integer_dims(self, dims):
+        doc = qstate.state_to_document(make_state("bell"))
+        doc["dims"] = dims
+        with pytest.raises(ValueError, match="integers"):
+            qstate.state_from_document(doc)

@@ -7,8 +7,6 @@ from loowit import oracle, qstate, witness
 from loowit.loo import gell_mann_basis, haar_rotation, pauli_basis, rotate, transpose_basis
 from loowit.qstate import DensityMatrix, make_state, realign, trace_norm
 from loowit.witness import (
-    CorrelationKind,
-    certify,
     correlation_matrix,
     covariance_matrix,
     linear_witness_value,
@@ -28,7 +26,6 @@ def flipped_pauli():
 class TestCorrelationMatrix:
     def test_bell_in_pauli_bases_is_diagonal(self):
         data = correlation_matrix(make_state("bell"), pauli_basis(), pauli_basis())
-        assert data.kind == CorrelationKind.MU
         np.testing.assert_allclose(data.matrix, np.diag([0.5, -0.5, 0.5, 0.5]), atol=1e-12)
         assert data.singular_value_sum == pytest.approx(2.0, abs=1e-12)
 
@@ -124,7 +121,6 @@ class TestCovarianceMatrix:
         rho_b = qstate.partial_trace(qstate.random_mixed_state(3, 3, rng), "B")
         rho = DensityMatrix(2, 3, np.kron(rho_a, rho_b))
         data = covariance_matrix(rho, gell_mann_basis(2), gell_mann_basis(3))
-        assert data.kind == CorrelationKind.TAU
         assert np.abs(data.matrix).max() < 1e-10
 
     def test_bell_block_structure(self):
@@ -304,33 +300,3 @@ class TestInvariantsAndProperties:
                 lin = optimal_linear_min(rho).value
                 assert non <= lin + 1e-9
 
-
-class TestCertificate:
-    def test_invariants_on_random_states(self):
-        rng = np.random.default_rng(45)
-        for da, db in DIMS:
-            rho = qstate.random_mixed_state(da, db, rng)
-            cert = certify(rho)
-            assert cert.linear_min <= cert.linear_value_at_basis + 1e-9
-            assert cert.nonlinear_min <= cert.nonlinear_value_at_basis + 1e-9
-            tau_sum = covariance_matrix(
-                rho, gell_mann_basis(da), gell_mann_basis(db)
-            ).singular_value_sum
-            expected_lmax = tau_sum + (cert.purity_a + cert.purity_b) / 2
-            assert cert.l_max == pytest.approx(expected_lmax, abs=1e-10)
-            assert cert.l_max == pytest.approx(1.0 - cert.nonlinear_min, abs=1e-12)
-            assert 0.0 < cert.purity_a <= 1.0 + 1e-12
-            assert 0.0 < cert.purity_b <= 1.0 + 1e-12
-
-    def test_optimal_bases_match_requested_kind(self):
-        rho = make_state("noisy_singlet", 0.8)
-        lin_cert = certify(rho, kind="linear")
-        value = linear_witness_value(rho, lin_cert.optimal_basis_a, lin_cert.optimal_basis_b)
-        assert value == pytest.approx(lin_cert.linear_min, abs=1e-9)
-        non_cert = certify(rho, kind="nonlinear")
-        value = nonlinear_witness_value(rho, non_cert.optimal_basis_a, non_cert.optimal_basis_b)
-        assert value == pytest.approx(non_cert.nonlinear_min, abs=1e-9)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            certify(make_state("bell"), kind="quadratic")
