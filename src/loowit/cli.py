@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import criteria, oracle, qstate, witness
 from .criteria import Criterion
-from .loo import LOOBasis, gell_mann_basis, transpose_basis
+from .loo import gell_mann_basis, transpose_basis
 from .qstate import DensityMatrix
 
 BOUND_NAMES = ("bound_ppt", "bound_realign", "bound_lmax", "bound_combined")
@@ -52,6 +52,22 @@ class ScanSpec:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.bisection_tol < MIN_TOL:
             raise ValueError(f"bisection tolerance must be >= {MIN_TOL}, got {self.bisection_tol}")
+
+
+class InvalidState(ValueError):
+    """A loaded state that violates an invariant; one message line per violation."""
+
+
+def load_valid_state(path) -> DensityMatrix:
+    """Load a state file and require a density matrix with both dims >= 2."""
+    rho = qstate.load_state(path)
+    if min(rho.dim_a, rho.dim_b) < 2:
+        raise ValueError(f"subsystem dimensions must be at least 2, got ({rho.dim_a}, {rho.dim_b})")
+    violations = qstate.validate(rho)
+    if violations:
+        lines = (f"invalid state: {v.invariant} violated, residual {v.residual!r}" for v in violations)
+        raise InvalidState("\n".join(lines))
+    return rho
 
 
 def scan_score(rho: DensityMatrix, criterion: str) -> tuple[float, bool]:
@@ -137,13 +153,13 @@ def _load_family(args) -> Callable[[float], DensityMatrix]:
     if name == "noise_mixture":
         if not args.state:
             raise ValueError("family 'noise_mixture' requires --state")
-        base = qstate.load_state(args.state)
+        base = load_valid_state(args.state)
         return lambda p: qstate.white_noise_mixture(base, p)
     if name == "mixture":
         if not (args.state and args.state2):
             raise ValueError("family 'mixture' requires --state and --state2")
-        first = qstate.load_state(args.state)
-        second = qstate.load_state(args.state2)
+        first = load_valid_state(args.state)
+        second = load_valid_state(args.state2)
         return lambda p: qstate.mixture(first, second, p)
     raise ValueError(f"unknown family {name!r}")
 
@@ -159,13 +175,6 @@ def cmd_gen(args) -> int:
     else:
         qstate.dump_state(rho, sys.stdout)
     return 0
-
-
-def _basis_document(basis: LOOBasis) -> list:
-    return [
-        [[[float(z.real), float(z.imag)] for z in row] for row in g]
-        for g in basis.observables
-    ]
 
 
 def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
@@ -198,17 +207,13 @@ def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
         "concurrence_bounds": asdict(spectra.concurrence_bounds()),
     }
     if emit_bases:
-        linear = witness.optimal_linear_min(rho)
-        nonlinear = witness.optimal_nonlinear_min(rho)
+        optima = {"linear": witness.optimal_linear_min(rho), "nonlinear": witness.optimal_nonlinear_min(rho)}
         doc["optimal_bases"] = {
-            "linear": {
-                "basis_a": _basis_document(linear.basis_a),
-                "basis_b": _basis_document(linear.basis_b),
-            },
-            "nonlinear": {
-                "basis_a": _basis_document(nonlinear.basis_a),
-                "basis_b": _basis_document(nonlinear.basis_b),
-            },
+            kind: {
+                "basis_a": qstate.complex_to_pairs(opt.basis_a.observables),
+                "basis_b": qstate.complex_to_pairs(opt.basis_b.observables),
+            }
+            for kind, opt in optima.items()
         }
     return doc
 
@@ -235,12 +240,7 @@ def _print_analysis(doc: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    rho = qstate.load_state(args.state)
-    violations = qstate.validate(rho)
-    if violations:
-        for v in violations:
-            print(f"invalid state: {v.invariant} violated, residual {v.residual!r}", file=sys.stderr)
-        return 1
+    rho = load_valid_state(args.state)
     doc = _analysis_document(rho, args.emit_bases)
     if args.json:
         json.dump(doc, sys.stdout, indent=2)
@@ -292,7 +292,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    rho = qstate.load_state(args.state)
+    rho = load_valid_state(args.state)
     basis_a = gell_mann_basis(rho.dim_a)
     basis_b = gell_mann_basis(rho.dim_b)
     targets = [
@@ -354,6 +354,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidState as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,7 +7,13 @@ from loowit import cli, qstate
 from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
 from loowit.loo import LOOBasis, gell_mann_basis
 from loowit.qstate import load_state, make_state, save_state
-from loowit.witness import covariance_matrix, linear_witness_value, nonlinear_witness_value
+from loowit.witness import (
+    covariance_matrix,
+    linear_witness_value,
+    nonlinear_witness_value,
+    optimal_linear_min,
+    optimal_nonlinear_min,
+)
 
 
 def basis_from_document(raw) -> LOOBasis:
@@ -19,6 +25,22 @@ def basis_from_document(raw) -> LOOBasis:
 def bell_file(tmp_path):
     path = tmp_path / "bell.json"
     save_state(make_state("bell"), path)
+    return str(path)
+
+
+@pytest.fixture
+def identity_file(tmp_path):
+    """A 2x2 "state" with trace 4: Hermitian and PSD, but not unit trace."""
+    path = tmp_path / "identity.json"
+    save_state(qstate.DensityMatrix(2, 2, np.eye(4)), path)
+    return str(path)
+
+
+@pytest.fixture
+def one_by_two_file(tmp_path):
+    """A valid 1x2 state: every invariant holds, but dim_a is 1."""
+    path = tmp_path / "one_by_two.json"
+    save_state(qstate.DensityMatrix(1, 2, np.eye(2) / 2), path)
     return str(path)
 
 
@@ -119,6 +141,13 @@ class TestAnalyze:
     def test_missing_file_fails(self, capsys):
         assert main(["analyze", "--state", "/nonexistent/state.json"]) == 1
 
+    @pytest.mark.parametrize("entry", ["null", '"0.5"', "9" * 400], ids=["null", "string", "huge_integer"])
+    def test_malformed_entry_fails(self, tmp_path, capsys, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dims": [1, 1], "matrix": [[[{entry}, 0.0]]]}}')
+        assert main(["analyze", "--state", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("dims", [[2.7, 2.2], [True, "4"]])
     def test_non_integer_dims_fail(self, tmp_path, capsys, dims):
         doc = qstate.state_to_document(make_state("bell"))
@@ -160,6 +189,17 @@ class TestAnalysisDocument:
             basis_b = basis_from_document(bases["basis_b"])
             value = witness_value(rho, basis_a, basis_b)
             assert value == pytest.approx(doc[kind]["min"], abs=1e-9)
+
+    def test_bases_match_per_entry_encoder(self):
+        def encode(basis):
+            return [[[[float(z.real), float(z.imag)] for z in row] for row in g] for g in basis.observables]
+
+        rho = qstate.random_mixed_state(2, 3, np.random.default_rng(46))
+        doc = cli._analysis_document(rho, emit_bases=True)
+        for kind, optimum in (("linear", optimal_linear_min), ("nonlinear", optimal_nonlinear_min)):
+            result = optimum(rho)
+            expected = {"basis_a": encode(result.basis_a), "basis_b": encode(result.basis_b)}
+            assert json.dumps(doc["optimal_bases"][kind]) == json.dumps(expected)
 
 
 class TestScanSpec:
@@ -351,6 +391,44 @@ class TestOracleCommand:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestInputValidation:
+    """Every subcommand that reads a state file rejects what it cannot analyse."""
+
+    def test_scan_rejects_invalid_base_state(self, identity_file, tmp_path, capsys):
+        argv = ["scan", "--family", "noise_mixture", "--criterion", "ppt", "--state", identity_file,
+                "--out", str(tmp_path / "scan.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "invalid state: unit_trace violated, residual" in err
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_scan_rejects_invalid_second_state(self, bell_file, identity_file, capsys):
+        argv = ["scan", "--family", "mixture", "--criterion", "realign", "--state", bell_file,
+                "--state2", identity_file]
+        assert main(argv) == 1
+        assert "invalid state: unit_trace violated, residual" in capsys.readouterr().err
+
+    def test_oracle_rejects_invalid_state(self, identity_file, capsys):
+        assert main(["oracle", "--state", identity_file, "--samples", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid state: unit_trace violated, residual" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--state"],
+            ["scan", "--family", "noise_mixture", "--criterion", "ppt", "--state"],
+            ["scan", "--family", "noise_mixture", "--criterion", "bound_lmax", "--state"],
+            ["oracle", "--samples", "10", "--state"],
+        ],
+        ids=["analyze", "scan_ppt", "scan_bound", "oracle"],
+    )
+    def test_dimension_one_rejected(self, one_by_two_file, capsys, argv):
+        assert main(argv + [one_by_two_file]) == 1
+        assert "error: subsystem dimensions must be at least 2, got (1, 2)" in capsys.readouterr().err
 
 
 class TestParser:

@@ -319,9 +319,70 @@ class TestStateFiles:
         with pytest.raises(ValueError, match="pair"):
             load_state(path)
 
+    @pytest.mark.parametrize(
+        "dims, matrix_text",
+        [
+            ("[1, 1]", "[[[null, 0.0]]]"),
+            ("[1, 1]", "[[[" + "9" * 400 + ", 0.0]]]"),
+            ("[1, 1]", '[[["0.5", 0.0]]]'),
+            ("[1, 2]", "[[[0.5, 0.0], [0.0]], [[0.0, 0.0], [0.5, 0.0]]]"),
+            ("[1, 1]", "[[[0.5, 0.0, 0.0]]]"),
+            ("[1, 1]", "[[[[0.5, 0.0], [0.0, 0.0]]]]"),
+            ("[1, 1]", "[[[1e999, 0.0]]]"),
+        ],
+        ids=["null", "huge_integer", "string", "ragged_row", "triple", "extra_nesting", "overflow"],
+    )
+    def test_rejects_malformed_entries(self, dims, matrix_text):
+        text = f'{{"dims": {dims}, "matrix": {matrix_text}}}'
+        with pytest.raises(ValueError):
+            load_state(io.StringIO(text))
+
+    @pytest.mark.parametrize("dims", [(2, 3), (8, 16), (16, 16)])
+    def test_random_states_round_trip_bit_exactly(self, tmp_path, dims):
+        rho = qstate.random_mixed_state(*dims, np.random.default_rng(sum(dims)))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_state(rho, first)
+        loaded = load_state(first)
+        assert (loaded.dim_a, loaded.dim_b) == dims
+        assert np.array_equal(loaded.data, rho.data)
+        save_state(loaded, second)
+        assert first.read_text() == second.read_text()
+
+    def test_extreme_values_round_trip_bit_exactly(self, tmp_path):
+        pairs = np.array(
+            [
+                [[-0.0, 5e-324], [1e308, -0.0]],
+                [[-1e308, 0.0], [-5e-324, -0.0]],
+            ]
+        )
+        rho = DensityMatrix(1, 2, pairs.view(complex)[..., 0])
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_state(rho, first)
+        loaded = load_state(first)
+        assert np.array_equal(loaded.data, rho.data)
+        for part in ("real", "imag"):
+            got, want = getattr(loaded.data, part), getattr(rho.data, part)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.signbit(loaded.data[0, 0].real) and np.signbit(loaded.data[1, 1].imag)
+        save_state(loaded, second)
+        assert first.read_text() == second.read_text()
+
+    def test_document_matches_per_entry_encoder(self):
+        rho = qstate.random_mixed_state(3, 2, np.random.default_rng(14))
+        reference = [[[float(z.real), float(z.imag)] for z in row] for row in rho.data]
+        doc = qstate.state_to_document(rho)
+        assert json.dumps(doc["matrix"]) == json.dumps(reference)
+
     @pytest.mark.parametrize("dims", [[2.7, 2.2], [2.0, 2.0], [True, "4"], [2, None]])
     def test_rejects_non_integer_dims(self, dims):
         doc = qstate.state_to_document(make_state("bell"))
         doc["dims"] = dims
         with pytest.raises(ValueError, match="integers"):
+            qstate.state_from_document(doc)
+
+    @pytest.mark.parametrize("dims", [[0, 2], [-1, 2], [-2, -2]])
+    def test_rejects_nonpositive_dims(self, dims):
+        n = abs(dims[0] * dims[1])
+        doc = {"dims": dims, "matrix": [[[0.0, 0.0]] * n] * n}
+        with pytest.raises(ValueError, match="dims must be positive integers"):
             qstate.state_from_document(doc)
