@@ -145,11 +145,17 @@ def scan_csv(result: ScanResult) -> str:
 
 def _load_family(args) -> Callable[[float], DensityMatrix]:
     name = args.family
+    if args.state and name in ("upb_noise", "noisy_singlet"):
+        raise ValueError(f"family {name!r} reads no --state file")
+    if args.state2 and name != "mixture":
+        raise ValueError(f"family {name!r} reads no --state2 file")
     if name == "upb_noise":
         base = qstate.make_state("upb")
         return lambda p: qstate.white_noise_mixture(base, p)
     if name == "noisy_singlet":
-        return lambda p: qstate.make_state("noisy_singlet", p)
+        singlet = qstate.make_state("noisy_singlet", 1.0)
+        separable = qstate.make_state("noisy_singlet", 0.0)
+        return lambda p: qstate.mixture(singlet, separable, p)
     if name == "noise_mixture":
         if not args.state:
             raise ValueError("family 'noise_mixture' requires --state")

@@ -152,23 +152,17 @@ class Spectra:
 
 
 def spectra(rho: DensityMatrix) -> Spectra:
-    """Values-only SVDs of R(ρ) and R(ρ - ρ_A⊗ρ_B), and eig(ρ^{T_A}).
-
-    R(ρ_A⊗ρ_B) is the outer product of the row-major flattened reduced
-    states, so the covariance needs no Kronecker product.
-    """
-    reduced_a = qstate.partial_trace(rho, "B")
-    reduced_b = qstate.partial_trace(rho, "A")
+    """Values-only SVDs of R(ρ) and R(ρ - ρ_A⊗ρ_B), and eig(ρ^{T_A})."""
     realigned = qstate.realign(rho)
-    covariance = realigned - np.outer(reduced_a.ravel(), reduced_b.ravel())
+    purity_a, purity_b = qstate.subsystem_purities(rho)
     return Spectra(
         dim_a=rho.dim_a,
         dim_b=rho.dim_b,
         realigned=np.linalg.svd(realigned, compute_uv=False),
-        covariance=np.linalg.svd(covariance, compute_uv=False),
+        covariance=np.linalg.svd(qstate.realign_covariance(realigned), compute_uv=False),
         partial_transpose=np.linalg.eigvalsh(qstate.partial_transpose(rho, "A")),
-        purity_a=qstate.purity(reduced_a),
-        purity_b=qstate.purity(reduced_b),
+        purity_a=purity_a,
+        purity_b=purity_b,
     )
 
 

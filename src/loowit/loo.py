@@ -11,7 +11,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .qstate import DensityMatrix, _frozen, _rng
+from .qstate import DensityMatrix, _frozen, _rng, realign
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -124,7 +124,8 @@ def rotate(basis: LOOBasis, rotation) -> LOOBasis:
         raise ValueError(
             f"rotation size {o.shape[0]} does not match basis size {len(basis)}"
         )
-    return LOOBasis(basis.dim, np.einsum("kl,lij->kij", o, basis.observables))
+    obs = basis.observables
+    return LOOBasis(basis.dim, (o @ obs.reshape(len(basis), -1)).reshape(obs.shape))
 
 
 def haar_rotation(size: int, rng) -> OrthogonalRotation:
@@ -143,28 +144,41 @@ class OperatorSchmidt(NamedTuple):
     basis_b: LOOBasis
 
 
-def expectation_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
-    """Real matrix of joint expectations Tr(ρ G_l^A ⊗ G_m^B).
+def frame(observables: np.ndarray) -> np.ndarray:
+    """F for a stack of observables: row k is G_k transposed and flattened
+    row-major, so F·vec(X) lists Tr(G_k X).  For Hermitian G_k the row is G_k
+    conjugated, and for a complete LOO basis F is a unitary d²×d² matrix."""
+    return observables.transpose(0, 2, 1).reshape(len(observables), -1)
 
-    The imaginary parts vanish for Hermitian observables; a residual above
-    1e-10 signals a non-Hermitian basis and raises.
-    """
-    if basis_a.dim != rho.dim_a or basis_b.dim != rho.dim_b:
+
+def _check_dims(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> None:
+    if realigned.shape != (len(basis_a), len(basis_b)):
         raise ValueError(
-            f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match state dims "
-            f"({rho.dim_a}, {rho.dim_b})"
+            f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match the "
+            f"{realigned.shape[0]}x{realigned.shape[1]} realigned matrix"
         )
-    raw = np.einsum(
-        "ijkl,aki,blj->ab",
-        rho.as_tensor(),
-        basis_a.observables,
-        basis_b.observables,
-        optimize=True,
-    )
+
+
+def expectation_matrix(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
+    """Real matrix F_A · R(X) · F_Bᵀ of joint expectations Tr(X G_l^A ⊗ G_m^B)
+    for a realigned operator R(X) (:func:`qstate.realign`); a change of LOO
+    basis rotates it orthogonally on each side.  An imaginary residual above
+    1e-10 signals a non-Hermitian basis and raises."""
+    _check_dims(realigned, basis_a, basis_b)
+    raw = frame(basis_a.observables) @ realigned @ frame(basis_b.observables).T
     imag = float(np.abs(raw.imag).max())
     if imag > 1e-10:
         raise ValueError(f"expectation matrix has imaginary residual {imag!r}; basis not Hermitian?")
     return np.ascontiguousarray(raw.real)
+
+
+def paired_expectations(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
+    """Leading diagonal of :func:`expectation_matrix`, Tr(X G_k^A ⊗ G_k^B) for
+    k below the shorter basis length, at the cost of one of its two products."""
+    _check_dims(realigned, basis_a, basis_b)
+    k = min(len(basis_a), len(basis_b))
+    left = frame(basis_a.observables[:k]) @ realigned
+    return (left * frame(basis_b.observables[:k])).sum(axis=1).real
 
 
 def operator_schmidt(rho: DensityMatrix) -> OperatorSchmidt:
@@ -180,6 +194,6 @@ def operator_schmidt(rho: DensityMatrix) -> OperatorSchmidt:
             "states use witness.correlation_matrix and its singular values"
         )
     base = gell_mann_basis(rho.dim_a)
-    mu = expectation_matrix(rho, base, base)
+    mu = expectation_matrix(realign(rho), base, base)
     u, s, vt = np.linalg.svd(mu)
     return OperatorSchmidt(s, rotate(base, u.T), rotate(base, vt))

@@ -9,6 +9,7 @@ read-only, so values are safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, NamedTuple
 
@@ -134,6 +135,15 @@ def realign(rho: DensityMatrix) -> np.ndarray:
     return t.transpose(0, 2, 1, 3).reshape(rho.dim_a**2, rho.dim_b**2)
 
 
+def realign_covariance(realigned: np.ndarray) -> np.ndarray:
+    """R(ρ - ρ_A⊗ρ_B) = R(ρ) - vec(ρ_A)·vec(ρ_B)ᵀ (vec row-major), from R(ρ) alone:
+    vec(ρ_A) = R(ρ)·vec(I_B) sums its columns (j, j), vec(ρ_B) its rows (i, i)."""
+    dim_a, dim_b = (math.isqrt(n) for n in realigned.shape)
+    reduced_a = realigned[:, :: dim_b + 1].sum(axis=1)
+    reduced_b = realigned[:: dim_a + 1].sum(axis=0)
+    return realigned - np.outer(reduced_a, reduced_b)
+
+
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values (Ky Fan / nuclear norm)."""
     return float(np.linalg.svd(m, compute_uv=False).sum())
@@ -141,7 +151,12 @@ def trace_norm(m: np.ndarray) -> float:
 
 def purity(m: np.ndarray) -> float:
     """Tr(m²) for a Hermitian matrix."""
-    return float(np.real(np.trace(m @ m)))
+    return float((m @ m).trace().real)
+
+
+def subsystem_purities(rho: DensityMatrix) -> tuple[float, float]:
+    """(Tr ρ_A², Tr ρ_B²)."""
+    return purity(partial_trace(rho, "B")), purity(partial_trace(rho, "A"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,8 +394,8 @@ def local_unitary_conjugate(rho: DensityMatrix, u_a: np.ndarray, u_b: np.ndarray
 #
 # JSON document: {"dims": [d_a, d_b], "matrix": [[[re, im], ...], ...]},
 # matrix row-major over the product basis.  Entries must be JSON numbers
-# (integers within 64 bits); null, strings and non-finite values (NaN,
-# Infinity, 1e999) are rejected.  Floats round-trip bit-exactly.  The CLI
+# (integers within 64 bits); null, booleans, strings and non-finite values
+# (NaN, Infinity, 1e999) are rejected.  Floats round-trip bit-exactly.  The CLI
 # also validates every state it reads and requires both dims >= 2.
 
 
@@ -411,6 +426,11 @@ def state_from_document(doc) -> DensityMatrix:
         raise ValueError(f"matrix must be {n}x{n} [real, imag] pairs of numbers")
     if not np.isfinite(pairs).all():
         raise ValueError("non-finite value in matrix")
+    # np.array turns a boolean beside a number into 0 or 1; only those entries can be one.
+    suspects = np.unravel_index(np.flatnonzero((pairs == 0) | (pairs == 1)), pairs.shape)
+    for i, j, c in zip(*(index.tolist() for index in suspects)):
+        if type(matrix[i][j][c]) is bool:
+            raise ValueError(f"boolean at matrix entry [{i}][{j}][{c}]; entries must be numbers")
     # A view, not re + 1j*im, which would turn a -0.0 real part into +0.0.
     data = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
     return DensityMatrix(da, db, data)

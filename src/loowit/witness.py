@@ -7,18 +7,20 @@ For LOO bases {G_k^A}, {G_k^B} the two witness values are
     nonlinear:  1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩ - (1/2) Σ_k ⟨G_k^A⊗I - I⊗G_k^B⟩²
 
 Both are non-negative on every separable state for every basis choice, so a
-negative value certifies entanglement.  Minimizing over all LOO pairs has a
-closed form: the linear minimum is 1 - Σ_k σ_k(μ) with μ_lm = ⟨G_l^A⊗G_m^B⟩,
-and the nonlinear minimum is 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2 with
-τ = μ - a·bᵀ the covariance matrix (a, b the local expectation vectors).
-The optimizing bases are recovered from the SVD factors.  Subsystems of
-unequal dimension need no special casing beyond zero-padding the shorter
-basis when a witness is evaluated elementwise.
+negative value certifies entanglement.
 
-The optima cost a d⁶ expectation einsum, a full SVD and two basis
-rotations, so they run only when the bases themselves are wanted
-(``analyze --emit-bases``); the minima alone are read from
-:func:`loowit.criteria.spectra`.
+Every basis-dependent number is read from one frame product (see
+:func:`loo.frame`): μ = F_A · R(ρ) · F_Bᵀ is the correlation matrix
+μ_lm = ⟨G_l^A⊗G_m^B⟩ and τ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ = μ - a·bᵀ the
+covariance matrix (R: realignment; a, b the local expectation vectors).  A
+change of LOO basis rotates both orthogonally on each side.  The values are
+1 - Σ_k μ_kk and 1 - Σ_k τ_kk - (Tr ρ_A² + Tr ρ_B²)/2, the minima
+1 - Σ_k σ_k(μ) and 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2, and the
+optimizing bases come from the SVD factors.
+
+The optima cost a full SVD and two basis rotations, so they run only when
+the bases themselves are wanted (``analyze --emit-bases``); the minima alone
+are read from :func:`loowit.criteria.spectra`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qstate
-from .loo import LOOBasis, expectation_matrix, gell_mann_basis, rotate
+from .loo import LOOBasis, expectation_matrix, gell_mann_basis, paired_expectations, rotate
 from .qstate import DensityMatrix, _frozen
 
 @dataclass(frozen=True, eq=False)
@@ -64,65 +66,37 @@ def _svd_data(matrix: np.ndarray) -> CorrelationData:
 
 
 def correlation_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> CorrelationData:
-    """μ_lm = Tr(ρ G_l^A ⊗ G_m^B), with SVD factors attached.
+    """μ_lm = Tr(ρ G_l^A ⊗ G_m^B) = (F_A · R(ρ) · F_Bᵀ)_lm, with SVD factors attached.
 
     The expansion ρ = Σ_lm μ_lm G_l^A ⊗ G_m^B reconstructs the state for any
     LOO pair, and Σ_k σ_k(μ) is basis-independent.
     """
-    return _svd_data(expectation_matrix(rho, basis_a, basis_b))
-
-
-def local_expectations(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis):
-    """Vectors a_l = ⟨G_l^A ⊗ I⟩ and b_m = ⟨I ⊗ G_m^B⟩."""
-    reduced_a = qstate.partial_trace(rho, "B")
-    reduced_b = qstate.partial_trace(rho, "A")
-    a = np.einsum("kij,ji->k", basis_a.observables, reduced_a).real
-    b = np.einsum("kij,ji->k", basis_b.observables, reduced_b).real
-    return a, b
+    return _svd_data(expectation_matrix(qstate.realign(rho), basis_a, basis_b))
 
 
 def covariance_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> CorrelationData:
-    """τ = μ - a·bᵀ, the correlation matrix with the product of local
-    expectations removed; vanishes identically on product states."""
-    mu = expectation_matrix(rho, basis_a, basis_b)
-    a, b = local_expectations(rho, basis_a, basis_b)
-    return _svd_data(mu - np.outer(a, b))
-
-
-def _paired_expectation_sum(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
-    """Σ_k ⟨G_k^A ⊗ G_k^B⟩ paired index-by-index up to the shorter basis."""
-    if basis_a.dim != rho.dim_a or basis_b.dim != rho.dim_b:
-        raise ValueError(
-            f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match state dims "
-            f"({rho.dim_a}, {rho.dim_b})"
-        )
-    k = min(len(basis_a), len(basis_b))
-    paired = np.einsum(
-        "ijkl,aki,alj->a",
-        rho.as_tensor(),
-        basis_a.observables[:k],
-        basis_b.observables[:k],
-        optimize=True,
-    )
-    return float(paired.real.sum())
+    """τ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ = μ - a·bᵀ, the correlation matrix with
+    the product of local expectations removed; vanishes on product states."""
+    covariance = qstate.realign_covariance(qstate.realign(rho))
+    return _svd_data(expectation_matrix(covariance, basis_a, basis_b))
 
 
 def linear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
-    """1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩ for the given basis pair."""
-    return 1.0 - _paired_expectation_sum(rho, basis_a, basis_b)
+    """1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩ = 1 - Σ_k μ_kk for the given basis pair."""
+    return 1.0 - float(paired_expectations(qstate.realign(rho), basis_a, basis_b).sum())
 
 
 def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
-    """Nonlinear witness value for the given basis pair.
+    """Nonlinear witness value 1 - Σ_k τ_kk - (Tr ρ_A² + Tr ρ_B²)/2.
 
-    When the bases have unequal length (rectangular states) the shorter side
-    is treated as padded with zero operators, so the unpaired local terms
-    still contribute their full squares.
+    Equal to the defining form only for complete trace-orthonormal bases
+    (:class:`LOOBasis` checks only the shape), because it uses
+    Σ_k ⟨G_k^A ⊗ I⟩² = Tr ρ_A² and likewise for B.  On rectangular states k
+    runs over the shorter basis; the purities count the unpaired terms.
     """
-    a, b = local_expectations(rho, basis_a, basis_b)
-    k = min(a.size, b.size)
-    square_sum = float(a @ a + b @ b - 2.0 * (a[:k] @ b[:k]))
-    return 1.0 - _paired_expectation_sum(rho, basis_a, basis_b) - 0.5 * square_sum
+    purity_a, purity_b = qstate.subsystem_purities(rho)
+    paired = paired_expectations(qstate.realign_covariance(qstate.realign(rho)), basis_a, basis_b)
+    return 1.0 - float(paired.sum()) - (purity_a + purity_b) / 2.0
 
 
 class LinearOptimum(NamedTuple):
@@ -138,10 +112,13 @@ class NonlinearOptimum(NamedTuple):
     basis_b: LOOBasis
 
 
-def _optimal_bases(data: CorrelationData, basis_a: LOOBasis, basis_b: LOOBasis):
+def _optimum(rho: DensityMatrix, matrix_of):
+    """μ or τ in the Gell-Mann frame, and the bases that diagonalize it."""
+    base_a, base_b = gell_mann_basis(rho.dim_a), gell_mann_basis(rho.dim_b)
+    data = matrix_of(rho, base_a, base_b)
     # matrix = left Σ rightᵀ, so rotating by leftᵀ / rightᵀ diagonalizes the
     # paired expectations onto the singular values.
-    return rotate(basis_a, data.left_factor.T), rotate(basis_b, data.right_factor.T)
+    return data, rotate(base_a, data.left_factor.T), rotate(base_b, data.right_factor.T)
 
 
 def optimal_linear_min(rho: DensityMatrix) -> LinearOptimum:
@@ -151,18 +128,8 @@ def optimal_linear_min(rho: DensityMatrix) -> LinearOptimum:
     them reproduces the minimum.  Rectangular states are handled by the
     rectangular μ directly (the shorter side keeps its d² observables).
     """
-    base_a = gell_mann_basis(rho.dim_a)
-    base_b = gell_mann_basis(rho.dim_b)
-    data = correlation_matrix(rho, base_a, base_b)
-    opt_a, opt_b = _optimal_bases(data, base_a, base_b)
+    data, opt_a, opt_b = _optimum(rho, correlation_matrix)
     return LinearOptimum(1.0 - data.singular_value_sum, opt_a, opt_b)
-
-
-def subsystem_purities(rho: DensityMatrix) -> tuple[float, float]:
-    return (
-        qstate.purity(qstate.partial_trace(rho, "B")),
-        qstate.purity(qstate.partial_trace(rho, "A")),
-    )
 
 
 def optimal_nonlinear_min(rho: DensityMatrix) -> NonlinearOptimum:
@@ -171,12 +138,9 @@ def optimal_nonlinear_min(rho: DensityMatrix) -> NonlinearOptimum:
     Equals 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2; the returned l_max is the
     complementary maximum, 1 - value.
     """
-    base_a = gell_mann_basis(rho.dim_a)
-    base_b = gell_mann_basis(rho.dim_b)
-    data = covariance_matrix(rho, base_a, base_b)
-    purity_a, purity_b = subsystem_purities(rho)
+    data, opt_a, opt_b = _optimum(rho, covariance_matrix)
+    purity_a, purity_b = qstate.subsystem_purities(rho)
     l_max = data.singular_value_sum + (purity_a + purity_b) / 2.0
-    opt_a, opt_b = _optimal_bases(data, base_a, base_b)
     return NonlinearOptimum(1.0 - l_max, l_max, opt_a, opt_b)
 
 

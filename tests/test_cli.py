@@ -417,6 +417,28 @@ class TestInputValidation:
         assert "invalid state: unit_trace violated, residual" in captured.err
 
     @pytest.mark.parametrize(
+        "family, flags, named",
+        [
+            ("upb_noise", ["--state"], "--state"),
+            ("noisy_singlet", ["--state"], "--state"),
+            ("upb_noise", ["--state", "--state2"], "--state"),
+            ("noisy_singlet", ["--state2"], "--state2"),
+            ("noise_mixture", ["--state", "--state2"], "--state2"),
+        ],
+        ids=["upb_noise_state", "noisy_singlet_state", "upb_noise_both", "noisy_singlet_state2",
+             "noise_mixture_state2"],
+    )
+    def test_scan_rejects_unread_state_file(self, identity_file, tmp_path, capsys, family, flags, named):
+        argv = ["scan", "--family", family, "--criterion", "realign", "--out", str(tmp_path / "scan.csv")]
+        for flag in flags:
+            argv += [flag, identity_file]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{named} file" in err
+        assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["analyze", "--state"],

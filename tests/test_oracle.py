@@ -64,7 +64,7 @@ class TestRecomputeWitnessDirect:
 
     def test_agrees_with_witness_module(self):
         rng = np.random.default_rng(8)
-        for da, db in [(2, 2), (2, 3), (3, 3)]:
+        for da, db in [(2, 2), (2, 3), (3, 3), (3, 2), (4, 3)]:
             rho = qstate.random_mixed_state(da, db, rng)
             basis_a = rotate(gell_mann_basis(da), haar_rotation(da * da, rng))
             basis_b = rotate(gell_mann_basis(db), haar_rotation(db * db, rng))

@@ -329,8 +329,11 @@ class TestStateFiles:
             ("[1, 1]", "[[[0.5, 0.0, 0.0]]]"),
             ("[1, 1]", "[[[[0.5, 0.0], [0.0, 0.0]]]]"),
             ("[1, 1]", "[[[1e999, 0.0]]]"),
+            ("[1, 1]", "[[[true, 0.0]]]"),
+            ("[1, 1]", "[[[true, 0]]]"),
         ],
-        ids=["null", "huge_integer", "string", "ragged_row", "triple", "extra_nesting", "overflow"],
+        ids=["null", "huge_integer", "string", "ragged_row", "triple", "extra_nesting", "overflow",
+             "bool_beside_float", "bool_beside_int"],
     )
     def test_rejects_malformed_entries(self, dims, matrix_text):
         text = f'{{"dims": {dims}, "matrix": {matrix_text}}}'

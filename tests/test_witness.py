@@ -16,7 +16,7 @@ from loowit.witness import (
     optimal_nonlinear_min,
 )
 
-DIMS = [(2, 2), (2, 3), (3, 3)]
+DIMS = [(2, 2), (2, 3), (3, 3), (3, 2)]
 
 
 def flipped_pauli():
@@ -65,9 +65,14 @@ class TestCorrelationMatrix:
             assert np.all(data.singular_values >= 0)
             assert np.all(np.diff(data.singular_values) <= 1e-15)
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "function",
+        [correlation_matrix, covariance_matrix, linear_witness_value, nonlinear_witness_value],
+        ids=lambda f: f.__name__,
+    )
+    def test_dimension_mismatch_rejected(self, function):
         with pytest.raises(ValueError, match="do not match"):
-            correlation_matrix(make_state("upb"), pauli_basis(), gell_mann_basis(3))
+            function(make_state("upb"), pauli_basis(), gell_mann_basis(3))
 
 
 class TestLinearWitness:
@@ -137,6 +142,21 @@ class TestCovarianceMatrix:
         )
         np.testing.assert_allclose(data.matrix, expected, atol=1e-12)
         assert data.singular_value_sum == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    def test_matches_explicit_expectations(self, dims):
+        # τ = μ - a·bᵀ with every term an explicit Tr(ρ · G^A ⊗ G^B) product
+        da, db = dims
+        rng = np.random.default_rng(45 + 10 * da + db)
+        rho = qstate.random_mixed_state(da, db, rng)
+        basis_a = rotate(gell_mann_basis(da), haar_rotation(da * da, rng))
+        basis_b = rotate(gell_mann_basis(db), haar_rotation(db * db, rng))
+        id_a, id_b = np.eye(da), np.eye(db)
+        mu = np.array([[np.trace(rho.data @ np.kron(ga, gb)).real for gb in basis_b] for ga in basis_a])
+        a = np.array([np.trace(rho.data @ np.kron(ga, id_b)).real for ga in basis_a])
+        b = np.array([np.trace(rho.data @ np.kron(id_a, gb)).real for gb in basis_b])
+        tau = covariance_matrix(rho, basis_a, basis_b).matrix
+        assert np.abs(tau - (mu - np.outer(a, b))).max() < 1e-12
 
 
 class TestNonlinearWitness:
