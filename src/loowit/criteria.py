@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from . import qstate
-from .qstate import DensityMatrix, _frozen
+from .qstate import DensityMatrix, _frozen, _unbatched
 
 # Scores this close to zero are treated as float noise, not detections.
 DETECTION_MARGIN = 1e-9
@@ -86,39 +87,43 @@ class ConcurrenceBound:
 @dataclass(frozen=True, eq=False)
 class Spectra:
     """σ(R(ρ)), σ(R(ρ - ρ_A⊗ρ_B)) and eig(ρ^{T_A}) of one state, with its
-    subsystem purities; every score, verdict and bound is read from these."""
+    subsystem purities; every score, verdict and bound is read from these.
+
+    For a stack of states every field, score and bound gains a leading batch
+    axis; for one state they are Python floats (and bools for verdicts)."""
 
     dim_a: int
     dim_b: int
     realigned: np.ndarray
     covariance: np.ndarray
     partial_transpose: np.ndarray
-    purity_a: float
-    purity_b: float
+    purity_a: float | np.ndarray
+    purity_b: float | np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("realigned", "covariance", "partial_transpose"):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
+        for name in ("realigned", "covariance", "partial_transpose", "purity_a", "purity_b"):
+            value = _frozen(np.array(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _unbatched(value))
 
     @property
-    def linear_min(self) -> float:
+    def linear_min(self) -> float | np.ndarray:
         """Linear witness minimum over all LOO pairs, 1 - ‖R(ρ)‖_tr."""
-        return 1.0 - float(self.realigned.sum())
+        return _unbatched(1.0 - self.realigned.sum(axis=-1))
 
     @property
-    def l_max(self) -> float:
+    def l_max(self) -> float | np.ndarray:
         """ℒ_max = ‖R(ρ - ρ_A⊗ρ_B)‖_tr + (Tr ρ_A² + Tr ρ_B²)/2."""
-        return float(self.covariance.sum()) + (self.purity_a + self.purity_b) / 2.0
+        return _unbatched(self.covariance.sum(axis=-1) + (self.purity_a + self.purity_b) / 2.0)
 
     @property
-    def nonlinear_min(self) -> float:
+    def nonlinear_min(self) -> float | np.ndarray:
         """Nonlinear witness minimum over all LOO pairs, 1 - ℒ_max."""
         return 1.0 - self.l_max
 
-    def score(self, criterion: Criterion | str) -> float:
+    def score(self, criterion: Criterion | str) -> float | np.ndarray:
         criterion = Criterion(criterion)
         if criterion == Criterion.PPT:
-            return float(np.abs(self.partial_transpose).sum()) - 1.0
+            return _unbatched(np.abs(self.partial_transpose).sum(axis=-1) - 1.0)
         if criterion == Criterion.NONLINEAR_OPT:
             return -self.nonlinear_min
         return -self.linear_min  # REALIGN and LINEAR_OPT
@@ -136,8 +141,8 @@ class Spectra:
             raise ValueError(f"concurrence bounds need min dim >= 2, got {m}")
         factor = math.sqrt(2.0 / (m * (m - 1)))
 
-        def bound(score: float) -> float:
-            return factor * score if score > DETECTION_MARGIN else 0.0
+        def bound(score):
+            return _unbatched(np.where(score > DETECTION_MARGIN, factor * score, 0.0))
 
         bound_ppt = bound(self.score(Criterion.PPT))
         bound_realign = bound(self.score(Criterion.REALIGN))
@@ -147,20 +152,36 @@ class Spectra:
             bound_ppt=bound_ppt,
             bound_realign=bound_realign,
             bound_lmax=bound_lmax,
-            bound_combined=max(bound_ppt, bound_realign, bound_lmax),
+            bound_combined=_unbatched(np.maximum(np.maximum(bound_ppt, bound_realign), bound_lmax)),
         )
 
 
-def spectra(rho: DensityMatrix) -> Spectra:
-    """Values-only SVDs of R(ρ) and R(ρ - ρ_A⊗ρ_B), and eig(ρ^{T_A})."""
-    realigned = qstate.realign(rho)
-    purity_a, purity_b = qstate.subsystem_purities(rho)
+def _tensor(states: DensityMatrix | Sequence[DensityMatrix]) -> np.ndarray:
+    """ρ's (d_a, d_b, d_a, d_b) tensor view, or the stack of them for a
+    sequence of states with equal dims."""
+    if isinstance(states, DensityMatrix):
+        return states.as_tensor()
+    dims = {(rho.dim_a, rho.dim_b) for rho in states}
+    if len(dims) != 1:
+        raise ValueError(f"need at least one state, all with equal dims; got dims {sorted(dims)}")
+    return np.stack([rho.as_tensor() for rho in states])
+
+
+def spectra(rho: DensityMatrix | Sequence[DensityMatrix]) -> Spectra:
+    """Values-only SVDs of R(ρ) and R(ρ - ρ_A⊗ρ_B), and eig(ρ^{T_A}).
+
+    A sequence of states with equal dims is stacked and each decomposition
+    runs once over the stack (numpy broadcasts over the leading axis); the
+    record then has a leading batch axis."""
+    tensor = _tensor(rho)
+    realigned = qstate._realign(tensor)
+    purity_a, purity_b = qstate._subsystem_purities(tensor)
     return Spectra(
-        dim_a=rho.dim_a,
-        dim_b=rho.dim_b,
+        dim_a=tensor.shape[-4],
+        dim_b=tensor.shape[-3],
         realigned=np.linalg.svd(realigned, compute_uv=False),
         covariance=np.linalg.svd(qstate.realign_covariance(realigned), compute_uv=False),
-        partial_transpose=np.linalg.eigvalsh(qstate.partial_transpose(rho, "A")),
+        partial_transpose=np.linalg.eigvalsh(qstate._partial_transpose(tensor, 0)),
         purity_a=purity_a,
         purity_b=purity_b,
     )

@@ -79,21 +79,15 @@ def gell_mann_basis(d: int) -> LOOBasis:
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
+    rows, cols = np.triu_indices(d, k=1)  # the pairs m < n, lexicographic in (m, n)
+    symmetric = np.arange(len(rows))
+    antisymmetric = symmetric + len(rows)
+    diagonal = np.arange(d)
     obs = np.zeros((d * d, d, d), dtype=complex)
-    k = 0
-    for m in range(d):
-        for n in range(m + 1, d):
-            obs[k, m, n] = 1 / np.sqrt(2)
-            obs[k, n, m] = 1 / np.sqrt(2)
-            k += 1
-    for m in range(d):
-        for n in range(m + 1, d):
-            obs[k, m, n] = 1j / np.sqrt(2)
-            obs[k, n, m] = -1j / np.sqrt(2)
-            k += 1
-    for m in range(d):
-        obs[k, m, m] = 1.0
-        k += 1
+    obs[symmetric, rows, cols] = obs[symmetric, cols, rows] = 1 / np.sqrt(2)
+    obs[antisymmetric, rows, cols] = 1j / np.sqrt(2)
+    obs[antisymmetric, cols, rows] = -1j / np.sqrt(2)
+    obs[2 * len(rows) + diagonal, diagonal, diagonal] = 1.0
     return LOOBasis(d, obs)
 
 

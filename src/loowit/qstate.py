@@ -106,10 +106,7 @@ def partial_trace(rho: DensityMatrix, subsystem: str) -> np.ndarray:
     ``subsystem`` names the party traced *over*: partial_trace(rho, "B")
     returns the dim_a × dim_a reduced state of A.
     """
-    t = rho.as_tensor()
-    if _subsystem_index(subsystem) == 1:
-        return np.trace(t, axis1=1, axis2=3)
-    return np.trace(t, axis1=0, axis2=2)
+    return _partial_trace(rho.as_tensor(), _subsystem_index(subsystem))
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: str) -> np.ndarray:
@@ -118,11 +115,7 @@ def partial_transpose(rho: DensityMatrix, subsystem: str) -> np.ndarray:
     A pure index permutation, so applying it twice returns the original
     matrix exactly.
     """
-    t = rho.as_tensor()
-    n = rho.total_dim
-    if _subsystem_index(subsystem) == 0:
-        return t.transpose(2, 1, 0, 3).reshape(n, n)
-    return t.transpose(0, 3, 2, 1).reshape(n, n)
+    return _partial_transpose(rho.as_tensor(), _subsystem_index(subsystem))
 
 
 def realign(rho: DensityMatrix) -> np.ndarray:
@@ -131,17 +124,39 @@ def realign(rho: DensityMatrix) -> np.ndarray:
     Entry at row (i,k), column (j,l) equals ⟨ij|ρ|kl⟩.  Its trace norm is
     the realignment-criterion quantity: > 1 certifies entanglement.
     """
-    t = rho.as_tensor()
-    return t.transpose(0, 2, 1, 3).reshape(rho.dim_a**2, rho.dim_b**2)
+    return _realign(rho.as_tensor())
+
+
+# Array cores of the three functions above.  They take ρ's
+# (..., dim_a, dim_b, dim_a, dim_b) tensor view (see DensityMatrix.as_tensor)
+# and act on its last four axes, so a stack of states is handled per state.
+
+
+def _partial_trace(tensor: np.ndarray, subsystem: int) -> np.ndarray:
+    if subsystem == 1:
+        return np.trace(tensor, axis1=-3, axis2=-1)
+    return np.trace(tensor, axis1=-4, axis2=-2)
+
+
+def _partial_transpose(tensor: np.ndarray, subsystem: int) -> np.ndarray:
+    n = tensor.shape[-4] * tensor.shape[-3]
+    swapped = np.swapaxes(tensor, -4, -2) if subsystem == 0 else np.swapaxes(tensor, -3, -1)
+    return swapped.reshape(tensor.shape[:-4] + (n, n))
+
+
+def _realign(tensor: np.ndarray) -> np.ndarray:
+    dim_a, dim_b = tensor.shape[-4:-2]
+    return np.swapaxes(tensor, -3, -2).reshape(tensor.shape[:-4] + (dim_a**2, dim_b**2))
 
 
 def realign_covariance(realigned: np.ndarray) -> np.ndarray:
     """R(ρ - ρ_A⊗ρ_B) = R(ρ) - vec(ρ_A)·vec(ρ_B)ᵀ (vec row-major), from R(ρ) alone:
-    vec(ρ_A) = R(ρ)·vec(I_B) sums its columns (j, j), vec(ρ_B) its rows (i, i)."""
-    dim_a, dim_b = (math.isqrt(n) for n in realigned.shape)
-    reduced_a = realigned[:, :: dim_b + 1].sum(axis=1)
-    reduced_b = realigned[:: dim_a + 1].sum(axis=0)
-    return realigned - np.outer(reduced_a, reduced_b)
+    vec(ρ_A) = R(ρ)·vec(I_B) sums its columns (j, j), vec(ρ_B) its rows (i, i).
+    Acts on the last two axes, so a stack of realigned matrices works per matrix."""
+    dim_a, dim_b = (math.isqrt(n) for n in realigned.shape[-2:])
+    reduced_a = realigned[..., :: dim_b + 1].sum(axis=-1)
+    reduced_b = realigned[..., :: dim_a + 1, :].sum(axis=-2)
+    return realigned - reduced_a[..., :, None] * reduced_b[..., None, :]
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -149,14 +164,24 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def purity(m: np.ndarray) -> float:
-    """Tr(m²) for a Hermitian matrix."""
-    return float((m @ m).trace().real)
+def _unbatched(a):
+    """A Python scalar for a 0-d result (one state), the array itself for a stack."""
+    return a.item() if np.ndim(a) == 0 else a
+
+
+def purity(m: np.ndarray):
+    """Tr(m²) for a Hermitian matrix: a float, or one per matrix of a stack."""
+    return _unbatched((m @ m).trace(axis1=-2, axis2=-1).real)
 
 
 def subsystem_purities(rho: DensityMatrix) -> tuple[float, float]:
     """(Tr ρ_A², Tr ρ_B²)."""
-    return purity(partial_trace(rho, "B")), purity(partial_trace(rho, "A"))
+    return _subsystem_purities(rho.as_tensor())
+
+
+def _subsystem_purities(tensor: np.ndarray):
+    """(Tr ρ_A², Tr ρ_B²) of a tensor view, per state for a stack."""
+    return purity(_partial_trace(tensor, 1)), purity(_partial_trace(tensor, 0))
 
 
 @dataclass(frozen=True, eq=False)

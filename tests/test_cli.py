@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -215,6 +216,24 @@ class TestScanSpec:
         with pytest.raises(ValueError, match="criterion"):
             ScanSpec("upb_noise", 0.1, 0.9, criterion="magic")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("step", float("nan")), ("step", float("inf")), ("bisection_tol", float("nan")),
+         ("bisection_tol", float("inf")), ("bisection_tol", float("-inf"))],
+    )
+    def test_non_finite_rejected(self, field, value):
+        # NaN fails every comparison, so a NaN step used to build an endless grid.
+        with pytest.raises(ValueError, match=field):
+            ScanSpec("noisy_singlet", 0.0, 1.0, **{field: value})
+
+    @pytest.mark.parametrize("flag, value, named", [("--tol", "nan", "bisection_tol"), ("--tol", "inf", "bisection_tol"),
+                                                    ("--step", "inf", "step")])
+    def test_non_finite_flag_fails(self, flag, value, named, capsys):
+        assert main(["scan", "--family", "noisy_singlet", "--criterion", "ppt", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
 
 class TestScan:
     def test_upb_noise_nonlinear_threshold(self, tmp_path, capsys):
@@ -373,6 +392,50 @@ class TestScan:
             float(p), float(score)
             assert detected in ("0", "1")
             assert "," not in p
+
+
+def scan_family(name, tmp_path):
+    """The CLI's state family for ``name``; the file-based families read a
+    seeded pure 2x4 state, or a seeded pure 3x4 state against a separable one."""
+    rng = np.random.default_rng(17)
+    states = {}
+    if name == "noise_mixture":
+        states["state"] = qstate.random_pure_state(2, 4, rng)
+    if name == "mixture":
+        states["state"] = qstate.random_pure_state(3, 4, rng)
+        states["state2"] = qstate.random_separable_state(3, 4, rng)
+    paths = {"state": None, "state2": None}
+    for key, rho in states.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        save_state(rho, paths[key])
+    return cli._load_family(argparse.Namespace(family=name, **paths))
+
+
+class TestBatchedGrid:
+    """run_scan scores its grid in stacked batches; each row must match scoring
+    that grid point on its own."""
+
+    @pytest.mark.parametrize("criterion", cli.CRITERION_NAMES)
+    @pytest.mark.parametrize("family", cli.FAMILY_NAMES)
+    def test_rows_match_per_point_scores(self, family, criterion, tmp_path):
+        states = scan_family(family, tmp_path)
+        rows = run_scan(ScanSpec(family, 0.0, 1.0, criterion=criterion), states).rows
+        grid = cli._grid(0.0, 1.0, cli.DEFAULT_STEP)
+        reference = [scan_score(states(p), criterion) for p in grid]
+        assert [row[0] for row in rows] == grid
+        assert [row[2] for row in rows] == [detected for _, detected in reference]
+        np.testing.assert_allclose([row[1] for row in rows], [score for score, _ in reference], rtol=0, atol=1e-12)
+
+    def test_fine_grid_spans_several_chunks(self, tmp_path):
+        states = scan_family("upb_noise", tmp_path)
+        rows = run_scan(ScanSpec("upb_noise", 0.0, 1.0, step=1e-4, criterion="bound_combined"), states).rows
+        assert len(rows) == 10_001
+        assert len(rows) > 3 * (cli.GRID_CHUNK_ENTRIES // 9**2)
+        for i in np.random.default_rng(29).choice(len(rows), size=40, replace=False):
+            p, score, detected = rows[i]
+            expected_score, expected_detected = scan_score(states(p), "bound_combined")
+            assert detected == expected_detected
+            assert score == pytest.approx(expected_score, rel=0, abs=1e-12)
 
 
 class TestOracleCommand:

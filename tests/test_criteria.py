@@ -92,6 +92,31 @@ class TestSpectra:
         with pytest.raises(ValueError):
             spec.realigned[0] = 0.0
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 4)], ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_stack_matches_each_state(self, dims):
+        rng = np.random.default_rng([61, *dims])
+        states = [qstate.random_mixed_state(*dims, rng, rank=rank) for rank in (1, 2, None)]
+        states.append(qstate.random_separable_state(*dims, rng))
+        stacked = spectra(states)
+        bounds = stacked.concurrence_bounds()
+        assert stacked.realigned.shape[0] == len(states)
+        assert bounds.dim_min == min(dims)
+        for i, rho in enumerate(states):
+            single = spectra(rho)
+            for c in Criterion:
+                assert stacked.score(c)[i] == pytest.approx(single.score(c), rel=0, abs=1e-12)
+            assert stacked.purity_a[i] == pytest.approx(single.purity_a, rel=0, abs=1e-12)
+            assert stacked.purity_b[i] == pytest.approx(single.purity_b, rel=0, abs=1e-12)
+            for name in ("bound_ppt", "bound_realign", "bound_lmax", "bound_combined"):
+                expected = getattr(single.concurrence_bounds(), name)
+                assert getattr(bounds, name)[i] == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_stack_needs_equal_dims(self):
+        with pytest.raises(ValueError, match="equal dims"):
+            spectra([make_state("bell"), make_state("upb")])
+        with pytest.raises(ValueError, match="at least one state"):
+            spectra([])
+
 
 class TestConcurrencePure:
     def test_bell_state(self):

@@ -57,6 +57,28 @@ class TestGellMann:
         with pytest.raises(ValueError, match="at least 2"):
             gell_mann_basis(1)
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_matches_loop_construction_bit_exactly(self, d):
+        # The per-element double loop the index-array construction replaced.
+        reference = np.zeros((d * d, d, d), dtype=complex)
+        k = 0
+        for m in range(d):
+            for n in range(m + 1, d):
+                reference[k, m, n] = 1 / np.sqrt(2)
+                reference[k, n, m] = 1 / np.sqrt(2)
+                k += 1
+        for m in range(d):
+            for n in range(m + 1, d):
+                reference[k, m, n] = 1j / np.sqrt(2)
+                reference[k, n, m] = -1j / np.sqrt(2)
+                k += 1
+        for m in range(d):
+            reference[k, m, m] = 1.0
+            k += 1
+        observables = gell_mann_basis(d).observables
+        assert np.array_equal(observables.view(float), reference.view(float))
+        assert np.array_equal(np.signbit(observables.view(float)), np.signbit(reference.view(float)))
+
 
 class TestPauli:
     def test_normalization_and_orthogonality(self):
