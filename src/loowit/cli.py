@@ -1,7 +1,7 @@
 """Command-line front end: state generation, analysis, one-parameter family
 scans with bisection thresholds, and Monte-Carlo oracle runs.
 
-Exit codes: 0 success, 1 invalid input, 2 no threshold found in a scan.
+Exit codes: 0 success, 1 invalid input or a usage error, 2 no threshold found in a scan.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+
+import numpy as np
 
 from . import criteria, oracle, qstate, witness
 from .criteria import Criterion
@@ -24,6 +25,7 @@ FAMILY_NAMES = ("upb_noise", "noisy_singlet", "noise_mixture", "mixture")
 
 DEFAULT_STEP = 0.01
 DEFAULT_TOL = 1e-4
+# Floor of the bisection tolerance and of the grid step (at most 10**6 + 1 points).
 MIN_TOL = 1e-6
 # Matrix entries per stacked grid evaluation in a scan: 4096 states at 2x2,
 # 809 at 3x3, one at 16x16.  A fixed state count would let a chunk's memory
@@ -53,14 +55,10 @@ class ScanSpec:
             raise ValueError(
                 f"need 0 <= start < stop <= 1, got start={self.p_start}, stop={self.p_stop}"
             )
-        # Comparisons with NaN are false, so finiteness is tested first.
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be a positive finite number, got {self.step}")
-        if not (math.isfinite(self.bisection_tol) and self.bisection_tol >= MIN_TOL):
-            raise ValueError(
-                f"bisection tolerance (bisection_tol) must be finite and >= {MIN_TOL}, "
-                f"got {self.bisection_tol}"
-            )
+        for name, label in (("step", "step"), ("bisection_tol", "bisection tolerance (bisection_tol)")):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= MIN_TOL):
+                raise ValueError(f"{label} must be finite and >= {MIN_TOL}, got {value}")
 
 
 class InvalidState(ValueError):
@@ -79,10 +77,10 @@ def load_valid_state(path) -> DensityMatrix:
     return rho
 
 
-def scan_score(rho: DensityMatrix | Sequence[DensityMatrix], criterion: str):
+def scan_score(rho: DensityMatrix | np.ndarray, criterion: str):
     """Score and detection flag for a Verdict criterion or a bound name: a
-    float and a bool for one state, two arrays for a sequence of states,
-    which is scored in one stacked call into :func:`criteria.spectra`."""
+    float and a bool for one state, two arrays for a stack of tensor views,
+    which is scored in one call into :func:`criteria.spectra`."""
     spectra = criteria.spectra(rho)
     if criterion in BOUND_NAMES:
         value = getattr(spectra.concurrence_bounds(), criterion)
@@ -112,22 +110,18 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
         i += 1
 
 
-def _score_grid(spec: ScanSpec, family: Callable[[float], DensityMatrix]) -> list:
-    """(p, score, detected) rows for the grid, scored in stacked chunks of at
-    most GRID_CHUNK_ENTRIES matrix entries."""
-    grid = _grid(spec.p_start, spec.p_stop, spec.step)
-    size = max(1, GRID_CHUNK_ENTRIES // family(grid[0]).total_dim ** 2)
-    rows = []
-    for start in range(0, len(grid), size):
-        chunk = grid[start : start + size]
-        scores, flags = scan_score([family(p) for p in chunk], spec.criterion)
-        rows += zip(chunk, scores.tolist(), flags.tolist())
-    return rows
+def _family_states(endpoints: tuple[DensityMatrix, DensityMatrix], ps) -> np.ndarray:
+    """Tensor views of p·ρ₁ + (1-p)·ρ₂ for each p in ``ps``, stacked."""
+    rho_1, rho_2 = (rho.as_tensor() for rho in endpoints)
+    p = np.asarray(ps, dtype=float).reshape(-1, 1, 1, 1, 1)
+    return p * rho_1 + (1 - p) * rho_2
 
 
-def run_scan(spec: ScanSpec, family: Callable[[float], DensityMatrix]) -> ScanResult:
-    """Score the grid in stacked batches (one batch for the default 101-point
-    grid while dim_a·dim_b <= 25), then bisect the first crossing serially.
+def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> ScanResult:
+    """Scan the family p·ρ₁ + (1-p)·ρ₂ of ``endpoints`` (ρ₁, ρ₂): score the
+    grid in stacked chunks of at most GRID_CHUNK_ENTRIES matrix entries (one
+    chunk for the default 101-point grid while dim_a·dim_b <= 25), then
+    bisect the first crossing serially.
 
     Bisection assumes the detection flag changes once inside the bracketing
     grid cell.  That is not proven.  The only check is that the score at the
@@ -136,7 +130,13 @@ def run_scan(spec: ScanSpec, family: Callable[[float], DensityMatrix]) -> ScanRe
     (``grid_only``).  A cell that passes this check can still hold more than
     one crossing.
     """
-    rows = _score_grid(spec, family)
+    grid = _grid(spec.p_start, spec.p_stop, spec.step)
+    size = max(1, GRID_CHUNK_ENTRIES // endpoints[0].total_dim ** 2)
+    rows = []
+    for start in range(0, len(grid), size):
+        chunk = grid[start : start + size]
+        scores, flags = scan_score(_family_states(endpoints, chunk), spec.criterion)
+        rows += zip(chunk, scores.tolist(), flags.tolist())
     first = next((i for i, row in enumerate(rows) if row[2]), None)
     if first is None:
         return ScanResult(spec, rows, "no_threshold", None, spec.bisection_tol)
@@ -146,13 +146,13 @@ def run_scan(spec: ScanSpec, family: Callable[[float], DensityMatrix]) -> ScanRe
     lo, hi = rows[first - 1][0], rows[first][0]
     score_lo, score_hi = rows[first - 1][1], rows[first][1]
     mid = (lo + hi) / 2
-    score_mid, _ = scan_score(family(mid), spec.criterion)
+    (score_mid,), _ = scan_score(_family_states(endpoints, [mid]), spec.criterion)
     if not (score_lo <= score_mid + 1e-12 and score_mid <= score_hi + 1e-12):
         return ScanResult(spec, rows, "grid_only", hi, spec.step)
 
     while hi - lo > spec.bisection_tol:
         mid = (lo + hi) / 2
-        _, detected = scan_score(family(mid), spec.criterion)
+        _, (detected,) = scan_score(_family_states(endpoints, [mid]), spec.criterion)
         if detected:
             hi = mid
         else:
@@ -167,30 +167,27 @@ def scan_csv(result: ScanResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_family(args) -> Callable[[float], DensityMatrix]:
+def _load_family(args) -> tuple[DensityMatrix, DensityMatrix]:
+    """The validated endpoints (ρ₁, ρ₂) of the family p·ρ₁ + (1-p)·ρ₂."""
     name = args.family
     if args.state and name in ("upb_noise", "noisy_singlet"):
         raise ValueError(f"family {name!r} reads no --state file")
     if args.state2 and name != "mixture":
         raise ValueError(f"family {name!r} reads no --state2 file")
-    if name == "upb_noise":
-        base = qstate.make_state("upb")
-        return lambda p: qstate.white_noise_mixture(base, p)
-    if name == "noisy_singlet":
-        singlet = qstate.make_state("noisy_singlet", 1.0)
-        separable = qstate.make_state("noisy_singlet", 0.0)
-        return lambda p: qstate.mixture(singlet, separable, p)
+    if name in ("upb_noise", "noisy_singlet"):
+        return qstate.make_state(name, 1.0), qstate.make_state(name, 0.0)
     if name == "noise_mixture":
         if not args.state:
             raise ValueError("family 'noise_mixture' requires --state")
         base = load_valid_state(args.state)
-        return lambda p: qstate.white_noise_mixture(base, p)
+        return base, qstate.white_noise_mixture(base, 0.0)
     if name == "mixture":
         if not (args.state and args.state2):
             raise ValueError("family 'mixture' requires --state and --state2")
         first = load_valid_state(args.state)
         second = load_valid_state(args.state2)
-        return lambda p: qstate.mixture(first, second, p)
+        qstate._check_equal_dims(first, second)
+        return first, second
     raise ValueError(f"unknown family {name!r}")
 
 
@@ -339,8 +336,16 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (invalid input), not argparse's 2 (no threshold)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loowit",
         description="Entanglement witnesses from local orthogonal observables.",
     )

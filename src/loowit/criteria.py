@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -156,24 +155,15 @@ class Spectra:
         )
 
 
-def _tensor(states: DensityMatrix | Sequence[DensityMatrix]) -> np.ndarray:
-    """ρ's (d_a, d_b, d_a, d_b) tensor view, or the stack of them for a
-    sequence of states with equal dims."""
-    if isinstance(states, DensityMatrix):
-        return states.as_tensor()
-    dims = {(rho.dim_a, rho.dim_b) for rho in states}
-    if len(dims) != 1:
-        raise ValueError(f"need at least one state, all with equal dims; got dims {sorted(dims)}")
-    return np.stack([rho.as_tensor() for rho in states])
-
-
-def spectra(rho: DensityMatrix | Sequence[DensityMatrix]) -> Spectra:
+def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
     """Values-only SVDs of R(ρ) and R(ρ - ρ_A⊗ρ_B), and eig(ρ^{T_A}).
 
-    A sequence of states with equal dims is stacked and each decomposition
-    runs once over the stack (numpy broadcasts over the leading axis); the
-    record then has a leading batch axis."""
-    tensor = _tensor(rho)
+    Takes one state or a (k, d_a, d_b, d_a, d_b) stack of tensor views (see
+    :meth:`DensityMatrix.as_tensor`).  Each decomposition runs once over a
+    stack, and the record then has a leading batch axis."""
+    tensor = rho.as_tensor() if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    if tensor.ndim < 4 or tensor.shape[-4:-2] != tensor.shape[-2:]:
+        raise ValueError(f"need a stack of (d_a, d_b, d_a, d_b) tensor views, got shape {tensor.shape}")
     realigned = qstate._realign(tensor)
     purity_a, purity_b = qstate._subsystem_purities(tensor)
     return Spectra(

@@ -310,17 +310,21 @@ def white_noise_mixture(rho: DensityMatrix, p: float) -> DensityMatrix:
 def mixture(rho_1: DensityMatrix, rho_2: DensityMatrix, p: float) -> DensityMatrix:
     """Convex mixture p·ρ₁ + (1-p)·ρ₂ of two states with equal dims."""
     _check_unit_interval(p)
-    if (rho_1.dim_a, rho_1.dim_b) != (rho_2.dim_a, rho_2.dim_b):
-        raise ValueError(
-            f"mixture requires equal dims, got ({rho_1.dim_a}, {rho_1.dim_b}) "
-            f"and ({rho_2.dim_a}, {rho_2.dim_b})"
-        )
+    _check_equal_dims(rho_1, rho_2)
     return DensityMatrix(rho_1.dim_a, rho_1.dim_b, p * rho_1.data + (1 - p) * rho_2.data)
 
 
 def _check_unit_interval(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {p!r}")
+
+
+def _check_equal_dims(rho_1: DensityMatrix, rho_2: DensityMatrix) -> None:
+    if (rho_1.dim_a, rho_1.dim_b) != (rho_2.dim_a, rho_2.dim_b):
+        raise ValueError(
+            f"mixture requires equal dims, got ({rho_1.dim_a}, {rho_1.dim_b}) "
+            f"and ({rho_2.dim_a}, {rho_2.dim_b})"
+        )
 
 
 STATE_NAMES = ("bell", "noisy_singlet", "upb", "upb_noise")

@@ -95,7 +95,7 @@ def test_criterion_2_noisy_singlet_thresholds():
         1.0,
     )
     spec = ScanSpec("noisy_singlet", 0.2, 0.4, step=0.01, criterion="linear_opt", bisection_tol=1e-4)
-    result = run_scan(spec, lambda p: make_state("noisy_singlet", p))
+    result = run_scan(spec, (make_state("noisy_singlet", 1.0), make_state("noisy_singlet", 0.0)))
     optimal_threshold = result.threshold
 
     rho_at = make_state("noisy_singlet", optimal_threshold)
@@ -124,14 +124,15 @@ def test_criterion_3_upb_family_thresholds():
     start = time.perf_counter()
     upb = make_state("upb")
     family = lambda p: white_noise_mixture(upb, p)
+    endpoints = (upb, white_noise_mixture(upb, 0.0))
 
     realign_scan = run_scan(
         ScanSpec("upb_noise", 0.85, 0.92, step=0.01, criterion="realign", bisection_tol=1e-4),
-        family,
+        endpoints,
     )
     nonlinear_scan = run_scan(
         ScanSpec("upb_noise", 0.85, 0.92, step=0.01, criterion="nonlinear_opt", bisection_tol=1e-4),
-        family,
+        endpoints,
     )
 
     # Measured, not asserted: the nonlinear witness at the fixed standard /
@@ -202,14 +203,14 @@ def test_criterion_4_upb_concurrence_bounds():
 
 def test_criterion_5_bound_scan_reproduction():
     upb = make_state("upb")
-    family = lambda p: white_noise_mixture(upb, p)
+    endpoints = (upb, white_noise_mixture(upb, 0.0))
     lmax_scan = run_scan(
         ScanSpec("upb_noise", 0.85, 1.0, step=0.005, criterion="bound_lmax", bisection_tol=1e-4),
-        family,
+        endpoints,
     )
     realign_scan = run_scan(
         ScanSpec("upb_noise", 0.85, 1.0, step=0.005, criterion="bound_realign", bisection_tol=1e-4),
-        family,
+        endpoints,
     )
     assert len(lmax_scan.rows) == len(realign_scan.rows) == 31
     dominated = all(

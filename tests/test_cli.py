@@ -17,6 +17,9 @@ from loowit.witness import (
 )
 
 
+NOISY_SINGLET = (make_state("noisy_singlet", 1.0), make_state("noisy_singlet", 0.0))
+
+
 def basis_from_document(raw) -> LOOBasis:
     pairs = np.asarray(raw, dtype=float)
     return LOOBasis(pairs.shape[1], pairs[..., 0] + 1j * pairs[..., 1])
@@ -234,6 +237,16 @@ class TestScanSpec:
         assert captured.out == ""
         assert named in captured.err
 
+    def test_step_floor(self, tmp_path, capsys):
+        # A step below MIN_TOL would build a grid of more than 10**6 + 1 points.
+        ScanSpec("noisy_singlet", 0.0, 1.0, step=cli.MIN_TOL)
+        with pytest.raises(ValueError, match="step must be finite and >= 1e-06"):
+            ScanSpec("noisy_singlet", 0.0, 1.0, step=cli.MIN_TOL / 2)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--family", "noisy_singlet", "--criterion", "ppt", "--step", "1e-9", "--out", str(out)]) == 1
+        assert "step must be finite and >= 1e-06, got 1e-09" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScan:
     def test_upb_noise_nonlinear_threshold(self, tmp_path, capsys):
@@ -268,7 +281,7 @@ class TestScan:
 
     def test_bisection_brackets_the_crossing(self):
         spec = ScanSpec("noisy_singlet", 0.2, 0.4, step=0.05, criterion="linear_opt")
-        result = run_scan(spec, lambda p: make_state("noisy_singlet", p))
+        result = run_scan(spec, NOISY_SINGLET)
         assert result.status == "ok"
         th, tol = result.threshold, result.tolerance
         _, below = scan_score(make_state("noisy_singlet", th - tol), "linear_opt")
@@ -339,7 +352,7 @@ class TestScan:
 
     def test_grid_endpoint_inclusive(self):
         spec = ScanSpec("upb_noise", 0.85, 1.0, step=0.005, criterion="bound_lmax")
-        rows = run_scan(spec, lambda p: qstate.white_noise_mixture(make_state("upb"), p)).rows
+        rows = run_scan(spec, (make_state("upb"), make_state("upb_noise", 0.0))).rows
         assert len(rows) == 31
         assert rows[0][0] == pytest.approx(0.85)
         assert rows[-1][0] == 1.0
@@ -385,7 +398,7 @@ class TestScan:
 
     def test_csv_uses_plain_decimal_format(self):
         spec = ScanSpec("noisy_singlet", 0.0, 0.1, step=0.05, criterion="realign")
-        result = run_scan(spec, lambda p: make_state("noisy_singlet", p))
+        result = run_scan(spec, NOISY_SINGLET)
         text = scan_csv(result)
         for line in text.strip().splitlines()[1:]:
             p, score, detected = line.split(",")
@@ -395,8 +408,10 @@ class TestScan:
 
 
 def scan_family(name, tmp_path):
-    """The CLI's state family for ``name``; the file-based families read a
-    seeded pure 2x4 state, or a seeded pure 3x4 state against a separable one."""
+    """The CLI's endpoints for family ``name``, and the family built point by
+    point with qstate.white_noise_mixture / qstate.mixture as the reference.
+    The file-based families read a seeded pure 2x4 state, or a seeded pure
+    3x4 state against a separable one."""
     rng = np.random.default_rng(17)
     states = {}
     if name == "noise_mixture":
@@ -408,7 +423,14 @@ def scan_family(name, tmp_path):
     for key, rho in states.items():
         paths[key] = str(tmp_path / f"{key}.json")
         save_state(rho, paths[key])
-    return cli._load_family(argparse.Namespace(family=name, **paths))
+    endpoints = cli._load_family(argparse.Namespace(family=name, **paths))
+    reference = {
+        "upb_noise": lambda p: qstate.white_noise_mixture(make_state("upb"), p),
+        "noisy_singlet": lambda p: qstate.mixture(*NOISY_SINGLET, p),
+        "noise_mixture": lambda p: qstate.white_noise_mixture(states["state"], p),
+        "mixture": lambda p: qstate.mixture(states["state"], states["state2"], p),
+    }[name]
+    return endpoints, reference
 
 
 class TestBatchedGrid:
@@ -418,8 +440,8 @@ class TestBatchedGrid:
     @pytest.mark.parametrize("criterion", cli.CRITERION_NAMES)
     @pytest.mark.parametrize("family", cli.FAMILY_NAMES)
     def test_rows_match_per_point_scores(self, family, criterion, tmp_path):
-        states = scan_family(family, tmp_path)
-        rows = run_scan(ScanSpec(family, 0.0, 1.0, criterion=criterion), states).rows
+        endpoints, states = scan_family(family, tmp_path)
+        rows = run_scan(ScanSpec(family, 0.0, 1.0, criterion=criterion), endpoints).rows
         grid = cli._grid(0.0, 1.0, cli.DEFAULT_STEP)
         reference = [scan_score(states(p), criterion) for p in grid]
         assert [row[0] for row in rows] == grid
@@ -427,8 +449,8 @@ class TestBatchedGrid:
         np.testing.assert_allclose([row[1] for row in rows], [score for score, _ in reference], rtol=0, atol=1e-12)
 
     def test_fine_grid_spans_several_chunks(self, tmp_path):
-        states = scan_family("upb_noise", tmp_path)
-        rows = run_scan(ScanSpec("upb_noise", 0.0, 1.0, step=1e-4, criterion="bound_combined"), states).rows
+        endpoints, states = scan_family("upb_noise", tmp_path)
+        rows = run_scan(ScanSpec("upb_noise", 0.0, 1.0, step=1e-4, criterion="bound_combined"), endpoints).rows
         assert len(rows) == 10_001
         assert len(rows) > 3 * (cli.GRID_CHUNK_ENTRIES // 9**2)
         for i in np.random.default_rng(29).choice(len(rows), size=40, replace=False):
@@ -466,6 +488,16 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "invalid state: unit_trace violated, residual" in err
         assert not (tmp_path / "scan.csv").exists()
+
+    def test_scan_rejects_mixture_of_unequal_dims(self, bell_file, tmp_path, capsys):
+        upb = tmp_path / "upb.json"
+        save_state(make_state("upb"), upb)
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--family", "mixture", "--criterion", "realign", "--state", bell_file,
+                "--state2", str(upb), "--out", str(out)]
+        assert main(argv) == 1
+        assert "error: mixture requires equal dims, got (2, 2) and (3, 3)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_rejects_invalid_second_state(self, bell_file, identity_file, capsys):
         argv = ["scan", "--family", "mixture", "--criterion", "realign", "--state", bell_file,
@@ -522,3 +554,21 @@ class TestParser:
             main(["--help"])
         assert exc.value.code == 0
         assert "gen" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # argparse reads "-inf" as an option, so --tol gets no value.
+            ["scan", "--family", "noisy_singlet", "--criterion", "ppt", "--tol", "-inf"],
+            ["scan", "--family", "noisy_singlet", "--criterion", "ppt", "--no-such-flag"],
+        ],
+        ids=["tol_minus_inf", "unknown_flag"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        # Exit 2 is reserved for a scan that finds no threshold.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err

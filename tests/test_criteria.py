@@ -97,7 +97,7 @@ class TestSpectra:
         rng = np.random.default_rng([61, *dims])
         states = [qstate.random_mixed_state(*dims, rng, rank=rank) for rank in (1, 2, None)]
         states.append(qstate.random_separable_state(*dims, rng))
-        stacked = spectra(states)
+        stacked = spectra(np.stack([rho.as_tensor() for rho in states]))
         bounds = stacked.concurrence_bounds()
         assert stacked.realigned.shape[0] == len(states)
         assert bounds.dim_min == min(dims)
@@ -112,10 +112,11 @@ class TestSpectra:
                 assert getattr(bounds, name)[i] == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_stack_needs_equal_dims(self):
-        with pytest.raises(ValueError, match="equal dims"):
-            spectra([make_state("bell"), make_state("upb")])
-        with pytest.raises(ValueError, match="at least one state"):
-            spectra([])
+        # The last four axes of a stack must be one (d_a, d_b, d_a, d_b) tensor view.
+        bell = make_state("bell")
+        for malformed in (np.stack([bell.data, bell.data]), np.zeros((2, 2, 3, 3, 2)), np.zeros(0)):
+            with pytest.raises(ValueError, match="tensor views"):
+                spectra(malformed)
 
 
 class TestConcurrencePure:
