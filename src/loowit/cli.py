@@ -146,17 +146,19 @@ def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> 
     lo, hi = rows[first - 1][0], rows[first][0]
     score_lo, score_hi = rows[first - 1][1], rows[first][1]
     mid = (lo + hi) / 2
-    (score_mid,), _ = scan_score(_family_states(endpoints, [mid]), spec.criterion)
+    (score_mid,), (detected,) = scan_score(_family_states(endpoints, [mid]), spec.criterion)
     if not (score_lo <= score_mid + 1e-12 and score_mid <= score_hi + 1e-12):
         return ScanResult(spec, rows, "grid_only", hi, spec.step)
 
     while hi - lo > spec.bisection_tol:
         mid = (lo + hi) / 2
-        _, (detected,) = scan_score(_family_states(endpoints, [mid]), spec.criterion)
+        if detected is None:  # the check above scored the first midpoint
+            _, (detected,) = scan_score(_family_states(endpoints, [mid]), spec.criterion)
         if detected:
             hi = mid
         else:
             lo = mid
+        detected = None
     return ScanResult(spec, rows, "ok", (lo + hi) / 2, spec.bisection_tol)
 
 
@@ -326,8 +328,8 @@ def cmd_oracle(args) -> int:
         ("mu", witness.correlation_matrix(rho, basis_a, basis_b)),
         ("tau", witness.covariance_matrix(rho, basis_a, basis_b)),
     ]
-    for name, data in targets:
-        report = oracle.sampled_max_trace(data.matrix, args.samples, args.seed, target=name)
+    for name, matrix in targets:
+        report = oracle.sampled_max_trace(matrix, args.samples, args.seed, target=name)
         print(
             f"target {report.target}: analytic={report.analytic_value!r} "
             f"best_sampled={report.best_sampled!r} gap={report.gap!r} "

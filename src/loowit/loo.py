@@ -1,17 +1,22 @@
 """Local orthogonal observables: complete Hermitian operator bases on one
 subsystem, trace-orthonormal under Tr(G_k G_l) = δ_kl, together with the
-orthogonal rotations connecting any two such bases and the operator-Schmidt
-decomposition of bipartite states.
+orthogonal rotations connecting any two such bases and the frame products
+that turn a realigned operator into its matrix of joint expectations.
+
+No SVD is taken here.  The operator-Schmidt form ρ = Σ_k σ_k G_k^A ⊗ G_k^B
+has σ = ``criteria.spectra(ρ).realigned`` and the bases of
+``witness.optimal_linear_min(ρ)``; ``witness._optimum`` is the only place
+the SVD factors of μ or τ are computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .qstate import DensityMatrix, _frozen, _rng, realign
+from .qstate import _frozen
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -122,22 +127,6 @@ def rotate(basis: LOOBasis, rotation) -> LOOBasis:
     return LOOBasis(basis.dim, (o @ obs.reshape(len(basis), -1)).reshape(obs.shape))
 
 
-def haar_rotation(size: int, rng) -> OrthogonalRotation:
-    """Haar-distributed orthogonal matrix: QR of a Gaussian matrix with the
-    R-diagonal signs folded in."""
-    g = _rng(rng)
-    q, r = np.linalg.qr(g.standard_normal((size, size)))
-    signs = np.sign(np.diagonal(r))
-    signs[signs == 0] = 1.0
-    return OrthogonalRotation(q * signs)
-
-
-class OperatorSchmidt(NamedTuple):
-    singular_values: np.ndarray
-    basis_a: LOOBasis
-    basis_b: LOOBasis
-
-
 def frame(observables: np.ndarray) -> np.ndarray:
     """F for a stack of observables: row k is G_k transposed and flattened
     row-major, so F·vec(X) lists Tr(G_k X).  For Hermitian G_k the row is G_k
@@ -174,20 +163,3 @@ def paired_expectations(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBa
     left = frame(basis_a.observables[:k]) @ realigned
     return (left * frame(basis_b.observables[:k])).sum(axis=1).real
 
-
-def operator_schmidt(rho: DensityMatrix) -> OperatorSchmidt:
-    """ρ = Σ_k σ_k 𝒢_k^A ⊗ 𝒢_k^B with σ non-increasing and both bases LOO.
-
-    Built from the singular value decomposition of the joint-expectation
-    matrix in the standard basis.  When singular values are degenerate the
-    factor pair is not unique; any valid pair may be returned.
-    """
-    if rho.dim_a != rho.dim_b:
-        raise ValueError(
-            "operator_schmidt requires equal subsystem dims; for rectangular "
-            "states use witness.correlation_matrix and its singular values"
-        )
-    base = gell_mann_basis(rho.dim_a)
-    mu = expectation_matrix(realign(rho), base, base)
-    u, s, vt = np.linalg.svd(mu)
-    return OperatorSchmidt(s, rotate(base, u.T), rotate(base, vt))

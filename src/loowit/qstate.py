@@ -1,9 +1,13 @@
-"""Bipartite density matrices: validation, reductions, and state generators.
+"""Bipartite density matrices: validation, reductions, the canonical states
+and their one-parameter mixtures, and the state file format.
 
 Convention used throughout the package: the joint Hilbert space is
 C^dim_a ⊗ C^dim_b with the row-major product basis |i⟩_A|j⟩_B ↦ i·dim_b + j.
 All operations are pure functions; arrays held by the dataclasses are made
-read-only, so values are safe to share across threads.
+read-only, so values are safe to share across threads.  :func:`trace_norm`
+takes values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
+coefficient matrix; the SVD factors of μ and τ are computed only in
+``witness._optimum``.
 """
 
 from __future__ import annotations
@@ -356,66 +360,6 @@ def make_state(name: str, p: float | None = None) -> DensityMatrix:
         _check_unit_interval(p)
         return _noisy_singlet(p)
     return white_noise_mixture(_upb(), p)
-
-
-# ---------------------------------------------------------------------------
-# random sampling (seeded, for property tests)
-
-
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-def haar_state_vector(dim: int, rng) -> np.ndarray:
-    """Haar-distributed pure state: normalized complex Gaussian vector."""
-    g = _rng(rng)
-    v = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def haar_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    g = _rng(rng)
-    z = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def random_pure_state(dim_a: int, dim_b: int, rng) -> DensityMatrix:
-    return pure_state(haar_state_vector(dim_a * dim_b, _rng(rng)), dim_a, dim_b)
-
-
-def random_mixed_state(dim_a: int, dim_b: int, rng, rank: int | None = None) -> DensityMatrix:
-    """Mixed state as the partial trace of a larger Haar pure state."""
-    g = _rng(rng)
-    n = dim_a * dim_b
-    r = n if rank is None else rank
-    m = haar_state_vector(n * r, g).reshape(n, r)
-    return DensityMatrix(dim_a, dim_b, m @ m.conj().T)
-
-
-def random_product_state(dim_a: int, dim_b: int, rng) -> DensityMatrix:
-    g = _rng(rng)
-    psi = np.kron(haar_state_vector(dim_a, g), haar_state_vector(dim_b, g))
-    return pure_state(psi, dim_a, dim_b)
-
-
-def random_separable_state(dim_a: int, dim_b: int, rng, max_terms: int = 9) -> DensityMatrix:
-    """Convex mixture of up to ``max_terms`` random product states."""
-    g = _rng(rng)
-    k = int(g.integers(1, max_terms + 1))
-    weights = g.dirichlet(np.ones(k))
-    data = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    for w in weights:
-        data += w * random_product_state(dim_a, dim_b, g).data
-    return DensityMatrix(dim_a, dim_b, data)
-
-
-def local_unitary_conjugate(rho: DensityMatrix, u_a: np.ndarray, u_b: np.ndarray) -> DensityMatrix:
-    """(U_A ⊗ U_B) ρ (U_A ⊗ U_B)†."""
-    u = np.kron(u_a, u_b)
-    return DensityMatrix(rho.dim_a, rho.dim_b, u @ rho.data @ u.conj().T)
 
 
 # ---------------------------------------------------------------------------

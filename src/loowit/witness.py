@@ -18,67 +18,38 @@ change of LOO basis rotates both orthogonally on each side.  The values are
 1 - Σ_k σ_k(μ) and 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2, and the
 optimizing bases come from the SVD factors.
 
-The optima cost a full SVD and two basis rotations, so they run only when
-the bases themselves are wanted (``analyze --emit-bases``); the minima alone
-are read from :func:`loowit.criteria.spectra`.
+:func:`correlation_matrix` and :func:`covariance_matrix` return plain real
+arrays.  SVD factors are computed only in ``_optimum``, whose full SVD and
+two basis rotations run only when the bases themselves are wanted
+(``analyze --emit-bases``); the minima alone are read from
+:func:`loowit.criteria.spectra`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import qstate
 from .loo import LOOBasis, expectation_matrix, gell_mann_basis, paired_expectations, rotate
-from .qstate import DensityMatrix, _frozen
-
-@dataclass(frozen=True, eq=False)
-class CorrelationData:
-    """A real dim_a²×dim_b² correlation (μ) or covariance (τ) matrix with its
-    singular value decomposition: matrix = left · Σ · rightᵀ."""
-
-    matrix: np.ndarray
-    singular_values: np.ndarray
-    left_factor: np.ndarray
-    right_factor: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("matrix", "singular_values", "left_factor", "right_factor"):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
-
-    @property
-    def singular_value_sum(self) -> float:
-        return float(self.singular_values.sum())
-
-    def reconstruct(self) -> np.ndarray:
-        rows, cols = self.matrix.shape
-        sigma = np.zeros((rows, cols))
-        k = len(self.singular_values)
-        sigma[:k, :k][np.diag_indices(k)] = self.singular_values
-        return self.left_factor @ sigma @ self.right_factor.T
+from .qstate import DensityMatrix
 
 
-def _svd_data(matrix: np.ndarray) -> CorrelationData:
-    u, s, vt = np.linalg.svd(matrix, full_matrices=True)
-    return CorrelationData(matrix, s, u, vt.T)
-
-
-def correlation_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> CorrelationData:
-    """μ_lm = Tr(ρ G_l^A ⊗ G_m^B) = (F_A · R(ρ) · F_Bᵀ)_lm, with SVD factors attached.
+def correlation_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
+    """μ_lm = Tr(ρ G_l^A ⊗ G_m^B) = (F_A · R(ρ) · F_Bᵀ)_lm, a real dim_a²×dim_b² array.
 
     The expansion ρ = Σ_lm μ_lm G_l^A ⊗ G_m^B reconstructs the state for any
     LOO pair, and Σ_k σ_k(μ) is basis-independent.
     """
-    return _svd_data(expectation_matrix(qstate.realign(rho), basis_a, basis_b))
+    return expectation_matrix(qstate.realign(rho), basis_a, basis_b)
 
 
-def covariance_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> CorrelationData:
+def covariance_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
     """τ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ = μ - a·bᵀ, the correlation matrix with
     the product of local expectations removed; vanishes on product states."""
     covariance = qstate.realign_covariance(qstate.realign(rho))
-    return _svd_data(expectation_matrix(covariance, basis_a, basis_b))
+    return expectation_matrix(covariance, basis_a, basis_b)
 
 
 def linear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
@@ -113,12 +84,13 @@ class NonlinearOptimum(NamedTuple):
 
 
 def _optimum(rho: DensityMatrix, matrix_of):
-    """μ or τ in the Gell-Mann frame, and the bases that diagonalize it."""
+    """Σ_k σ_k of μ or τ in the Gell-Mann frame, and the bases that diagonalize
+    it; the only place the SVD factors of μ or τ are computed."""
     base_a, base_b = gell_mann_basis(rho.dim_a), gell_mann_basis(rho.dim_b)
-    data = matrix_of(rho, base_a, base_b)
-    # matrix = left Σ rightᵀ, so rotating by leftᵀ / rightᵀ diagonalizes the
-    # paired expectations onto the singular values.
-    return data, rotate(base_a, data.left_factor.T), rotate(base_b, data.right_factor.T)
+    u, s, vt = np.linalg.svd(matrix_of(rho, base_a, base_b))
+    # matrix = u Σ vt, so rotating by uᵀ / vt diagonalizes the paired
+    # expectations onto the singular values.
+    return float(s.sum()), rotate(base_a, u.T), rotate(base_b, vt)
 
 
 def optimal_linear_min(rho: DensityMatrix) -> LinearOptimum:
@@ -128,8 +100,8 @@ def optimal_linear_min(rho: DensityMatrix) -> LinearOptimum:
     them reproduces the minimum.  Rectangular states are handled by the
     rectangular μ directly (the shorter side keeps its d² observables).
     """
-    data, opt_a, opt_b = _optimum(rho, correlation_matrix)
-    return LinearOptimum(1.0 - data.singular_value_sum, opt_a, opt_b)
+    sigma_sum, opt_a, opt_b = _optimum(rho, correlation_matrix)
+    return LinearOptimum(1.0 - sigma_sum, opt_a, opt_b)
 
 
 def optimal_nonlinear_min(rho: DensityMatrix) -> NonlinearOptimum:
@@ -138,9 +110,9 @@ def optimal_nonlinear_min(rho: DensityMatrix) -> NonlinearOptimum:
     Equals 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2; the returned l_max is the
     complementary maximum, 1 - value.
     """
-    data, opt_a, opt_b = _optimum(rho, covariance_matrix)
+    sigma_sum, opt_a, opt_b = _optimum(rho, covariance_matrix)
     purity_a, purity_b = qstate.subsystem_purities(rho)
-    l_max = data.singular_value_sum + (purity_a + purity_b) / 2.0
+    l_max = sigma_sum + (purity_a + purity_b) / 2.0
     return NonlinearOptimum(1.0 - l_max, l_max, opt_a, opt_b)
 
 

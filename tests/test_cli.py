@@ -7,7 +7,7 @@ import pytest
 from loowit import cli, qstate
 from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
 from loowit.loo import LOOBasis, gell_mann_basis
-from loowit.qstate import load_state, make_state, save_state
+from loowit.qstate import load_state, make_state, save_state, trace_norm
 from loowit.witness import (
     covariance_matrix,
     linear_witness_value,
@@ -15,6 +15,8 @@ from loowit.witness import (
     optimal_linear_min,
     optimal_nonlinear_min,
 )
+
+import samplers
 
 
 NOISY_SINGLET = (make_state("noisy_singlet", 1.0), make_state("noisy_singlet", 0.0))
@@ -119,7 +121,7 @@ class TestAnalyze:
 
     def test_product_state_nothing_detected(self, tmp_path, capsys):
         path = tmp_path / "prod.json"
-        save_state(qstate.random_product_state(2, 2, np.random.default_rng(61)), path)
+        save_state(samplers.random_product_state(2, 2, np.random.default_rng(61)), path)
         assert main(["analyze", "--state", str(path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert not any(v["detected"] for v in doc["verdicts"])
@@ -166,15 +168,13 @@ class TestAnalysisDocument:
     def test_invariants_on_random_states(self):
         rng = np.random.default_rng(45)
         for da, db in [(2, 2), (2, 3), (3, 3)]:
-            rho = qstate.random_mixed_state(da, db, rng)
+            rho = samplers.random_mixed_state(da, db, rng)
             doc = cli._analysis_document(rho, emit_bases=False)
             linear, nonlinear = doc["linear"], doc["nonlinear"]
             purity_a, purity_b = doc["purities"]
             assert linear["min"] <= linear["value_at_reference_basis"] + 1e-9
             assert nonlinear["min"] <= nonlinear["value_at_reference_basis"] + 1e-9
-            tau_sum = covariance_matrix(
-                rho, gell_mann_basis(da), gell_mann_basis(db)
-            ).singular_value_sum
+            tau_sum = trace_norm(covariance_matrix(rho, gell_mann_basis(da), gell_mann_basis(db)))
             expected_lmax = tau_sum + (purity_a + purity_b) / 2
             assert nonlinear["l_max"] == pytest.approx(expected_lmax, abs=1e-10)
             assert nonlinear["l_max"] == pytest.approx(1.0 - nonlinear["min"], abs=1e-12)
@@ -198,7 +198,7 @@ class TestAnalysisDocument:
         def encode(basis):
             return [[[[float(z.real), float(z.imag)] for z in row] for row in g] for g in basis.observables]
 
-        rho = qstate.random_mixed_state(2, 3, np.random.default_rng(46))
+        rho = samplers.random_mixed_state(2, 3, np.random.default_rng(46))
         doc = cli._analysis_document(rho, emit_bases=True)
         for kind, optimum in (("linear", optimal_linear_min), ("nonlinear", optimal_nonlinear_min)):
             result = optimum(rho)
@@ -288,6 +288,34 @@ class TestScan:
         _, above = scan_score(make_state("noisy_singlet", th + tol), "linear_opt")
         assert not below
         assert above
+
+    def test_checked_midpoint_is_not_rescored(self, monkeypatch):
+        # One stacked call scores the 101-point grid and one the bracketing
+        # cell's midpoint; that midpoint is also the first bisection step, so
+        # halving the 0.01 cell below 1e-4 takes six more calls, not seven.
+        calls = []
+
+        def counted(rho, criterion):
+            calls.append(criterion)
+            return scan_score(rho, criterion)
+
+        monkeypatch.setattr(cli, "scan_score", counted)
+        result = run_scan(ScanSpec("noisy_singlet", 0.0, 1.0, criterion="linear_opt"), NOISY_SINGLET)
+        assert result.status == "ok"
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (3, 4)])
+    def test_ppt_threshold_matches_closed_form(self, dims, tol):
+        # On p·A + (1-p)·I/n, λ_min(ρ(p)^{T_A}) = p·λ_min(A^{T_A}) + (1-p)/n,
+        # which turns negative at p* = 1/(1 - n·λ_min(A^{T_A})).
+        pure = samplers.random_pure_state(*dims, np.random.default_rng(sum(dims)))
+        n = pure.total_dim
+        p_star = 1.0 / (1.0 - n * np.linalg.eigvalsh(qstate.partial_transpose(pure, "A")).min())
+        spec = ScanSpec("noise_mixture", 0.0, 1.0, criterion="ppt", bisection_tol=tol)
+        result = run_scan(spec, (pure, qstate.white_noise_mixture(pure, 0.0)))
+        assert result.status == "ok"
+        assert abs(result.threshold - p_star) <= result.tolerance
 
     def test_no_threshold_exit_code(self, tmp_path, capsys):
         code = main(
@@ -415,10 +443,10 @@ def scan_family(name, tmp_path):
     rng = np.random.default_rng(17)
     states = {}
     if name == "noise_mixture":
-        states["state"] = qstate.random_pure_state(2, 4, rng)
+        states["state"] = samplers.random_pure_state(2, 4, rng)
     if name == "mixture":
-        states["state"] = qstate.random_pure_state(3, 4, rng)
-        states["state2"] = qstate.random_separable_state(3, 4, rng)
+        states["state"] = samplers.random_pure_state(3, 4, rng)
+        states["state2"] = samplers.random_separable_state(3, 4, rng)
     paths = {"state": None, "state2": None}
     for key, rho in states.items():
         paths[key] = str(tmp_path / f"{key}.json")

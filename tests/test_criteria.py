@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loowit import criteria, qstate
+from loowit import criteria
 from loowit.criteria import (
     Criterion,
     concurrence_lower_bounds,
@@ -12,6 +12,8 @@ from loowit.criteria import (
 )
 from loowit.qstate import DensityMatrix, make_state
 from loowit.witness import optimal_linear_min, optimal_nonlinear_min
+
+import samplers
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
 
@@ -37,7 +39,7 @@ class TestVerdicts:
         rng = np.random.default_rng(51)
         for da, db in DIMS:
             for _ in range(8):
-                rho = qstate.random_separable_state(da, db, rng)
+                rho = samplers.random_separable_state(da, db, rng)
                 assert not any(v.detected for v in evaluate_all(rho))
 
     def test_detected_flag_matches_score_margin(self):
@@ -45,8 +47,8 @@ class TestVerdicts:
         states = [
             make_state("bell"),
             make_state("upb"),
-            qstate.random_separable_state(2, 2, rng),
-            qstate.random_mixed_state(3, 3, rng),
+            samplers.random_separable_state(2, 2, rng),
+            samplers.random_mixed_state(3, 3, rng),
         ]
         for rho in states:
             for v in evaluate_all(rho):
@@ -58,8 +60,8 @@ class TestVerdicts:
         rho = make_state("upb_noise", 0.95)
         base = {v.criterion: v.score for v in evaluate_all(rho)}
         for _ in range(3):
-            ua, ub = qstate.haar_unitary(3, rng), qstate.haar_unitary(3, rng)
-            rotated = qstate.local_unitary_conjugate(rho, ua, ub)
+            ua, ub = samplers.haar_unitary(3, rng), samplers.haar_unitary(3, rng)
+            rotated = samplers.local_unitary_conjugate(rho, ua, ub)
             for v in evaluate_all(rotated):
                 assert v.score == pytest.approx(base[v.criterion], abs=1e-8)
 
@@ -71,7 +73,7 @@ class TestSpectra:
     )
     def test_matches_optimal_witnesses(self, dims, rank):
         rng = np.random.default_rng([59, *dims, rank or 0])
-        rho = qstate.random_mixed_state(*dims, rng, rank=rank)
+        rho = samplers.random_mixed_state(*dims, rng, rank=rank)
         spec = spectra(rho)
         nonlinear = optimal_nonlinear_min(rho)
         linear_score = spec.score(Criterion.LINEAR_OPT)
@@ -95,8 +97,8 @@ class TestSpectra:
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 4)], ids=lambda d: f"{d[0]}x{d[1]}")
     def test_stack_matches_each_state(self, dims):
         rng = np.random.default_rng([61, *dims])
-        states = [qstate.random_mixed_state(*dims, rng, rank=rank) for rank in (1, 2, None)]
-        states.append(qstate.random_separable_state(*dims, rng))
+        states = [samplers.random_mixed_state(*dims, rng, rank=rank) for rank in (1, 2, None)]
+        states.append(samplers.random_separable_state(*dims, rng))
         stacked = spectra(np.stack([rho.as_tensor() for rho in states]))
         bounds = stacked.concurrence_bounds()
         assert stacked.realigned.shape[0] == len(states)
@@ -156,7 +158,7 @@ class TestConcurrenceBounds:
     def test_separable_states_have_zero_bounds(self):
         rng = np.random.default_rng(54)
         for da, db in DIMS:
-            rho = qstate.random_separable_state(da, db, rng)
+            rho = samplers.random_separable_state(da, db, rng)
             bounds = concurrence_lower_bounds(rho)
             assert bounds.bound_ppt == 0.0
             assert bounds.bound_realign == 0.0
@@ -167,7 +169,7 @@ class TestConcurrenceBounds:
         rng = np.random.default_rng(55)
         for da, db in DIMS:
             for _ in range(5):
-                rho = qstate.random_mixed_state(da, db, rng)
+                rho = samplers.random_mixed_state(da, db, rng)
                 b = concurrence_lower_bounds(rho)
                 assert b.bound_combined == pytest.approx(
                     max(b.bound_ppt, b.bound_realign, b.bound_lmax), abs=1e-12
@@ -176,7 +178,7 @@ class TestConcurrenceBounds:
     def test_lmax_bound_dominates_realignment_bound(self):
         rng = np.random.default_rng(56)
         states = [make_state("upb"), make_state("upb_noise", 0.9), make_state("bell")]
-        states += [qstate.random_mixed_state(da, db, rng) for da, db in DIMS for _ in range(5)]
+        states += [samplers.random_mixed_state(da, db, rng) for da, db in DIMS for _ in range(5)]
         for rho in states:
             b = concurrence_lower_bounds(rho)
             assert b.bound_lmax >= b.bound_realign - 1e-9
@@ -185,7 +187,7 @@ class TestConcurrenceBounds:
         rng = np.random.default_rng(57)
         for da, db in DIMS:
             for _ in range(5):
-                rho = qstate.random_pure_state(da, db, rng)
+                rho = samplers.random_pure_state(da, db, rng)
                 reference = concurrence_pure(rho)
                 b = concurrence_lower_bounds(rho)
                 for bound in (b.bound_ppt, b.bound_realign, b.bound_lmax, b.bound_combined):
@@ -194,7 +196,7 @@ class TestConcurrenceBounds:
     def test_bounds_capped_by_maximal_concurrence(self):
         rng = np.random.default_rng(58)
         states = [make_state("bell"), make_state("upb")]
-        states += [qstate.random_mixed_state(da, db, rng) for da, db in DIMS for _ in range(5)]
+        states += [samplers.random_mixed_state(da, db, rng) for da, db in DIMS for _ in range(5)]
         for rho in states:
             b = concurrence_lower_bounds(rho)
             cap = max_concurrence(b.dim_min)

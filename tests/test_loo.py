@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from loowit import loo, qstate
+from loowit.criteria import spectra
 from loowit.loo import (
     LOOBasis,
     OrthogonalRotation,
     gell_mann_basis,
-    haar_rotation,
     hermiticity_residual,
-    operator_schmidt,
     orthonormality_residual,
     pauli_basis,
     rotate,
     transpose_basis,
 )
 from loowit.qstate import make_state
+from loowit.witness import optimal_linear_min
+
+import samplers
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,7 +51,7 @@ class TestGellMann:
     def test_completeness_reproduces_purity(self):
         rng = np.random.default_rng(21)
         for d in (2, 3, 4):
-            rho = qstate.partial_trace(qstate.random_mixed_state(d, d, rng), "B")
+            rho = qstate.partial_trace(samplers.random_mixed_state(d, d, rng), "B")
             total = sum(np.trace(g @ rho).real ** 2 for g in gell_mann_basis(d))
             assert total == pytest.approx(qstate.purity(rho), abs=1e-9)
 
@@ -109,7 +111,7 @@ class TestTransposeBasis:
 
     def test_orthonormality_preserved_for_rotated_basis(self):
         rng = np.random.default_rng(22)
-        rotated = rotate(gell_mann_basis(3), haar_rotation(9, rng))
+        rotated = rotate(gell_mann_basis(3), samplers.haar_rotation(9, rng))
         assert orthonormality_residual(transpose_basis(rotated)) < 1e-9
 
 
@@ -121,8 +123,8 @@ class TestRotate:
     def test_composition(self):
         rng = np.random.default_rng(23)
         b = gell_mann_basis(2)
-        o1 = haar_rotation(4, rng).matrix
-        o2 = haar_rotation(4, rng).matrix
+        o1 = samplers.haar_rotation(4, rng).matrix
+        o2 = samplers.haar_rotation(4, rng).matrix
         left = rotate(rotate(b, o1), o2)
         right = rotate(b, o2 @ o1)
         np.testing.assert_allclose(left.observables, right.observables, atol=1e-10)
@@ -130,7 +132,7 @@ class TestRotate:
     def test_random_rotation_preserves_invariants(self):
         rng = np.random.default_rng(24)
         for d in (2, 3):
-            rotated = rotate(gell_mann_basis(d), haar_rotation(d * d, rng))
+            rotated = rotate(gell_mann_basis(d), samplers.haar_rotation(d * d, rng))
             assert hermiticity_residual(rotated) < 1e-9
             assert orthonormality_residual(rotated) < 1e-9
 
@@ -154,10 +156,10 @@ class TestRotate:
 
     def test_local_expectation_square_sum_invariant_under_rotation(self):
         rng = np.random.default_rng(25)
-        rho = qstate.random_mixed_state(3, 3, rng)
+        rho = samplers.random_mixed_state(3, 3, rng)
         reduced = qstate.partial_trace(rho, "B")
         basis = gell_mann_basis(3)
-        rotated = rotate(basis, haar_rotation(9, rng))
+        rotated = rotate(basis, samplers.haar_rotation(9, rng))
         total = sum(np.trace(g @ reduced).real ** 2 for g in basis)
         total_rot = sum(np.trace(g @ reduced).real ** 2 for g in rotated)
         assert total == pytest.approx(total_rot, abs=1e-9)
@@ -165,56 +167,52 @@ class TestRotate:
 
 
 class TestOperatorSchmidt:
+    """ρ = Σ_k σ_k G_k^A ⊗ G_k^B: σ is σ(R(ρ)) from the spectral core, and
+    the bases are those of the linear optimum."""
+
     def test_bell_singular_values(self):
-        dec = operator_schmidt(make_state("bell"))
-        np.testing.assert_allclose(dec.singular_values, [0.5] * 4, atol=1e-12)
-        assert dec.singular_values.sum() == pytest.approx(2.0, abs=1e-12)
+        sigma = spectra(make_state("bell")).realigned
+        np.testing.assert_allclose(sigma, [0.5] * 4, atol=1e-12)
+        assert sigma.sum() == pytest.approx(2.0, abs=1e-12)
 
     def test_pure_product_state_is_rank_one(self):
         rng = np.random.default_rng(26)
-        dec = operator_schmidt(qstate.random_product_state(3, 3, rng))
-        assert dec.singular_values[0] == pytest.approx(1.0, abs=1e-10)
-        assert np.all(dec.singular_values[1:] < 1e-10)
+        sigma = spectra(samplers.random_product_state(3, 3, rng)).realigned
+        assert sigma[0] == pytest.approx(1.0, abs=1e-10)
+        assert np.all(sigma[1:] < 1e-10)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_maximally_mixed_single_value(self, d):
         rho = qstate.DensityMatrix(d, d, np.eye(d * d) / (d * d))
-        dec = operator_schmidt(rho)
-        assert dec.singular_values[0] == pytest.approx(1.0 / d, abs=1e-12)
-        assert np.all(dec.singular_values[1:] < 1e-12)
+        sigma = spectra(rho).realigned
+        assert sigma[0] == pytest.approx(1.0 / d, abs=1e-12)
+        assert np.all(sigma[1:] < 1e-12)
 
     def test_reconstruction_and_basis_validity(self):
         rng = np.random.default_rng(27)
-        for d in (2, 3):
-            rho = qstate.random_mixed_state(d, d, rng)
-            dec = operator_schmidt(rho)
+        for dims in ((2, 2), (3, 3), (2, 3)):
+            rho = samplers.random_mixed_state(*dims, rng)
+            sigma = spectra(rho).realigned
+            opt = optimal_linear_min(rho)
             rebuilt = sum(
-                s * np.kron(ga, gb)
-                for s, ga, gb in zip(dec.singular_values, dec.basis_a, dec.basis_b)
+                s * np.kron(ga, gb) for s, ga, gb in zip(sigma, opt.basis_a, opt.basis_b)
             )
             assert np.abs(rebuilt - rho.data).max() < 1e-8
-            for basis in (dec.basis_a, dec.basis_b):
+            for basis in (opt.basis_a, opt.basis_b):
                 assert hermiticity_residual(basis) < 1e-9
                 assert orthonormality_residual(basis) < 1e-9
-            assert np.all(dec.singular_values >= 0)
-            assert np.all(np.diff(dec.singular_values) <= 1e-15)
+            assert np.all(sigma >= 0)
+            assert np.all(np.diff(sigma) <= 1e-15)
 
     def test_singular_values_lu_invariant(self):
         rng = np.random.default_rng(28)
-        rho = qstate.random_mixed_state(3, 3, rng)
-        base = operator_schmidt(rho).singular_values
+        rho = samplers.random_mixed_state(3, 3, rng)
+        base = spectra(rho).realigned
         for _ in range(3):
-            ua = qstate.haar_unitary(3, rng)
-            ub = qstate.haar_unitary(3, rng)
-            rotated = qstate.local_unitary_conjugate(rho, ua, ub)
-            np.testing.assert_allclose(
-                operator_schmidt(rotated).singular_values, base, atol=1e-8
-            )
-
-    def test_rectangular_refers_to_witness_path(self):
-        rho = qstate.random_mixed_state(2, 3, np.random.default_rng(29))
-        with pytest.raises(ValueError, match="correlation_matrix"):
-            operator_schmidt(rho)
+            ua = samplers.haar_unitary(3, rng)
+            ub = samplers.haar_unitary(3, rng)
+            rotated = samplers.local_unitary_conjugate(rho, ua, ub)
+            np.testing.assert_allclose(spectra(rotated).realigned, base, atol=1e-8)
 
 
 class TestLOOBasisStructure:

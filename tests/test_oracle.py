@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from loowit import qstate, witness
-from loowit.loo import gell_mann_basis, haar_rotation, pauli_basis, rotate
+from loowit import witness
+from loowit.loo import gell_mann_basis, pauli_basis, rotate
 from loowit.oracle import recompute_witness_direct, sampled_max_trace
 from loowit.qstate import make_state
+
+import samplers
 
 
 class TestSampledMaxTrace:
@@ -65,9 +67,9 @@ class TestRecomputeWitnessDirect:
     def test_agrees_with_witness_module(self):
         rng = np.random.default_rng(8)
         for da, db in [(2, 2), (2, 3), (3, 3), (3, 2), (4, 3)]:
-            rho = qstate.random_mixed_state(da, db, rng)
-            basis_a = rotate(gell_mann_basis(da), haar_rotation(da * da, rng))
-            basis_b = rotate(gell_mann_basis(db), haar_rotation(db * db, rng))
+            rho = samplers.random_mixed_state(da, db, rng)
+            basis_a = rotate(gell_mann_basis(da), samplers.haar_rotation(da * da, rng))
+            basis_b = rotate(gell_mann_basis(db), samplers.haar_rotation(db * db, rng))
             lin_direct = recompute_witness_direct(rho, basis_a, basis_b, "linear")
             non_direct = recompute_witness_direct(rho, basis_a, basis_b, "nonlinear")
             assert lin_direct == pytest.approx(
@@ -79,7 +81,7 @@ class TestRecomputeWitnessDirect:
 
     def test_agrees_at_optimal_bases_rectangular(self):
         # exercises the zero-padding path: the A basis has 4 elements, B has 9
-        rho = qstate.random_mixed_state(2, 3, np.random.default_rng(9))
+        rho = samplers.random_mixed_state(2, 3, np.random.default_rng(9))
         result = witness.optimal_nonlinear_min(rho)
         direct = recompute_witness_direct(rho, result.basis_a, result.basis_b, "nonlinear")
         assert direct == pytest.approx(result.value, abs=1e-10)

@@ -19,6 +19,8 @@ from loowit.qstate import (
     validate,
 )
 
+import samplers
+
 
 def bell_vector():
     v = np.zeros(4, dtype=complex)
@@ -85,7 +87,7 @@ class TestPartialTrace:
         np.testing.assert_allclose(partial_trace(rho, "A"), reduced_b, atol=1e-12)
 
     def test_reduced_state_is_hermitian_unit_trace(self):
-        rho = qstate.random_mixed_state(2, 3, np.random.default_rng(11))
+        rho = samplers.random_mixed_state(2, 3, np.random.default_rng(11))
         for side, dim in (("B", 2), ("A", 3)):
             red = partial_trace(rho, side)
             assert red.shape == (dim, dim)
@@ -117,21 +119,21 @@ class TestPartialTranspose:
     def test_involution_is_exact(self):
         rng = np.random.default_rng(5)
         for da, db in [(2, 2), (2, 3), (3, 3)]:
-            rho = qstate.random_mixed_state(da, db, rng)
+            rho = samplers.random_mixed_state(da, db, rng)
             for side in ("A", "B"):
                 once = DensityMatrix(da, db, partial_transpose(rho, side))
                 twice = partial_transpose(once, side)
                 assert np.array_equal(twice, rho.data)
 
     def test_result_is_hermitian(self):
-        rho = qstate.random_mixed_state(3, 2, np.random.default_rng(6))
+        rho = samplers.random_mixed_state(3, 2, np.random.default_rng(6))
         pt = partial_transpose(rho, "B")
         assert np.abs(pt - pt.conj().T).max() < 1e-12
 
 
 class TestRealign:
     def test_entry_permutation(self):
-        rho = qstate.random_mixed_state(2, 3, np.random.default_rng(7))
+        rho = samplers.random_mixed_state(2, 3, np.random.default_rng(7))
         r = realign(rho)
         assert r.shape == (4, 9)
         t = rho.as_tensor()
@@ -143,7 +145,7 @@ class TestRealign:
 
     def test_pure_product_state_trace_norm_one(self):
         rng = np.random.default_rng(8)
-        rho = qstate.random_product_state(3, 2, rng)
+        rho = samplers.random_product_state(3, 2, rng)
         assert trace_norm(realign(rho)) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_trace_norm_two_by_gram_oracle(self):
@@ -160,12 +162,12 @@ class TestRealign:
     def test_trace_norm_invariant_under_local_unitaries(self):
         rng = np.random.default_rng(9)
         for da, db in [(2, 2), (2, 3), (3, 3)]:
-            rho = qstate.random_mixed_state(da, db, rng)
+            rho = samplers.random_mixed_state(da, db, rng)
             base = trace_norm(realign(rho))
             for _ in range(3):
-                ua = qstate.haar_unitary(da, rng)
-                ub = qstate.haar_unitary(db, rng)
-                rotated = qstate.local_unitary_conjugate(rho, ua, ub)
+                ua = samplers.haar_unitary(da, rng)
+                ub = samplers.haar_unitary(db, rng)
+                rotated = samplers.local_unitary_conjugate(rho, ua, ub)
                 assert trace_norm(realign(rotated)) == pytest.approx(base, abs=1e-8)
 
 
@@ -183,7 +185,7 @@ class TestSchmidt:
     def test_random_coefficients_match_reduced_eigenvalues(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            psi = qstate.haar_state_vector(9, rng)
+            psi = samplers.haar_state_vector(9, rng)
             dec = schmidt(psi, 3, 3)
             eigs = np.sort(np.linalg.eigvalsh(partial_trace(pure_state(psi, 3, 3), "B")))[::-1]
             np.testing.assert_allclose(dec.coefficients**2, eigs, atol=1e-9)
@@ -260,10 +262,10 @@ class TestGenerators:
             make_state("upb_noise", 0.7),
             qstate.white_noise_mixture(make_state("bell"), 0.5),
             qstate.mixture(make_state("bell"), make_state("noisy_singlet", 1.0), 0.25),
-            qstate.random_pure_state(3, 3, rng),
-            qstate.random_mixed_state(2, 3, rng),
-            qstate.random_product_state(2, 2, rng),
-            qstate.random_separable_state(3, 3, rng),
+            samplers.random_pure_state(3, 3, rng),
+            samplers.random_mixed_state(2, 3, rng),
+            samplers.random_product_state(2, 2, rng),
+            samplers.random_separable_state(3, 3, rng),
         ]
         for rho in states:
             assert validate(rho) == []
@@ -275,7 +277,7 @@ class TestGenerators:
 
 class TestStateFiles:
     def test_round_trip_is_exact(self, tmp_path):
-        rho = qstate.random_mixed_state(2, 3, np.random.default_rng(13))
+        rho = samplers.random_mixed_state(2, 3, np.random.default_rng(13))
         path = tmp_path / "state.json"
         save_state(rho, path)
         loaded = load_state(path)
@@ -342,7 +344,7 @@ class TestStateFiles:
 
     @pytest.mark.parametrize("dims", [(2, 3), (8, 16), (16, 16)])
     def test_random_states_round_trip_bit_exactly(self, tmp_path, dims):
-        rho = qstate.random_mixed_state(*dims, np.random.default_rng(sum(dims)))
+        rho = samplers.random_mixed_state(*dims, np.random.default_rng(sum(dims)))
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         save_state(rho, first)
         loaded = load_state(first)
@@ -371,7 +373,7 @@ class TestStateFiles:
         assert first.read_text() == second.read_text()
 
     def test_document_matches_per_entry_encoder(self):
-        rho = qstate.random_mixed_state(3, 2, np.random.default_rng(14))
+        rho = samplers.random_mixed_state(3, 2, np.random.default_rng(14))
         reference = [[[float(z.real), float(z.imag)] for z in row] for row in rho.data]
         doc = qstate.state_to_document(rho)
         assert json.dumps(doc["matrix"]) == json.dumps(reference)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loowit import oracle, qstate, witness
-from loowit.loo import gell_mann_basis, haar_rotation, pauli_basis, rotate, transpose_basis
+from loowit.loo import gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.qstate import DensityMatrix, make_state, realign, trace_norm
 from loowit.witness import (
     correlation_matrix,
@@ -16,6 +16,8 @@ from loowit.witness import (
     optimal_nonlinear_min,
 )
 
+import samplers
+
 DIMS = [(2, 2), (2, 3), (3, 3), (3, 2)]
 
 
@@ -26,44 +28,34 @@ def flipped_pauli():
 class TestCorrelationMatrix:
     def test_bell_in_pauli_bases_is_diagonal(self):
         data = correlation_matrix(make_state("bell"), pauli_basis(), pauli_basis())
-        np.testing.assert_allclose(data.matrix, np.diag([0.5, -0.5, 0.5, 0.5]), atol=1e-12)
-        assert data.singular_value_sum == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(data, np.diag([0.5, -0.5, 0.5, 0.5]), atol=1e-12)
+        assert trace_norm(data) == pytest.approx(2.0, abs=1e-12)
 
     def test_maximally_mixed_single_entry(self):
         rho = DensityMatrix(2, 2, np.eye(4) / 4)
         data = correlation_matrix(rho, pauli_basis(), pauli_basis())
         expected = np.zeros((4, 4))
         expected[3, 3] = 0.5  # identity/sqrt(2) on both sides
-        np.testing.assert_allclose(data.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(data, expected, atol=1e-12)
 
     def test_singular_value_sum_invariant_under_rotation(self):
         rng = np.random.default_rng(31)
-        rho = qstate.random_mixed_state(2, 2, rng)
-        base = correlation_matrix(rho, pauli_basis(), pauli_basis()).singular_value_sum
-        rotated_a = rotate(pauli_basis(), haar_rotation(4, rng))
-        rotated_b = rotate(pauli_basis(), haar_rotation(4, rng))
-        other = correlation_matrix(rho, rotated_a, rotated_b).singular_value_sum
+        rho = samplers.random_mixed_state(2, 2, rng)
+        base = trace_norm(correlation_matrix(rho, pauli_basis(), pauli_basis()))
+        rotated_a = rotate(pauli_basis(), samplers.haar_rotation(4, rng))
+        rotated_b = rotate(pauli_basis(), samplers.haar_rotation(4, rng))
+        other = trace_norm(correlation_matrix(rho, rotated_a, rotated_b))
         assert other == pytest.approx(base, abs=1e-9)
 
     def test_state_expansion_reconstructs_rho(self):
         rng = np.random.default_rng(32)
         for da, db in DIMS:
-            rho = qstate.random_mixed_state(da, db, rng)
+            rho = samplers.random_mixed_state(da, db, rng)
             ba, bb = gell_mann_basis(da), gell_mann_basis(db)
-            mu = correlation_matrix(rho, ba, bb).matrix
+            mu = correlation_matrix(rho, ba, bb)
             rebuilt = np.einsum("lm,lij,mkn->ikjn", mu, ba.observables, bb.observables)
             rebuilt = rebuilt.reshape(da * db, da * db)
             assert np.abs(rebuilt - rho.data).max() < 1e-8
-
-    def test_svd_factors_reconstruct_matrix(self):
-        rng = np.random.default_rng(33)
-        for da, db in DIMS:
-            rho = qstate.random_mixed_state(da, db, rng)
-            data = correlation_matrix(rho, gell_mann_basis(da), gell_mann_basis(db))
-            assert data.matrix.shape == (da * da, db * db)
-            assert np.abs(data.reconstruct() - data.matrix).max() < 1e-9
-            assert np.all(data.singular_values >= 0)
-            assert np.all(np.diff(data.singular_values) <= 1e-15)
 
     @pytest.mark.parametrize(
         "function",
@@ -113,7 +105,7 @@ class TestOptimalLinear:
     def test_reevaluation_at_optimal_bases(self):
         rng = np.random.default_rng(34)
         for da, db in DIMS:
-            rho = qstate.random_mixed_state(da, db, rng)
+            rho = samplers.random_mixed_state(da, db, rng)
             result = optimal_linear_min(rho)
             again = linear_witness_value(rho, result.basis_a, result.basis_b)
             assert again == pytest.approx(result.value, abs=1e-9)
@@ -122,11 +114,11 @@ class TestOptimalLinear:
 class TestCovarianceMatrix:
     def test_product_state_vanishes(self):
         rng = np.random.default_rng(35)
-        rho_a = qstate.partial_trace(qstate.random_mixed_state(2, 2, rng), "B")
-        rho_b = qstate.partial_trace(qstate.random_mixed_state(3, 3, rng), "B")
+        rho_a = qstate.partial_trace(samplers.random_mixed_state(2, 2, rng), "B")
+        rho_b = qstate.partial_trace(samplers.random_mixed_state(3, 3, rng), "B")
         rho = DensityMatrix(2, 3, np.kron(rho_a, rho_b))
         data = covariance_matrix(rho, gell_mann_basis(2), gell_mann_basis(3))
-        assert np.abs(data.matrix).max() < 1e-10
+        assert np.abs(data).max() < 1e-10
 
     def test_bell_block_structure(self):
         basis_a = gell_mann_basis(2)
@@ -140,22 +132,22 @@ class TestCovarianceMatrix:
                 [0.0, 0.0, -0.25, 0.25],
             ]
         )
-        np.testing.assert_allclose(data.matrix, expected, atol=1e-12)
-        assert data.singular_value_sum == pytest.approx(1.5, abs=1e-12)
+        np.testing.assert_allclose(data, expected, atol=1e-12)
+        assert trace_norm(data) == pytest.approx(1.5, abs=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
     def test_matches_explicit_expectations(self, dims):
         # τ = μ - a·bᵀ with every term an explicit Tr(ρ · G^A ⊗ G^B) product
         da, db = dims
         rng = np.random.default_rng(45 + 10 * da + db)
-        rho = qstate.random_mixed_state(da, db, rng)
-        basis_a = rotate(gell_mann_basis(da), haar_rotation(da * da, rng))
-        basis_b = rotate(gell_mann_basis(db), haar_rotation(db * db, rng))
+        rho = samplers.random_mixed_state(da, db, rng)
+        basis_a = rotate(gell_mann_basis(da), samplers.haar_rotation(da * da, rng))
+        basis_b = rotate(gell_mann_basis(db), samplers.haar_rotation(db * db, rng))
         id_a, id_b = np.eye(da), np.eye(db)
         mu = np.array([[np.trace(rho.data @ np.kron(ga, gb)).real for gb in basis_b] for ga in basis_a])
         a = np.array([np.trace(rho.data @ np.kron(ga, id_b)).real for ga in basis_a])
         b = np.array([np.trace(rho.data @ np.kron(id_a, gb)).real for gb in basis_b])
-        tau = covariance_matrix(rho, basis_a, basis_b).matrix
+        tau = covariance_matrix(rho, basis_a, basis_b)
         assert np.abs(tau - (mu - np.outer(a, b))).max() < 1e-12
 
 
@@ -196,7 +188,7 @@ class TestOptimalNonlinear:
     def test_pure_product_states_give_zero(self):
         rng = np.random.default_rng(36)
         for da, db in DIMS:
-            rho = qstate.random_product_state(da, db, rng)
+            rho = samplers.random_product_state(da, db, rng)
             result = optimal_nonlinear_min(rho)
             assert result.value == pytest.approx(0.0, abs=1e-10)
 
@@ -209,7 +201,7 @@ class TestOptimalNonlinear:
     def test_reevaluation_at_optimal_bases(self):
         rng = np.random.default_rng(37)
         for da, db in DIMS:
-            rho = qstate.random_mixed_state(da, db, rng)
+            rho = samplers.random_mixed_state(da, db, rng)
             result = optimal_nonlinear_min(rho)
             again = nonlinear_witness_value(rho, result.basis_a, result.basis_b)
             assert again == pytest.approx(result.value, abs=1e-9)
@@ -248,25 +240,25 @@ class TestInvariantsAndProperties:
     def test_local_unitary_invariance_of_optima(self):
         rng = np.random.default_rng(38)
         for da, db in DIMS:
-            rho = qstate.random_mixed_state(da, db, rng)
+            rho = samplers.random_mixed_state(da, db, rng)
             lin = optimal_linear_min(rho).value
             non = optimal_nonlinear_min(rho).value
             for _ in range(3):
-                ua, ub = qstate.haar_unitary(da, rng), qstate.haar_unitary(db, rng)
-                rotated = qstate.local_unitary_conjugate(rho, ua, ub)
+                ua, ub = samplers.haar_unitary(da, rng), samplers.haar_unitary(db, rng)
+                rotated = samplers.local_unitary_conjugate(rho, ua, ub)
                 assert optimal_linear_min(rotated).value == pytest.approx(lin, abs=1e-8)
                 assert optimal_nonlinear_min(rotated).value == pytest.approx(non, abs=1e-8)
 
     def test_singular_value_sums_independent_of_starting_bases(self):
         rng = np.random.default_rng(39)
-        rho = qstate.random_mixed_state(2, 2, rng)
+        rho = samplers.random_mixed_state(2, 2, rng)
         pairs = [
             (gell_mann_basis(2), gell_mann_basis(2)),
             (pauli_basis(), pauli_basis()),
-            (rotate(pauli_basis(), haar_rotation(4, rng)), gell_mann_basis(2)),
+            (rotate(pauli_basis(), samplers.haar_rotation(4, rng)), gell_mann_basis(2)),
         ]
-        mu_sums = [correlation_matrix(rho, a, b).singular_value_sum for a, b in pairs]
-        tau_sums = [covariance_matrix(rho, a, b).singular_value_sum for a, b in pairs]
+        mu_sums = [trace_norm(correlation_matrix(rho, a, b)) for a, b in pairs]
+        tau_sums = [trace_norm(covariance_matrix(rho, a, b)) for a, b in pairs]
         for total in mu_sums[1:]:
             assert total == pytest.approx(mu_sums[0], abs=1e-9)
         for total in tau_sums[1:]:
@@ -276,36 +268,34 @@ class TestInvariantsAndProperties:
         rng = np.random.default_rng(40)
         for da, db in DIMS:
             for _ in range(5):
-                rho = qstate.random_mixed_state(da, db, rng)
-                mu_sum = correlation_matrix(
-                    rho, gell_mann_basis(da), gell_mann_basis(db)
-                ).singular_value_sum
+                rho = samplers.random_mixed_state(da, db, rng)
+                mu_sum = trace_norm(correlation_matrix(rho, gell_mann_basis(da), gell_mann_basis(db)))
                 assert mu_sum == pytest.approx(trace_norm(realign(rho)), abs=1e-8)
 
     def test_sampled_rotations_never_beat_closed_form(self):
         rng = np.random.default_rng(41)
-        rho = qstate.random_mixed_state(2, 3, rng)
+        rho = samplers.random_mixed_state(2, 3, rng)
         mu = correlation_matrix(rho, gell_mann_basis(2), gell_mann_basis(3))
         tau = covariance_matrix(rho, gell_mann_basis(2), gell_mann_basis(3))
         for data in (mu, tau):
-            report = oracle.sampled_max_trace(data.matrix, 1000, seed=42)
-            assert report.best_sampled <= data.singular_value_sum + 1e-9
+            report = oracle.sampled_max_trace(data, 1000, seed=42)
+            assert report.best_sampled <= trace_norm(data) + 1e-9
 
     def test_rectangular_padding_leaves_singular_values(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            rho = qstate.random_mixed_state(2, 3, rng)
+            rho = samplers.random_mixed_state(2, 3, rng)
             for maker in (correlation_matrix, covariance_matrix):
                 data = maker(rho, gell_mann_basis(2), gell_mann_basis(3))
-                padded = np.vstack([data.matrix, np.zeros((5, 9))])
+                padded = np.vstack([data, np.zeros((5, 9))])
                 padded_sum = np.linalg.svd(padded, compute_uv=False).sum()
-                assert padded_sum == pytest.approx(data.singular_value_sum, abs=1e-10)
+                assert padded_sum == pytest.approx(trace_norm(data), abs=1e-10)
 
     def test_pure_state_lmax_matches_schmidt_formula(self):
         rng = np.random.default_rng(43)
         for da, db in DIMS:
             for _ in range(5):
-                rho = qstate.random_pure_state(da, db, rng)
+                rho = samplers.random_pure_state(da, db, rng)
                 dec = qstate.schmidt(rho)
                 assert optimal_nonlinear_min(rho).l_max == pytest.approx(
                     lmax_pure(dec.coefficients), abs=1e-8
@@ -315,7 +305,7 @@ class TestInvariantsAndProperties:
         rng = np.random.default_rng(44)
         for da, db in DIMS:
             for _ in range(10):
-                rho = qstate.random_mixed_state(da, db, rng)
+                rho = samplers.random_mixed_state(da, db, rng)
                 non = optimal_nonlinear_min(rho).value
                 lin = optimal_linear_min(rho).value
                 assert non <= lin + 1e-9
