@@ -15,12 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import criteria, oracle, qstate, witness
-from .criteria import Criterion
 from .loo import gell_mann_basis, transpose_basis
 from .qstate import DensityMatrix
 
-BOUND_NAMES = ("bound_ppt", "bound_realign", "bound_lmax", "bound_combined")
-CRITERION_NAMES = tuple(c.value for c in Criterion) + BOUND_NAMES
 FAMILY_NAMES = ("upb_noise", "noisy_singlet", "noise_mixture", "mixture")
 
 DEFAULT_STEP = 0.01
@@ -47,9 +44,9 @@ class ScanSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILY_NAMES:
             raise ValueError(f"unknown family {self.family!r}; known: {', '.join(FAMILY_NAMES)}")
-        if self.criterion not in CRITERION_NAMES:
+        if self.criterion not in criteria.SCORE_NAMES:
             raise ValueError(
-                f"unknown criterion {self.criterion!r}; known: {', '.join(CRITERION_NAMES)}"
+                f"unknown criterion {self.criterion!r}; known: {', '.join(criteria.SCORE_NAMES)}"
             )
         if not (0.0 <= self.p_start < self.p_stop <= 1.0):
             raise ValueError(
@@ -78,15 +75,11 @@ def load_valid_state(path) -> DensityMatrix:
 
 
 def scan_score(rho: DensityMatrix | np.ndarray, criterion: str):
-    """Score and detection flag for a Verdict criterion or a bound name: a
-    float and a bool for one state, two arrays for a stack of tensor views,
+    """Score and detection flag for any name of :data:`criteria.SCORE_NAMES`:
+    a float and a bool for one state, two arrays for a stack of tensor views,
     which is scored in one call into :func:`criteria.spectra`."""
-    spectra = criteria.spectra(rho)
-    if criterion in BOUND_NAMES:
-        value = getattr(spectra.concurrence_bounds(), criterion)
-    else:
-        value = spectra.score(criterion)
-    return value, value > criteria.DETECTION_MARGIN
+    value = criteria.spectra(rho).score(criterion)
+    return value, criteria.detected(value)
 
 
 @dataclass(frozen=True)
@@ -121,14 +114,14 @@ def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> 
     """Scan the family p·ρ₁ + (1-p)·ρ₂ of ``endpoints`` (ρ₁, ρ₂): score the
     grid in stacked chunks of at most GRID_CHUNK_ENTRIES matrix entries (one
     chunk for the default 101-point grid while dim_a·dim_b <= 25), then
-    bisect the first crossing serially.
+    bisect the first crossing serially, one scored state per step.
 
     Bisection assumes the detection flag changes once inside the bracketing
-    grid cell.  That is not proven.  The only check is that the score at the
-    cell's midpoint lies between the scores at its two ends (within 1e-12);
-    when it does not, the threshold is reported at grid resolution
-    (``grid_only``).  A cell that passes this check can still hold more than
-    one crossing.
+    grid cell.  That is not proven.  The only check, made at every step, is
+    that the score at the midpoint lies between the scores at the two ends
+    of the current bracket (within 1e-12); when it does not, the threshold
+    is reported at grid resolution (``grid_only``).  A bracket that passes
+    every check can still hold more than one crossing.
     """
     grid = _grid(spec.p_start, spec.p_stop, spec.step)
     size = max(1, GRID_CHUNK_ENTRIES // endpoints[0].total_dim ** 2)
@@ -143,22 +136,16 @@ def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> 
     if first == 0:
         return ScanResult(spec, rows, "detected_from_start", rows[0][0], spec.bisection_tol)
 
-    lo, hi = rows[first - 1][0], rows[first][0]
-    score_lo, score_hi = rows[first - 1][1], rows[first][1]
-    mid = (lo + hi) / 2
-    (score_mid,), (detected,) = scan_score(_family_states(endpoints, [mid]), spec.criterion)
-    if not (score_lo <= score_mid + 1e-12 and score_mid <= score_hi + 1e-12):
-        return ScanResult(spec, rows, "grid_only", hi, spec.step)
-
+    (lo, score_lo, _), (hi, score_hi, _) = rows[first - 1], rows[first]
     while hi - lo > spec.bisection_tol:
         mid = (lo + hi) / 2
-        if detected is None:  # the check above scored the first midpoint
-            _, (detected,) = scan_score(_family_states(endpoints, [mid]), spec.criterion)
+        (score,), (detected,) = scan_score(_family_states(endpoints, [mid]), spec.criterion)
+        if not (score_lo <= score + 1e-12 and score <= score_hi + 1e-12):
+            return ScanResult(spec, rows, "grid_only", rows[first][0], spec.step)
         if detected:
-            hi = mid
+            hi, score_hi = mid, score
         else:
-            lo = mid
-        detected = None
+            lo, score_lo = mid, score
     return ScanResult(spec, rows, "ok", (lo + hi) / 2, spec.bisection_tol)
 
 
@@ -279,6 +266,17 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+# Report line and exit code of each scan status.
+_SCAN_REPORTS = {
+    "ok": ("threshold {spec.criterion}: p = {result.threshold:.10g} +- {result.tolerance:.10g}", 0),
+    "grid_only": ("threshold {spec.criterion}: p = {result.threshold:.10g} +- {result.tolerance:.10g} "
+                  "(grid resolution; scores not monotone on the bracketing cell)", 0),
+    "detected_from_start": ("threshold {spec.criterion}: detected at every grid point; "
+                            "threshold <= p = {result.threshold:.10g}", 0),
+    "no_threshold": ("no threshold in range for {spec.criterion} on {spec.family}", 2),
+}
+
+
 def cmd_scan(args) -> int:
     spec = ScanSpec(
         family=args.family,
@@ -297,27 +295,9 @@ def cmd_scan(args) -> int:
     else:
         sys.stdout.write(csv_text)
         report = sys.stderr
-    if result.status == "no_threshold":
-        print(f"no threshold in range for {spec.criterion} on {spec.family}", file=report)
-        return 2
-    if result.status == "detected_from_start":
-        print(
-            f"threshold {spec.criterion}: detected at every grid point; "
-            f"threshold <= p = {result.threshold:.10g}",
-            file=report,
-        )
-    elif result.status == "grid_only":
-        print(
-            f"threshold {spec.criterion}: p = {result.threshold:.10g} +- {result.tolerance:.10g} "
-            "(grid resolution; scores not monotone on the bracketing cell)",
-            file=report,
-        )
-    else:
-        print(
-            f"threshold {spec.criterion}: p = {result.threshold:.10g} +- {result.tolerance:.10g}",
-            file=report,
-        )
-    return 0
+    line, code = _SCAN_REPORTS[result.status]
+    print(line.format(spec=spec, result=result), file=report)
+    return code
 
 
 def cmd_oracle(args) -> int:
@@ -367,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="scan a one-parameter family and locate the threshold")
     p_scan.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    p_scan.add_argument("--criterion", required=True, choices=CRITERION_NAMES)
+    p_scan.add_argument("--criterion", required=True, choices=criteria.SCORE_NAMES)
     p_scan.add_argument("--p-start", type=float, default=0.0)
     p_scan.add_argument("--p-stop", type=float, default=1.0)
     p_scan.add_argument("--step", type=float, default=DEFAULT_STEP)

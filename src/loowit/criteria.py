@@ -3,7 +3,9 @@
 Each criterion is scored so that a positive value certifies entanglement:
 PPT and realignment use trace norms minus one, the two witness criteria use
 the negated optimal witness minima.  All four scores are invariant under
-local unitaries.
+local unitaries.  :meth:`Spectra.score` answers every criterion and
+I-concurrence bound by name, and :func:`detected` is the one rule that
+turns a score into a detection.
 
 Every score is arithmetic on the spectra of R(ρ), R(ρ - ρ_A⊗ρ_B) and
 ρ^{T_A} (R: realignment), computed once per state by :func:`spectra`.  The
@@ -14,7 +16,7 @@ witness minima use the covariance form of Zhang et al., PRA 77, 060301(R)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -24,6 +26,12 @@ from .qstate import DensityMatrix, _frozen, _unbatched
 
 # Scores this close to zero are treated as float noise, not detections.
 DETECTION_MARGIN = 1e-9
+
+
+def detected(score):
+    """The detection rule: a score above the float-noise margin.  A bool for
+    one score, an array of bools for a stack."""
+    return score > DETECTION_MARGIN
 
 
 class Criterion(str, Enum):
@@ -47,10 +55,6 @@ class Verdict:
     detected: bool
     score: float
     threshold_form: str
-
-
-def _verdict(criterion: Criterion, score: float) -> Verdict:
-    return Verdict(criterion, score > DETECTION_MARGIN, score, _THRESHOLD_FORMS[criterion])
 
 
 def max_concurrence(dim_min: int) -> float:
@@ -81,6 +85,18 @@ class ConcurrenceBound:
     bound_realign: float
     bound_lmax: float
     bound_combined: float
+
+
+# Each bound but the combined one clamps the score of its source criterion;
+# ℒ_max - 1 is the nonlinear_opt score.
+_BOUND_SOURCES = {
+    "bound_ppt": Criterion.PPT,
+    "bound_realign": Criterion.REALIGN,
+    "bound_lmax": Criterion.NONLINEAR_OPT,
+}
+BOUND_NAMES = tuple(f.name for f in fields(ConcurrenceBound) if f.name != "dim_min")
+# Everything :meth:`Spectra.score` answers: the four criteria, then the bounds.
+SCORE_NAMES = tuple(c.value for c in Criterion) + BOUND_NAMES
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +135,20 @@ class Spectra:
         """Nonlinear witness minimum over all LOO pairs, 1 - ℒ_max."""
         return 1.0 - self.l_max
 
-    def score(self, criterion: Criterion | str) -> float | np.ndarray:
-        criterion = Criterion(criterion)
+    def score(self, name: Criterion | str) -> float | np.ndarray:
+        """A criterion's score, or a concurrence bound's value: any of
+        :data:`SCORE_NAMES`.  A bound is √(2/(m(m-1))) times its source
+        criterion's score, m the smaller dim, and exactly zero where that
+        criterion detects nothing; ``bound_combined`` is the largest bound."""
+        if name == "bound_combined":
+            return _unbatched(np.maximum.reduce([self.score(bound) for bound in _BOUND_SOURCES]))
+        if name in _BOUND_SOURCES:
+            m = min(self.dim_a, self.dim_b)
+            if m < 2:
+                raise ValueError(f"concurrence bounds need min dim >= 2, got {m}")
+            score = self.score(_BOUND_SOURCES[name])
+            return _unbatched(np.where(detected(score), math.sqrt(2.0 / (m * (m - 1))) * score, 0.0))
+        criterion = Criterion(name)
         if criterion == Criterion.PPT:
             return _unbatched(np.abs(self.partial_transpose).sum(axis=-1) - 1.0)
         if criterion == Criterion.NONLINEAR_OPT:
@@ -129,30 +157,14 @@ class Spectra:
 
     def verdicts(self) -> list[Verdict]:
         """Verdicts in the order PPT, REALIGN, LINEAR_OPT, NONLINEAR_OPT."""
-        return [_verdict(c, self.score(c)) for c in Criterion]
+        scores = {c: self.score(c) for c in Criterion}
+        return [Verdict(c, detected(s), s, _THRESHOLD_FORMS[c]) for c, s in scores.items()]
 
     def concurrence_bounds(self) -> ConcurrenceBound:
-        """PPT-, realignment- and ℒ_max-based bounds and their max; scores
-        inside the float-noise margin clamp to exactly zero.  ``bound_lmax``
-        (from ℒ_max - 1) is never weaker than ``bound_realign``."""
-        m = min(self.dim_a, self.dim_b)
-        if m < 2:
-            raise ValueError(f"concurrence bounds need min dim >= 2, got {m}")
-        factor = math.sqrt(2.0 / (m * (m - 1)))
-
-        def bound(score):
-            return _unbatched(np.where(score > DETECTION_MARGIN, factor * score, 0.0))
-
-        bound_ppt = bound(self.score(Criterion.PPT))
-        bound_realign = bound(self.score(Criterion.REALIGN))
-        bound_lmax = bound(self.l_max - 1.0)
-        return ConcurrenceBound(
-            dim_min=m,
-            bound_ppt=bound_ppt,
-            bound_realign=bound_realign,
-            bound_lmax=bound_lmax,
-            bound_combined=_unbatched(np.maximum(np.maximum(bound_ppt, bound_realign), bound_lmax)),
-        )
+        """Every bound of :meth:`score`.  ``bound_lmax`` (from ℒ_max - 1) is
+        never weaker than ``bound_realign``."""
+        bounds = {name: self.score(name) for name in BOUND_NAMES}
+        return ConcurrenceBound(dim_min=min(self.dim_a, self.dim_b), **bounds)
 
 
 def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
@@ -161,17 +173,15 @@ def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
     Takes one state or a (k, d_a, d_b, d_a, d_b) stack of tensor views (see
     :meth:`DensityMatrix.as_tensor`).  Each decomposition runs once over a
     stack, and the record then has a leading batch axis."""
-    tensor = rho.as_tensor() if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if tensor.ndim < 4 or tensor.shape[-4:-2] != tensor.shape[-2:]:
-        raise ValueError(f"need a stack of (d_a, d_b, d_a, d_b) tensor views, got shape {tensor.shape}")
-    realigned = qstate._realign(tensor)
-    purity_a, purity_b = qstate._subsystem_purities(tensor)
+    tensor = qstate.tensor_view(rho)
+    realigned = qstate.realign(tensor)
+    purity_a, purity_b = qstate.subsystem_purities(tensor)
     return Spectra(
         dim_a=tensor.shape[-4],
         dim_b=tensor.shape[-3],
         realigned=np.linalg.svd(realigned, compute_uv=False),
         covariance=np.linalg.svd(qstate.realign_covariance(realigned), compute_uv=False),
-        partial_transpose=np.linalg.eigvalsh(qstate._partial_transpose(tensor, 0)),
+        partial_transpose=np.linalg.eigvalsh(qstate.partial_transpose(tensor, "A")),
         purity_a=purity_a,
         purity_b=purity_b,
     )

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .qstate import _frozen
+from .qstate import HERMITICITY_TOL, _frozen
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -134,32 +134,34 @@ def frame(observables: np.ndarray) -> np.ndarray:
     return observables.transpose(0, 2, 1).reshape(len(observables), -1)
 
 
-def _check_dims(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> None:
+def _check_bases(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> None:
+    """Both bases must fit the realigned matrix and be Hermitian within 1e-10,
+    so that the real part of each expectation is the whole of it."""
     if realigned.shape != (len(basis_a), len(basis_b)):
         raise ValueError(
             f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match the "
             f"{realigned.shape[0]}x{realigned.shape[1]} realigned matrix"
         )
+    for basis in (basis_a, basis_b):
+        residual = hermiticity_residual(basis)
+        if residual > HERMITICITY_TOL:
+            raise ValueError(f"basis is not Hermitian: max |G_k - G_k^dagger| = {residual!r}")
 
 
 def expectation_matrix(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
     """Real matrix F_A · R(X) · F_Bᵀ of joint expectations Tr(X G_l^A ⊗ G_m^B)
     for a realigned operator R(X) (:func:`qstate.realign`); a change of LOO
-    basis rotates it orthogonally on each side.  An imaginary residual above
-    1e-10 signals a non-Hermitian basis and raises."""
-    _check_dims(realigned, basis_a, basis_b)
+    basis rotates it orthogonally on each side.  A non-Hermitian basis raises;
+    for a non-Hermitian X the entries are those of its Hermitian part."""
+    _check_bases(realigned, basis_a, basis_b)
     raw = frame(basis_a.observables) @ realigned @ frame(basis_b.observables).T
-    imag = float(np.abs(raw.imag).max())
-    if imag > 1e-10:
-        raise ValueError(f"expectation matrix has imaginary residual {imag!r}; basis not Hermitian?")
     return np.ascontiguousarray(raw.real)
 
 
 def paired_expectations(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
     """Leading diagonal of :func:`expectation_matrix`, Tr(X G_k^A ⊗ G_k^B) for
     k below the shorter basis length, at the cost of one of its two products."""
-    _check_dims(realigned, basis_a, basis_b)
+    _check_bases(realigned, basis_a, basis_b)
     k = min(len(basis_a), len(basis_b))
     left = frame(basis_a.observables[:k]) @ realigned
     return (left * frame(basis_b.observables[:k])).sum(axis=1).real
-

@@ -4,7 +4,10 @@ and their one-parameter mixtures, and the state file format.
 Convention used throughout the package: the joint Hilbert space is
 C^dim_a ⊗ C^dim_b with the row-major product basis |i⟩_A|j⟩_B ↦ i·dim_b + j.
 All operations are pure functions; arrays held by the dataclasses are made
-read-only, so values are safe to share across threads.  :func:`trace_norm`
+read-only, so values are safe to share across threads.  The reductions
+(:func:`partial_trace`, :func:`partial_transpose`, :func:`realign`,
+:func:`subsystem_purities`) take a DensityMatrix or a stack of tensor views
+through :func:`tensor_view` and act per state on a stack.  :func:`trace_norm`
 takes values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
 coefficient matrix; the SVD factors of μ and τ are computed only in
 ``witness._optimum``.
@@ -80,10 +83,15 @@ def validate(rho: DensityMatrix) -> list[Violation]:
 
     Returns an empty list iff ``rho`` is Hermitian (within 1e-10), has unit
     trace (within 1e-10) and is positive semidefinite (smallest eigenvalue
-    ≥ -1e-9).  Structural problems (wrong shape) are rejected by the
-    DensityMatrix constructor instead.
+    ≥ -1e-9).  A matrix with NaN or infinite entries yields only a
+    ``finite`` violation whose residual counts those entries, since none of
+    the three can be measured on it.  Structural problems (wrong shape) are
+    rejected by the DensityMatrix constructor instead.
     """
     m = rho.data
+    non_finite = np.count_nonzero(~np.isfinite(m))
+    if non_finite:
+        return [Violation("finite", float(non_finite))]
     out: list[Violation] = []
     herm = float(np.abs(m - m.conj().T).max())
     if herm > HERMITICITY_TOL:
@@ -97,58 +105,52 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     return out
 
 
-def _subsystem_index(subsystem: str) -> int:
+def _subsystem_axes(subsystem: str) -> tuple[int, int]:
+    """The row and column axes of one party in a tensor view."""
     s = str(subsystem).upper()
     if s not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return 0 if s == "A" else 1
+    return (-4, -2) if s == "A" else (-3, -1)
 
 
-def partial_trace(rho: DensityMatrix, subsystem: str) -> np.ndarray:
+def tensor_view(rho) -> np.ndarray:
+    """The (dim_a, dim_b, dim_a, dim_b) tensor view of a DensityMatrix (see
+    :meth:`DensityMatrix.as_tensor`), or an array of such views stacked on
+    leading axes, returned as given.  Every reduction below takes either."""
+    tensor = rho.as_tensor() if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    if tensor.ndim < 4 or tensor.shape[-4:-2] != tensor.shape[-2:]:
+        raise ValueError(f"need a stack of (d_a, d_b, d_a, d_b) tensor views, got shape {tensor.shape}")
+    return tensor
+
+
+def partial_trace(rho, subsystem: str) -> np.ndarray:
     """Trace out one subsystem; returns the reduced state of the other.
 
     ``subsystem`` names the party traced *over*: partial_trace(rho, "B")
     returns the dim_a × dim_a reduced state of A.
     """
-    return _partial_trace(rho.as_tensor(), _subsystem_index(subsystem))
+    axis1, axis2 = _subsystem_axes(subsystem)
+    return np.trace(tensor_view(rho), axis1=axis1, axis2=axis2)
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: str) -> np.ndarray:
+def partial_transpose(rho, subsystem: str) -> np.ndarray:
     """Transpose the indices of one subsystem; Hermitian but possibly not PSD.
 
     A pure index permutation, so applying it twice returns the original
     matrix exactly.
     """
-    return _partial_transpose(rho.as_tensor(), _subsystem_index(subsystem))
+    tensor = tensor_view(rho)
+    n = tensor.shape[-4] * tensor.shape[-3]
+    return np.swapaxes(tensor, *_subsystem_axes(subsystem)).reshape(tensor.shape[:-4] + (n, n))
 
 
-def realign(rho: DensityMatrix) -> np.ndarray:
+def realign(rho) -> np.ndarray:
     """Rearrange ρ into the dim_a² × dim_b² realigned matrix.
 
     Entry at row (i,k), column (j,l) equals ⟨ij|ρ|kl⟩.  Its trace norm is
     the realignment-criterion quantity: > 1 certifies entanglement.
     """
-    return _realign(rho.as_tensor())
-
-
-# Array cores of the three functions above.  They take ρ's
-# (..., dim_a, dim_b, dim_a, dim_b) tensor view (see DensityMatrix.as_tensor)
-# and act on its last four axes, so a stack of states is handled per state.
-
-
-def _partial_trace(tensor: np.ndarray, subsystem: int) -> np.ndarray:
-    if subsystem == 1:
-        return np.trace(tensor, axis1=-3, axis2=-1)
-    return np.trace(tensor, axis1=-4, axis2=-2)
-
-
-def _partial_transpose(tensor: np.ndarray, subsystem: int) -> np.ndarray:
-    n = tensor.shape[-4] * tensor.shape[-3]
-    swapped = np.swapaxes(tensor, -4, -2) if subsystem == 0 else np.swapaxes(tensor, -3, -1)
-    return swapped.reshape(tensor.shape[:-4] + (n, n))
-
-
-def _realign(tensor: np.ndarray) -> np.ndarray:
+    tensor = tensor_view(rho)
     dim_a, dim_b = tensor.shape[-4:-2]
     return np.swapaxes(tensor, -3, -2).reshape(tensor.shape[:-4] + (dim_a**2, dim_b**2))
 
@@ -178,14 +180,9 @@ def purity(m: np.ndarray):
     return _unbatched((m @ m).trace(axis1=-2, axis2=-1).real)
 
 
-def subsystem_purities(rho: DensityMatrix) -> tuple[float, float]:
-    """(Tr ρ_A², Tr ρ_B²)."""
-    return _subsystem_purities(rho.as_tensor())
-
-
-def _subsystem_purities(tensor: np.ndarray):
-    """(Tr ρ_A², Tr ρ_B²) of a tensor view, per state for a stack."""
-    return purity(_partial_trace(tensor, 1)), purity(_partial_trace(tensor, 0))
+def subsystem_purities(rho):
+    """(Tr ρ_A², Tr ρ_B²): two floats, or two arrays for a stack."""
+    return purity(partial_trace(rho, "B")), purity(partial_trace(rho, "A"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +234,8 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
             return arr, dim_a, dim_b
         if dim_a is None or dim_b is None:
             raise ValueError("dim_a and dim_b are required for a raw matrix")
+        if arr.shape != (dim_a * dim_b,) * 2:
+            raise ValueError(f"matrix of shape {arr.shape} does not match dims ({dim_a}, {dim_b})")
         mat = arr
     p = purity(mat)
     if p < 1.0 - PURITY_TOL:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from loowit import cli, qstate
+from loowit import cli, criteria, qstate
 from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
 from loowit.loo import LOOBasis, gell_mann_basis
 from loowit.qstate import load_state, make_state, save_state, trace_norm
@@ -336,6 +336,36 @@ class TestScan:
         assert code == 2
         assert "no threshold in range" in capsys.readouterr().out
 
+    def test_detected_from_start_report(self, capsys):
+        argv = ["scan", "--family", "noisy_singlet", "--criterion", "realign", "--p-start", "0.5"]
+        assert main(argv) == 0
+        report = capsys.readouterr().err
+        assert report == "threshold realign: detected at every grid point; threshold <= p = 0.5\n"
+
+    @pytest.mark.parametrize("failing_step", [1, 3])
+    def test_grid_only_report(self, monkeypatch, tmp_path, capsys, failing_step):
+        # One bisection midpoint scores below its bracket's left end; the check
+        # runs at every step, so the grid cell is reported whichever step it is.
+        steps = []
+
+        def not_monotone(rho, criterion):
+            scores, flags = scan_score(rho, criterion)
+            if len(scores) == 1:
+                steps.append(criterion)
+                if len(steps) == failing_step:
+                    return scores - 1.0, flags
+            return scores, flags
+
+        monkeypatch.setattr(cli, "scan_score", not_monotone)
+        argv = ["scan", "--family", "noisy_singlet", "--criterion", "linear_opt", "--p-start", "0.2",
+                "--p-stop", "0.4", "--step", "0.05", "--out", str(tmp_path / "scan.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "threshold linear_opt: p = 0.3 +- 0.05 "
+            "(grid resolution; scores not monotone on the bracketing cell)\n"
+        )
+        assert len(steps) == failing_step
+
     def test_csv_to_stdout_with_report_on_stderr(self, capsys):
         code = main(
             [
@@ -465,7 +495,7 @@ class TestBatchedGrid:
     """run_scan scores its grid in stacked batches; each row must match scoring
     that grid point on its own."""
 
-    @pytest.mark.parametrize("criterion", cli.CRITERION_NAMES)
+    @pytest.mark.parametrize("criterion", criteria.SCORE_NAMES)
     @pytest.mark.parametrize("family", cli.FAMILY_NAMES)
     def test_rows_match_per_point_scores(self, family, criterion, tmp_path):
         endpoints, states = scan_family(family, tmp_path)

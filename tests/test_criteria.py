@@ -89,6 +89,25 @@ class TestSpectra:
         assert concurrence_lower_bounds(rho) == spec.concurrence_bounds()
         assert [v.score for v in spec.verdicts()] == [spec.score(c) for c in Criterion]
 
+    def test_score_answers_every_name(self):
+        spec = spectra(make_state("upb_noise", 0.95))
+        bounds = spec.concurrence_bounds()
+        assert criteria.SCORE_NAMES == tuple(c.value for c in Criterion) + (
+            "bound_ppt", "bound_realign", "bound_lmax", "bound_combined")
+        for name in criteria.BOUND_NAMES:
+            assert spec.score(name) == getattr(bounds, name)
+        # bound_lmax clamps the nonlinear_opt score, which is ℒ_max - 1 to the bit.
+        assert spec.score(Criterion.NONLINEAR_OPT) == spec.l_max - 1.0
+        factor = np.sqrt(2.0 / 6.0)
+        assert spec.score("bound_lmax") == factor * spec.score(Criterion.NONLINEAR_OPT)
+        with pytest.raises(ValueError, match="magic"):
+            spec.score("magic")
+
+    def test_detected_is_the_margin_rule(self):
+        margin = criteria.DETECTION_MARGIN
+        assert not criteria.detected(margin) and criteria.detected(np.nextafter(margin, 1.0))
+        np.testing.assert_array_equal(criteria.detected(np.array([-1.0, margin, 1.0])), [False, False, True])
+
     def test_spectra_are_read_only(self):
         spec = spectra(make_state("bell"))
         with pytest.raises(ValueError):
@@ -139,6 +158,10 @@ class TestConcurrencePure:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             concurrence_pure(np.ones(4), 2, 2)
+
+    def test_projector_must_match_dims(self):
+        with pytest.raises(ValueError, match=r"matrix of shape \(4, 4\) does not match dims \(2, 3\)"):
+            concurrence_pure(make_state("bell").data, 2, 3)
 
 
 class TestConcurrenceBounds:

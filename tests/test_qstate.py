@@ -50,6 +50,18 @@ class TestValidate:
         violations = validate(DensityMatrix(2, 2, data))
         assert "hermitian" in [v.invariant for v in violations]
 
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2)])
+    def test_non_finite_entries_reported(self, dims):
+        # No invariant can be measured on such a matrix: the eigensolver
+        # raises on a NaN or reports nothing at all.
+        n = dims[0] * dims[1]
+        nan_pair = np.eye(n, dtype=complex) / n
+        nan_pair[0, 1] = nan_pair[1, 0] = np.nan
+        inf_corner = np.eye(n) / n
+        inf_corner[0, 0] = np.inf
+        assert validate(DensityMatrix(*dims, nan_pair)) == [qstate.Violation("finite", 2.0)]
+        assert validate(DensityMatrix(*dims, inf_corner)) == [qstate.Violation("finite", 1.0)]
+
     def test_shape_mismatch_is_structural_error(self):
         with pytest.raises(ValueError, match="must be 4x4"):
             DensityMatrix(2, 2, np.eye(3))
@@ -169,6 +181,24 @@ class TestRealign:
                 ub = samplers.haar_unitary(db, rng)
                 rotated = samplers.local_unitary_conjugate(rho, ua, ub)
                 assert trace_norm(realign(rotated)) == pytest.approx(base, abs=1e-8)
+
+
+class TestStacks:
+    def test_reductions_act_per_state(self):
+        rng = np.random.default_rng(23)
+        states = [samplers.random_mixed_state(2, 3, rng) for _ in range(3)]
+        stack = np.stack([rho.as_tensor() for rho in states])
+        for i, rho in enumerate(states):
+            for side in ("A", "B"):
+                np.testing.assert_allclose(partial_trace(stack, side)[i], partial_trace(rho, side), rtol=0, atol=1e-15)
+                np.testing.assert_array_equal(partial_transpose(stack, side)[i], partial_transpose(rho, side))
+            np.testing.assert_array_equal(realign(stack)[i], realign(rho))
+            stacked = [purity[i] for purity in qstate.subsystem_purities(stack)]
+            np.testing.assert_allclose(stacked, qstate.subsystem_purities(rho), rtol=0, atol=1e-15)
+
+    def test_rejects_a_bare_matrix(self):
+        with pytest.raises(ValueError, match="tensor views"):
+            realign(make_state("bell").data)
 
 
 class TestSchmidt:

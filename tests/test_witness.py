@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loowit import oracle, qstate, witness
-from loowit.loo import gell_mann_basis, pauli_basis, rotate, transpose_basis
+from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.qstate import DensityMatrix, make_state, realign, trace_norm
 from loowit.witness import (
     correlation_matrix,
@@ -19,6 +19,7 @@ from loowit.witness import (
 import samplers
 
 DIMS = [(2, 2), (2, 3), (3, 3), (3, 2)]
+BASIS_FUNCTIONS = [correlation_matrix, covariance_matrix, linear_witness_value, nonlinear_witness_value]
 
 
 def flipped_pauli():
@@ -57,14 +58,33 @@ class TestCorrelationMatrix:
             rebuilt = rebuilt.reshape(da * db, da * db)
             assert np.abs(rebuilt - rho.data).max() < 1e-8
 
-    @pytest.mark.parametrize(
-        "function",
-        [correlation_matrix, covariance_matrix, linear_witness_value, nonlinear_witness_value],
-        ids=lambda f: f.__name__,
-    )
+    @pytest.mark.parametrize("function", BASIS_FUNCTIONS, ids=lambda f: f.__name__)
     def test_dimension_mismatch_rejected(self, function):
         with pytest.raises(ValueError, match="do not match"):
             function(make_state("upb"), pauli_basis(), gell_mann_basis(3))
+
+    @pytest.mark.parametrize("function", BASIS_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_non_hermitian_basis_rejected(self, function):
+        # iG_0 is anti-Hermitian, so the real parts the witness values keep
+        # are not its expectations.
+        observables = gell_mann_basis(3).observables.copy()
+        observables[0] *= 1j
+        with pytest.raises(ValueError, match=r"basis is not Hermitian: max \|G_k - G_k\^dagger\| = 1.41"):
+            function(make_state("upb_noise", 0.9), LOOBasis(3, observables), gell_mann_basis(3))
+
+    @pytest.mark.parametrize("function", BASIS_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_state_hermitian_within_tolerance_is_answered(self, function, d):
+        # A state that validate accepts, off Hermitian by 0.98e-10 in every
+        # off-diagonal entry, gets the values of its Hermitian part.
+        rho = samplers.random_mixed_state(d, d, np.random.default_rng(d))
+        skew = np.full((d * d, d * d), 0.49e-10j)
+        np.fill_diagonal(skew, 0.0)
+        perturbed = DensityMatrix(d, d, rho.data + skew)
+        assert qstate.validate(perturbed) == []
+        basis = gell_mann_basis(d)
+        expected = function(rho, basis, basis)
+        np.testing.assert_allclose(function(perturbed, basis, basis), expected, rtol=0, atol=1e-12)
 
 
 class TestLinearWitness:
