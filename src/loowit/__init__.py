@@ -2,16 +2,7 @@
 observables, with the PPT/realignment criteria and I-concurrence lower bounds
 they induce for bipartite states."""
 
-from .criteria import (
-    ConcurrenceBound,
-    Criterion,
-    Spectra,
-    Verdict,
-    concurrence_lower_bounds,
-    concurrence_pure,
-    evaluate_all,
-    spectra,
-)
+from .criteria import Spectra, concurrence_pure, spectra
 from .loo import (
     LOOBasis,
     OrthogonalRotation,
@@ -53,8 +44,6 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConcurrenceBound",
-    "Criterion",
     "DensityMatrix",
     "LOOBasis",
     "LinearOptimum",
@@ -63,13 +52,10 @@ __all__ = [
     "OrthogonalRotation",
     "SchmidtDecomposition",
     "Spectra",
-    "Verdict",
     "Violation",
-    "concurrence_lower_bounds",
     "concurrence_pure",
     "correlation_matrix",
     "covariance_matrix",
-    "evaluate_all",
     "gell_mann_basis",
     "linear_witness_value",
     "lmax_pure",

@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,18 +195,19 @@ def cmd_gen(args) -> int:
 
 def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
     spectra = criteria.spectra(rho)
+    scores = {name: spectra.score(name) for name in criteria.SCORE_NAMES}
     reference_a = gell_mann_basis(rho.dim_a)
     reference_b = transpose_basis(gell_mann_basis(rho.dim_b))
     doc = {
         "dims": [rho.dim_a, rho.dim_b],
         "verdicts": [
             {
-                "criterion": v.criterion.value,
-                "detected": v.detected,
-                "score": v.score,
-                "threshold_form": v.threshold_form,
+                "criterion": name,
+                "detected": criteria.detected(scores[name]),
+                "score": scores[name],
+                "threshold_form": form,
             }
-            for v in spectra.verdicts()
+            for name, form in criteria.THRESHOLD_FORMS.items()
         ],
         "linear": {
             "min": spectra.linear_min,
@@ -220,7 +221,10 @@ def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
             ),
         },
         "purities": [spectra.purity_a, spectra.purity_b],
-        "concurrence_bounds": asdict(spectra.concurrence_bounds()),
+        "concurrence_bounds": {
+            "dim_min": min(rho.dim_a, rho.dim_b),
+            **{name: scores[name] for name in criteria.BOUND_NAMES},
+        },
     }
     if emit_bases:
         optima = {"linear": witness.optimal_linear_min(rho), "nonlinear": witness.optimal_nonlinear_min(rho)}
@@ -256,6 +260,8 @@ def _print_analysis(doc: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.emit_bases and not args.json:
+        raise ValueError("--emit-bases needs --json: the bases appear only in the JSON output")
     rho = load_valid_state(args.state)
     doc = _analysis_document(rho, args.emit_bases)
     if args.json:
@@ -342,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="criteria, optimal witnesses and bounds for a state file")
     p_an.add_argument("--state", required=True, help="state file to analyze")
     p_an.add_argument("--json", action="store_true", help="machine-readable JSON output")
-    p_an.add_argument("--emit-bases", action="store_true", help="include optimal bases in the JSON")
+    p_an.add_argument(
+        "--emit-bases", action="store_true", help="include optimal bases in the JSON (needs --json)"
+    )
     p_an.set_defaults(func=cmd_analyze)
 
     p_scan = sub.add_parser("scan", help="scan a one-parameter family and locate the threshold")

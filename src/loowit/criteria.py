@@ -1,11 +1,11 @@
-"""Entanglement criterion verdicts and I-concurrence lower bounds.
+"""Entanglement criterion scores and I-concurrence lower bounds, read by name.
 
 Each criterion is scored so that a positive value certifies entanglement:
 PPT and realignment use trace norms minus one, the two witness criteria use
 the negated optimal witness minima.  All four scores are invariant under
-local unitaries.  :meth:`Spectra.score` answers every criterion and
-I-concurrence bound by name, and :func:`detected` is the one rule that
-turns a score into a detection.
+local unitaries.  :meth:`Spectra.score` answers every name of
+:data:`SCORE_NAMES`, criterion or I-concurrence bound, and :func:`detected`
+is the one rule that turns a score into a detection.
 
 Every score is arithmetic on the spectra of R(ρ), R(ρ - ρ_A⊗ρ_B) and
 ρ^{T_A} (R: realignment), computed once per state by :func:`spectra`.  The
@@ -16,8 +16,7 @@ witness minima use the covariance form of Zhang et al., PRA 77, 060301(R)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,27 +33,20 @@ def detected(score):
     return score > DETECTION_MARGIN
 
 
-class Criterion(str, Enum):
-    PPT = "ppt"
-    REALIGN = "realign"
-    LINEAR_OPT = "linear_opt"
-    NONLINEAR_OPT = "nonlinear_opt"
-
-
-_THRESHOLD_FORMS = {
-    Criterion.PPT: "trace norm of the partial transpose minus 1",
-    Criterion.REALIGN: "trace norm of the realigned state minus 1",
-    Criterion.LINEAR_OPT: "negated minimum of the linear witness over LOO pairs",
-    Criterion.NONLINEAR_OPT: "negated minimum of the nonlinear witness over LOO pairs",
+# The four criteria by name, each with the form of its score.
+THRESHOLD_FORMS = {
+    "ppt": "trace norm of the partial transpose minus 1",
+    "realign": "trace norm of the realigned state minus 1",
+    "linear_opt": "negated minimum of the linear witness over LOO pairs",
+    "nonlinear_opt": "negated minimum of the nonlinear witness over LOO pairs",
 }
 
-
-@dataclass(frozen=True)
-class Verdict:
-    criterion: Criterion
-    detected: bool
-    score: float
-    threshold_form: str
+# Each bound but the combined one clamps the score of its source criterion;
+# ℒ_max - 1 is the nonlinear_opt score.
+_BOUND_SOURCES = {"bound_ppt": "ppt", "bound_realign": "realign", "bound_lmax": "nonlinear_opt"}
+BOUND_NAMES = (*_BOUND_SOURCES, "bound_combined")
+# Everything :meth:`Spectra.score` answers: the four criteria, then the bounds.
+SCORE_NAMES = (*THRESHOLD_FORMS, *BOUND_NAMES)
 
 
 def max_concurrence(dim_min: int) -> float:
@@ -74,38 +66,13 @@ def concurrence_pure(psi, dim_a: int | None = None, dim_b: int | None = None) ->
     return math.sqrt(2.0 * max(0.0, 1.0 - purity_a))
 
 
-@dataclass(frozen=True)
-class ConcurrenceBound:
-    """Lower bounds on the mixed-state I-concurrence, one per criterion,
-    each of the form √(2/(m(m-1))) · score clamped at zero, with m the
-    smaller subsystem dimension."""
-
-    dim_min: int
-    bound_ppt: float
-    bound_realign: float
-    bound_lmax: float
-    bound_combined: float
-
-
-# Each bound but the combined one clamps the score of its source criterion;
-# ℒ_max - 1 is the nonlinear_opt score.
-_BOUND_SOURCES = {
-    "bound_ppt": Criterion.PPT,
-    "bound_realign": Criterion.REALIGN,
-    "bound_lmax": Criterion.NONLINEAR_OPT,
-}
-BOUND_NAMES = tuple(f.name for f in fields(ConcurrenceBound) if f.name != "dim_min")
-# Everything :meth:`Spectra.score` answers: the four criteria, then the bounds.
-SCORE_NAMES = tuple(c.value for c in Criterion) + BOUND_NAMES
-
-
 @dataclass(frozen=True, eq=False)
 class Spectra:
     """σ(R(ρ)), σ(R(ρ - ρ_A⊗ρ_B)) and eig(ρ^{T_A}) of one state, with its
-    subsystem purities; every score, verdict and bound is read from these.
+    subsystem purities; every score and bound is read from these.
 
     For a stack of states every field, score and bound gains a leading batch
-    axis; for one state they are Python floats (and bools for verdicts)."""
+    axis; for one state they are Python floats."""
 
     dim_a: int
     dim_b: int
@@ -135,11 +102,12 @@ class Spectra:
         """Nonlinear witness minimum over all LOO pairs, 1 - ℒ_max."""
         return 1.0 - self.l_max
 
-    def score(self, name: Criterion | str) -> float | np.ndarray:
+    def score(self, name: str) -> float | np.ndarray:
         """A criterion's score, or a concurrence bound's value: any of
         :data:`SCORE_NAMES`.  A bound is √(2/(m(m-1))) times its source
         criterion's score, m the smaller dim, and exactly zero where that
-        criterion detects nothing; ``bound_combined`` is the largest bound."""
+        criterion detects nothing; ``bound_combined`` is the largest bound.
+        ``bound_lmax`` (from ℒ_max - 1) is never weaker than ``bound_realign``."""
         if name == "bound_combined":
             return _unbatched(np.maximum.reduce([self.score(bound) for bound in _BOUND_SOURCES]))
         if name in _BOUND_SOURCES:
@@ -148,23 +116,13 @@ class Spectra:
                 raise ValueError(f"concurrence bounds need min dim >= 2, got {m}")
             score = self.score(_BOUND_SOURCES[name])
             return _unbatched(np.where(detected(score), math.sqrt(2.0 / (m * (m - 1))) * score, 0.0))
-        criterion = Criterion(name)
-        if criterion == Criterion.PPT:
+        if name == "ppt":
             return _unbatched(np.abs(self.partial_transpose).sum(axis=-1) - 1.0)
-        if criterion == Criterion.NONLINEAR_OPT:
+        if name == "nonlinear_opt":
             return -self.nonlinear_min
-        return -self.linear_min  # REALIGN and LINEAR_OPT
-
-    def verdicts(self) -> list[Verdict]:
-        """Verdicts in the order PPT, REALIGN, LINEAR_OPT, NONLINEAR_OPT."""
-        scores = {c: self.score(c) for c in Criterion}
-        return [Verdict(c, detected(s), s, _THRESHOLD_FORMS[c]) for c, s in scores.items()]
-
-    def concurrence_bounds(self) -> ConcurrenceBound:
-        """Every bound of :meth:`score`.  ``bound_lmax`` (from ℒ_max - 1) is
-        never weaker than ``bound_realign``."""
-        bounds = {name: self.score(name) for name in BOUND_NAMES}
-        return ConcurrenceBound(dim_min=min(self.dim_a, self.dim_b), **bounds)
+        if name in ("realign", "linear_opt"):
+            return -self.linear_min
+        raise ValueError(f"unknown score name {name!r}; known: {', '.join(SCORE_NAMES)}")
 
 
 def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
@@ -186,12 +144,3 @@ def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
         purity_b=purity_b,
     )
 
-
-def evaluate_all(rho: DensityMatrix) -> list[Verdict]:
-    """Verdicts in the order PPT, REALIGN, LINEAR_OPT, NONLINEAR_OPT."""
-    return spectra(rho).verdicts()
-
-
-def concurrence_lower_bounds(rho: DensityMatrix) -> ConcurrenceBound:
-    """See :meth:`Spectra.concurrence_bounds`."""
-    return spectra(rho).concurrence_bounds()

@@ -40,8 +40,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """A bipartite state: complex (dim_a·dim_b)² matrix plus subsystem dims.
 
-    The constructor enforces structure only (shape and positive dims);
-    the physical invariants are checked by :func:`validate`.
+    The constructor enforces structure only (shape and positive integer
+    dims, Python or NumPy, not bool); the physical invariants are checked by
+    :func:`validate`.
     """
 
     dim_a: int
@@ -49,10 +50,11 @@ class DensityMatrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValueError(
-                f"subsystem dimensions must be positive, got ({self.dim_a}, {self.dim_b})"
-            )
+        dims = (self.dim_a, self.dim_b)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in dims):
+            raise ValueError(f"subsystem dimensions must be positive integers, got {dims!r}")
+        object.__setattr__(self, "dim_a", int(self.dim_a))
+        object.__setattr__(self, "dim_b", int(self.dim_b))
         data = np.array(self.data, dtype=complex)
         n = self.dim_a * self.dim_b
         if data.shape != (n, n):
@@ -213,12 +215,16 @@ class SchmidtDecomposition:
 def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None):
     """Coerce a pure-state input to a normalized vector plus dims.
 
-    Accepts a state vector, a DensityMatrix, or a raw projector matrix
-    (then dims are required).  Projectors must have purity Tr ρ² ≥ 1 - 1e-8;
-    the dominant eigenvector is extracted.  Returns (psi, dim_a, dim_b).
+    Accepts a state vector, a DensityMatrix (dims left None or equal to its
+    own), or a raw projector matrix (then dims are required).  Projectors
+    must have purity Tr ρ² ≥ 1 - 1e-8; the dominant eigenvector is
+    extracted.  Returns (psi, dim_a, dim_b).
     """
     if isinstance(state, DensityMatrix):
-        mat, dim_a, dim_b = state.data, state.dim_a, state.dim_b
+        own = (state.dim_a, state.dim_b)
+        if any(d is not None and d != o for d, o in zip((dim_a, dim_b), own)):
+            raise ValueError(f"state of dims {own} does not match dims ({dim_a}, {dim_b})")
+        mat, (dim_a, dim_b) = state.data, own
     else:
         arr = np.asarray(state, dtype=complex)
         if arr.ndim == 1:

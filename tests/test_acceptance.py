@@ -10,7 +10,7 @@ import pytest
 
 from loowit import criteria, qstate, witness
 from loowit.cli import ScanSpec, run_scan
-from loowit.criteria import Criterion, concurrence_lower_bounds, spectra
+from loowit.criteria import spectra
 from loowit.loo import gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.oracle import sampled_max_trace
 from loowit.qstate import make_state, realign, trace_norm, white_noise_mixture
@@ -102,8 +102,8 @@ def test_criterion_2_noisy_singlet_thresholds():
 
     rho_at = make_state("noisy_singlet", optimal_threshold)
     spectra_at = spectra(rho_at)
-    lin_score = spectra_at.score(Criterion.LINEAR_OPT)
-    realign_score = spectra_at.score(Criterion.REALIGN)
+    lin_score = spectra_at.score("linear_opt")
+    realign_score = spectra_at.score("realign")
     elapsed = time.perf_counter() - start
 
     ok = (
@@ -189,17 +189,18 @@ def test_criterion_3_upb_family_thresholds():
 
 
 def test_criterion_4_upb_concurrence_bounds():
-    bounds = concurrence_lower_bounds(make_state("upb"))
+    spec = spectra(make_state("upb"))
+    bounds = {name: spec.score(name) for name in criteria.BOUND_NAMES}
     ok = (
-        abs(bounds.bound_realign - 0.050) <= 1e-3
-        and abs(bounds.bound_lmax - 0.055) <= 1e-3
-        and bounds.bound_ppt == 0.0
+        abs(bounds["bound_realign"] - 0.050) <= 1e-3
+        and abs(bounds["bound_lmax"] - 0.055) <= 1e-3
+        and bounds["bound_ppt"] == 0.0
     )
     check(
         "criterion 4: upb concurrence bounds 0.050 / 0.055 / 0 (tol 1e-3)",
         ok,
-        f"realign {bounds.bound_realign:.5f}, lmax {bounds.bound_lmax:.5f}, "
-        f"ppt {bounds.bound_ppt:.1e}",
+        f"realign {bounds['bound_realign']:.5f}, lmax {bounds['bound_lmax']:.5f}, "
+        f"ppt {bounds['bound_ppt']:.1e}",
     )
 
 
@@ -327,10 +328,10 @@ def test_criterion_7_separable_sanity():
     for i in range(SEPARABLE_STATES):
         da, db = DIMS[i % len(DIMS)]
         rho = samplers.random_separable_state(da, db, rng, max_terms=9)
-        if any(v.detected for v in criteria.evaluate_all(rho)):
+        spec = spectra(rho)
+        if any(criteria.detected(spec.score(name)) for name in criteria.THRESHOLD_FORMS):
             detections += 1
-        bounds = concurrence_lower_bounds(rho)
-        if bounds.bound_combined != 0.0:
+        if spec.score("bound_combined") != 0.0:
             nonzero_bounds += 1
     check(
         f"criterion 7: {SEPARABLE_STATES} random separable states, no detections "

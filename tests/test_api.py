@@ -6,8 +6,6 @@ from loowit import loo, qstate, witness
 import samplers
 
 PUBLIC_NAMES = [
-    "ConcurrenceBound",
-    "Criterion",
     "DensityMatrix",
     "LOOBasis",
     "LinearOptimum",
@@ -16,13 +14,10 @@ PUBLIC_NAMES = [
     "OrthogonalRotation",
     "SchmidtDecomposition",
     "Spectra",
-    "Verdict",
     "Violation",
-    "concurrence_lower_bounds",
     "concurrence_pure",
     "correlation_matrix",
     "covariance_matrix",
-    "evaluate_all",
     "gell_mann_basis",
     "linear_witness_value",
     "lmax_pure",

@@ -135,6 +135,13 @@ class TestAnalyze:
         value = nonlinear_witness_value(make_state("bell"), basis_a, basis_b)
         assert value == pytest.approx(doc["nonlinear"]["min"], abs=1e-9)
 
+    def test_emit_bases_needs_json(self, bell_file, capsys):
+        # Without --json the bases would be computed and then never printed.
+        assert main(["analyze", "--state", bell_file, "--emit-bases"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --emit-bases needs --json: the bases appear only in the JSON output\n"
+
     def test_invalid_state_reports_residuals(self, tmp_path, capsys):
         doc = qstate.state_to_document(make_state("bell"))
         doc["matrix"][0][0] = [2.0, 0.0]  # breaks unit trace and PSD structure
@@ -180,6 +187,18 @@ class TestAnalysisDocument:
             assert nonlinear["l_max"] == pytest.approx(1.0 - nonlinear["min"], abs=1e-12)
             assert 0.0 < purity_a <= 1.0 + 1e-12
             assert 0.0 < purity_b <= 1.0 + 1e-12
+            # Every verdict and bound is the record's score under that name, exactly.
+            spec = criteria.spectra(rho)
+            assert [v["criterion"] for v in doc["verdicts"]] == ["ppt", "realign", "linear_opt", "nonlinear_opt"]
+            for v in doc["verdicts"]:
+                assert v["score"] == spec.score(v["criterion"])
+                assert v["detected"] is criteria.detected(spec.score(v["criterion"]))
+                assert v["threshold_form"] == criteria.THRESHOLD_FORMS[v["criterion"]]
+            bounds = doc["concurrence_bounds"]
+            assert list(bounds) == ["dim_min", "bound_ppt", "bound_realign", "bound_lmax", "bound_combined"]
+            assert bounds["dim_min"] == min(da, db)
+            for name in criteria.BOUND_NAMES:
+                assert bounds[name] == spec.score(name)
 
     def test_optimal_bases_match_requested_kind(self):
         rho = make_state("noisy_singlet", 0.8)

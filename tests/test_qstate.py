@@ -70,6 +70,17 @@ class TestValidate:
         with pytest.raises(ValueError, match="positive"):
             DensityMatrix(0, 2, np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2), (True, 2), (2, np.float64(2.0)), ("2", 2)])
+    def test_non_integer_dims_rejected(self, dims):
+        # A float dim used to construct and then break as_tensor() with a TypeError.
+        with pytest.raises(ValueError, match="positive integers"):
+            DensityMatrix(*dims, np.eye(5) / 5)
+
+    def test_numpy_integer_dims_become_python_ints(self):
+        rho = DensityMatrix(np.int64(2), np.int32(2), make_state("bell").data)
+        assert (type(rho.dim_a), type(rho.dim_b)) == (int, int)
+        assert rho.as_tensor().shape == (2, 2, 2, 2)
+
 
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
@@ -235,6 +246,16 @@ class TestSchmidt:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             schmidt(np.array([1.0, 1.0, 0.0, 0.0]), 2, 2)
+
+    @pytest.mark.parametrize("dims", [(4, 1), (3, 3), (3, None), (None, 1)])
+    def test_density_matrix_must_match_given_dims(self, dims):
+        with pytest.raises(ValueError, match=r"state of dims \(2, 2\) does not match dims"):
+            schmidt(make_state("bell"), *dims)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, None), (None, 2)])
+    def test_density_matrix_with_its_own_dims(self, dims):
+        dec = schmidt(make_state("bell"), *dims)
+        np.testing.assert_allclose(dec.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-10)
 
     def test_rejects_mixed_projector(self):
         with pytest.raises(ValueError, match="pure"):
