@@ -229,13 +229,38 @@ def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
     if emit_bases:
         optima = {"linear": witness.optimal_linear_min(rho), "nonlinear": witness.optimal_nonlinear_min(rho)}
         doc["optimal_bases"] = {
-            kind: {
-                "basis_a": qstate.complex_to_pairs(opt.basis_a.observables),
-                "basis_b": qstate.complex_to_pairs(opt.basis_b.observables),
-            }
+            kind: {"basis_a": opt.basis_a.observables, "basis_b": opt.basis_b.observables}
             for kind, opt in optima.items()
         }
     return doc
+
+
+# JSON text of the string that stands in for each array while the rest of a document is encoded.
+_ARRAY_SLOT = json.dumps("\0")
+
+
+def _write_json(doc: dict, out) -> None:
+    """Write ``json.dumps(doc, indent=2)`` and a newline to ``out``, where each
+    numpy array in ``doc`` is written as its complex_to_pairs lists.  The rest
+    of the document is encoded first, with a placeholder per array; each array
+    is then rendered by :func:`qstate.pairs_json` and written on its own, so
+    the text of the whole document is never held at once."""
+    arrays = []
+
+    def slot(value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"cannot write {type(value).__name__} as JSON")
+        arrays.append(value)
+        return "\0"
+
+    before, *rest = json.dumps(doc, indent=2, default=slot).split(_ARRAY_SLOT)
+    out.write(before)
+    for array, after in zip(arrays, rest):
+        line = before[before.rfind("\n") + 1 :]  # indentation of the line that holds the array
+        out.write(qstate.pairs_json(array, (len(line) - len(line.lstrip(" "))) // 2))
+        out.write(after)
+        before = after
+    out.write("\n")
 
 
 def _print_analysis(doc: dict) -> None:
@@ -265,8 +290,7 @@ def cmd_analyze(args) -> int:
     rho = load_valid_state(args.state)
     doc = _analysis_document(rho, args.emit_bases)
     if args.json:
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+        _write_json(doc, sys.stdout)
     else:
         _print_analysis(doc)
     return 0

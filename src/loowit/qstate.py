@@ -10,7 +10,10 @@ read-only, so values are safe to share across threads.  The reductions
 through :func:`tensor_view` and act per state on a stack.  :func:`trace_norm`
 takes values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
 coefficient matrix; the SVD factors of μ and τ are computed only in
-``witness._optimum``.
+``witness._optimum``.  The state file codec is :func:`state_to_document` /
+:func:`state_from_document`; :func:`pairs_json` is its array-to-text path,
+which renders a complex array as indented JSON without building the nested
+lists of :func:`complex_to_pairs`.
 """
 
 from __future__ import annotations
@@ -373,13 +376,51 @@ def make_state(name: str, p: float | None = None) -> DensityMatrix:
 # JSON document: {"dims": [d_a, d_b], "matrix": [[[re, im], ...], ...]},
 # matrix row-major over the product basis.  Entries must be JSON numbers
 # (integers within 64 bits); null, booleans, strings and non-finite values
-# (NaN, Infinity, 1e999) are rejected.  Floats round-trip bit-exactly.  The CLI
-# also validates every state it reads and requires both dims >= 2.
+# (NaN, Infinity, 1e999) are rejected, and so is a document nested too deeply
+# for the JSON parser.  Floats round-trip bit-exactly: the writers format each
+# one with float.__repr__, as json does, whether through json.dumps (state
+# files) or through pairs_json (the indented bases of `analyze --json`).  The
+# CLI also validates every state it reads and requires both dims >= 2.
 
 
 def complex_to_pairs(a: np.ndarray) -> list:
     """Nested lists of [re, im] float pairs for a complex array of any shape."""
     return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def pairs_json(a: np.ndarray, level: int) -> str:
+    """``json.dumps(complex_to_pairs(a), indent=2)`` as it appears ``level``
+    levels deep in an indented document: that text with ``"  " * level``
+    after every newline.  Every entry of ``a`` must be finite (json spells
+    NaN and Infinity where repr says nan and inf) and every axis non-empty.
+
+    Each distinct magnitude is formatted once by float.__repr__, as json
+    formats floats; a Hermitian observable repeats every off-diagonal
+    magnitude, so about half the floats of a basis reuse a text.  The texts
+    and the brackets and indentation between them are then one str.join.
+    """
+    pairs = np.ascontiguousarray(a, dtype=complex).view(float).reshape(np.shape(a) + (2,))
+    flat, depth = pairs.ravel(), pairs.ndim
+    magnitudes, index = np.unique(np.abs(flat), return_inverse=True)
+    texts = list(map(float.__repr__, magnitudes.tolist()))
+    texts += ["-" + text for text in texts]
+    # closing[i]: how many lists end right after float i, its [re, im] pair first.
+    closing = np.zeros(flat.size, dtype=np.intp)
+    for size in np.cumprod(pairs.shape[::-1]):
+        closing[size - 1 :: size] += 1
+    newline = ["\n" + "  " * (level + t) for t in range(depth + 1)]
+
+    def opened(k):  # the k innermost lists opened, the deepest last
+        return "".join("[" + newline[t] for t in range(depth - k + 1, depth + 1))
+
+    def closed(k):  # the k innermost lists closed, the deepest first
+        return "".join(newline[t] + "]" for t in range(depth - 1, depth - k - 1, -1))
+
+    between = [closed(k) + "," + newline[depth - k] + opened(k) for k in range(depth)] + [closed(depth)]
+    pieces = [opened(depth)] * (2 * flat.size + 1)
+    pieces[1::2] = map(texts.__getitem__, (index + magnitudes.size * np.signbit(flat)).tolist())
+    pieces[2::2] = np.array(between, dtype=object)[closing].tolist()
+    return "".join(pieces)
 
 
 def state_to_document(rho: DensityMatrix) -> dict:
@@ -416,16 +457,20 @@ def state_from_document(doc) -> DensityMatrix:
 
 def load_state(path_or_file) -> DensityMatrix:
     """Read a state file (see module notes for the JSON schema)."""
-    if hasattr(path_or_file, "read"):
-        doc = json.load(path_or_file)
-    else:
-        with open(path_or_file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    try:
+        if hasattr(path_or_file, "read"):
+            doc = json.load(path_or_file)
+        else:
+            with open(path_or_file, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except RecursionError:
+        raise ValueError("state file is nested too deeply to be a state document") from None
     return state_from_document(doc)
 
 
 def dump_state(rho: DensityMatrix, fh: IO[str]) -> None:
-    json.dump(state_to_document(rho), fh, allow_nan=False)
+    # One json.dumps call: only a one-shot, unindented encode uses json's C encoder.
+    fh.write(json.dumps(state_to_document(rho), allow_nan=False))
     fh.write("\n")
 
 

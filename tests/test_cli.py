@@ -201,6 +201,7 @@ class TestAnalysisDocument:
                 assert bounds[name] == spec.score(name)
 
     def test_optimal_bases_match_requested_kind(self):
+        # The document holds each basis as its observables array; only the writer turns it into pairs.
         rho = make_state("noisy_singlet", 0.8)
         doc = cli._analysis_document(rho, emit_bases=True)
         for kind, witness_value in (
@@ -208,21 +209,40 @@ class TestAnalysisDocument:
             ("nonlinear", nonlinear_witness_value),
         ):
             bases = doc["optimal_bases"][kind]
-            basis_a = basis_from_document(bases["basis_a"])
-            basis_b = basis_from_document(bases["basis_b"])
+            basis_a = LOOBasis(rho.dim_a, bases["basis_a"])
+            basis_b = LOOBasis(rho.dim_b, bases["basis_b"])
             value = witness_value(rho, basis_a, basis_b)
             assert value == pytest.approx(doc[kind]["min"], abs=1e-9)
 
-    def test_bases_match_per_entry_encoder(self):
+    def test_bases_match_per_entry_encoder(self, tmp_path, capsys):
         def encode(basis):
             return [[[[float(z.real), float(z.imag)] for z in row] for row in g] for g in basis.observables]
 
         rho = samplers.random_mixed_state(2, 3, np.random.default_rng(46))
-        doc = cli._analysis_document(rho, emit_bases=True)
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        assert main(["analyze", "--state", str(path), "--json", "--emit-bases"]) == 0
+        expected = cli._analysis_document(rho, emit_bases=False)
+        expected["optimal_bases"] = {}
         for kind, optimum in (("linear", optimal_linear_min), ("nonlinear", optimal_nonlinear_min)):
             result = optimum(rho)
-            expected = {"basis_a": encode(result.basis_a), "basis_b": encode(result.basis_b)}
-            assert json.dumps(doc["optimal_bases"][kind]) == json.dumps(expected)
+            expected["optimal_bases"][kind] = {"basis_a": encode(result.basis_a), "basis_b": encode(result.basis_b)}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("emit_bases", [False, True], ids=["scores", "bases"])
+    @pytest.mark.parametrize("state", ["bell", "upb", "random_2x3", "random_3x2"])
+    def test_output_is_indented_json_of_itself(self, tmp_path, capsys, state, emit_bases):
+        if state.startswith("random"):
+            da, db = (2, 3) if state == "random_2x3" else (3, 2)
+            rho = samplers.random_mixed_state(da, db, np.random.default_rng(47))
+        else:
+            rho = make_state(state)
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        assert main(["analyze", "--state", str(path), "--json"] + ["--emit-bases"] * emit_bases) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert ("optimal_bases" in json.loads(out)) is emit_bases
 
 
 class TestScanSpec:
@@ -623,6 +643,25 @@ class TestInputValidation:
     def test_dimension_one_rejected(self, one_by_two_file, capsys, argv):
         assert main(argv + [one_by_two_file]) == 1
         assert "error: subsystem dimensions must be at least 2, got (1, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--state"],
+            ["scan", "--family", "noise_mixture", "--criterion", "ppt", "--state"],
+            ["oracle", "--samples", "10", "--state"],
+        ],
+        ids=["analyze", "scan", "oracle"],
+    )
+    def test_deeply_nested_file_is_one_error_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestParser:

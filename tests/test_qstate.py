@@ -429,6 +429,24 @@ class TestStateFiles:
         doc = qstate.state_to_document(rho)
         assert json.dumps(doc["matrix"]) == json.dumps(reference)
 
+    def test_saved_bytes_match_per_entry_encoder(self, tmp_path):
+        # Rectangular 2x3 state with -0.0 real and imaginary parts.
+        rho_data = samplers.random_mixed_state(2, 3, np.random.default_rng(15)).data.copy()
+        pairs = rho_data.view(float).reshape(6, 6, 2)
+        pairs[0, 1] = (-0.0, 0.0)
+        pairs[2, 4] = (0.0, -0.0)
+        pairs[5, 3] = (-0.0, -0.0)
+        rho = DensityMatrix(2, 3, rho_data)
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        reference = {"dims": [2, 3], "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho.data]}
+        assert path.read_bytes() == (json.dumps(reference) + "\n").encode()
+        assert b"[-0.0, -0.0]" in path.read_bytes()
+
+    def test_deep_nesting_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load_state(io.StringIO("[" * 100000))
+
     @pytest.mark.parametrize("dims", [[2.7, 2.2], [2.0, 2.0], [True, "4"], [2, None]])
     def test_rejects_non_integer_dims(self, dims):
         doc = qstate.state_to_document(make_state("bell"))
@@ -442,3 +460,20 @@ class TestStateFiles:
         doc = {"dims": dims, "matrix": [[[0.0, 0.0]] * n] * n}
         with pytest.raises(ValueError, match="dims must be positive integers"):
             qstate.state_from_document(doc)
+
+
+class TestPairsJson:
+    VALUES = [0.0, -0.0, 5e-324, 1e16, 1e-5, 1 / 3, 1.7976931348623157e308, -1e-17]
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (9, 3, 3), (5, 2, 1)])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_matches_indented_json_of_pairs(self, shape, level):
+        rng = np.random.default_rng(16)
+        size = int(np.prod(shape))
+        # Every value appears in both parts, the real parts with random signs.
+        real = np.resize(self.VALUES, size) * rng.choice([1.0, -1.0], size)
+        imag = np.resize(self.VALUES[::-1], size)
+        a = np.empty(shape, dtype=complex)
+        a.real, a.imag = real.reshape(shape), imag.reshape(shape)
+        expected = json.dumps(qstate.complex_to_pairs(a), indent=2).replace("\n", "\n" + "  " * level)
+        assert qstate.pairs_json(a, level) == expected
