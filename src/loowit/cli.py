@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, oracle, qstate, witness
-from .loo import gell_mann_basis, transpose_basis
+from .loo import gell_mann_correlations
 from .qstate import DensityMatrix
 
 FAMILY_NAMES = ("upb_noise", "noisy_singlet", "noise_mixture", "mixture")
@@ -196,8 +196,6 @@ def cmd_gen(args) -> int:
 def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
     spectra = criteria.spectra(rho)
     scores = {name: spectra.score(name) for name in criteria.SCORE_NAMES}
-    reference_a = gell_mann_basis(rho.dim_a)
-    reference_b = transpose_basis(gell_mann_basis(rho.dim_b))
     doc = {
         "dims": [rho.dim_a, rho.dim_b],
         "verdicts": [
@@ -209,16 +207,11 @@ def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
             }
             for name, form in criteria.THRESHOLD_FORMS.items()
         ],
-        "linear": {
-            "min": spectra.linear_min,
-            "value_at_reference_basis": witness.linear_witness_value(rho, reference_a, reference_b),
-        },
+        "linear": {"min": spectra.linear_min, "value_at_reference_basis": spectra.linear_at_reference},
         "nonlinear": {
             "min": spectra.nonlinear_min,
             "l_max": spectra.l_max,
-            "value_at_reference_basis": witness.nonlinear_witness_value(
-                rho, reference_a, reference_b
-            ),
+            "value_at_reference_basis": spectra.nonlinear_at_reference,
         },
         "purities": [spectra.purity_a, spectra.purity_b],
         "concurrence_bounds": {
@@ -332,13 +325,8 @@ def cmd_scan(args) -> int:
 
 def cmd_oracle(args) -> int:
     rho = load_valid_state(args.state)
-    basis_a = gell_mann_basis(rho.dim_a)
-    basis_b = gell_mann_basis(rho.dim_b)
-    targets = [
-        ("mu", witness.correlation_matrix(rho, basis_a, basis_b)),
-        ("tau", witness.covariance_matrix(rho, basis_a, basis_b)),
-    ]
-    for name, matrix in targets:
+    mu, a, b = gell_mann_correlations(qstate.realign(rho))
+    for name, matrix in (("mu", mu), ("tau", mu - np.outer(a, b))):
         report = oracle.sampled_max_trace(matrix, args.samples, args.seed, target=name)
         print(
             f"target {report.target}: analytic={report.analytic_value!r} "

@@ -7,20 +7,21 @@ local unitaries.  :meth:`Spectra.score` answers every name of
 :data:`SCORE_NAMES`, criterion or I-concurrence bound, and :func:`detected`
 is the one rule that turns a score into a detection.
 
-Every score is arithmetic on the spectra of R(ρ), R(ρ - ρ_A⊗ρ_B) and
-ρ^{T_A} (R: realignment), computed once per state by :func:`spectra`.  The
-witness minima use the covariance form of Zhang et al., PRA 77, 060301(R)
-(2008); no LOO basis is built here (see ``witness.optimal_*`` for those).
+Every score is arithmetic on σ(μ), σ(τ) and eig(ρ^{T_A}), computed once per
+state by :func:`spectra` from the Gell-Mann record (μ, a, b) of
+``loo.gell_mann_correlations``; σ(μ) = σ(R(ρ)) and σ(τ) = σ(R(ρ - ρ_A⊗ρ_B))
+(R: realignment).  The witness minima use the covariance form of Zhang et
+al., PRA 77, 060301(R) (2008); see ``witness.optimal_*`` for the bases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import qstate
+from . import loo, qstate
 from .qstate import DensityMatrix, _frozen, _unbatched
 
 # Scores this close to zero are treated as float noise, not detections.
@@ -68,8 +69,9 @@ def concurrence_pure(psi, dim_a: int | None = None, dim_b: int | None = None) ->
 
 @dataclass(frozen=True, eq=False)
 class Spectra:
-    """σ(R(ρ)), σ(R(ρ - ρ_A⊗ρ_B)) and eig(ρ^{T_A}) of one state, with its
-    subsystem purities; every score and bound is read from these.
+    """σ(μ), σ(τ) and eig(ρ^{T_A}) of one state, its subsystem purities and the
+    witness values at the reference pair (Gell-Mann on A, transposed Gell-Mann
+    on B); every score and bound is read from these.
 
     For a stack of states every field, score and bound gains a leading batch
     axis; for one state they are Python floats."""
@@ -81,11 +83,13 @@ class Spectra:
     partial_transpose: np.ndarray
     purity_a: float | np.ndarray
     purity_b: float | np.ndarray
+    linear_at_reference: float | np.ndarray
+    nonlinear_at_reference: float | np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("realigned", "covariance", "partial_transpose", "purity_a", "purity_b"):
-            value = _frozen(np.array(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, _unbatched(value))
+        for field in fields(self)[2:]:
+            value = _frozen(np.array(getattr(self, field.name), dtype=float))
+            object.__setattr__(self, field.name, _unbatched(value))
 
     @property
     def linear_min(self) -> float | np.ndarray:
@@ -126,21 +130,27 @@ class Spectra:
 
 
 def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
-    """Values-only SVDs of R(ρ) and R(ρ - ρ_A⊗ρ_B), and eig(ρ^{T_A}).
+    """Values-only SVDs of μ and τ = μ - a·bᵀ (:func:`loo.gell_mann_correlations`)
+    and eig(ρ^{T_A}).
 
     Takes one state or a (k, d_a, d_b, d_a, d_b) stack of tensor views (see
     :meth:`DensityMatrix.as_tensor`).  Each decomposition runs once over a
-    stack, and the record then has a leading batch axis."""
+    stack, and the record then has a leading batch axis.  The reference B basis
+    is transposed, G_mᵀ = s_m·G_m, so its values sum s_m·μ_mm and s_m·τ_mm."""
     tensor = qstate.tensor_view(rho)
-    realigned = qstate.realign(tensor)
-    purity_a, purity_b = qstate.subsystem_purities(tensor)
+    mu, a, b = loo.gell_mann_correlations(qstate.realign(tensor))
+    tau = mu - a[..., :, None] * b[..., None, :]
+    purity_a, purity_b = (a * a).sum(axis=-1), (b * b).sum(axis=-1)
+    obs_b = loo._gell_mann(tensor.shape[-3]).observables[: min(mu.shape[-2:])]
+    signs = np.einsum("mij,mij->m", obs_b, obs_b).real  # s_m = Tr(G_m G_mᵀ)
     return Spectra(
         dim_a=tensor.shape[-4],
         dim_b=tensor.shape[-3],
-        realigned=np.linalg.svd(realigned, compute_uv=False),
-        covariance=np.linalg.svd(qstate.realign_covariance(realigned), compute_uv=False),
+        realigned=np.linalg.svd(mu, compute_uv=False),
+        covariance=np.linalg.svd(tau, compute_uv=False),
         partial_transpose=np.linalg.eigvalsh(qstate.partial_transpose(tensor, "A")),
         purity_a=purity_a,
         purity_b=purity_b,
+        linear_at_reference=1.0 - np.diagonal(mu, axis1=-2, axis2=-1) @ signs,
+        nonlinear_at_reference=1.0 - np.diagonal(tau, axis1=-2, axis2=-1) @ signs - (purity_a + purity_b) / 2,
     )
-

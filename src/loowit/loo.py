@@ -2,6 +2,8 @@
 subsystem, trace-orthonormal under Tr(G_k G_l) = δ_kl, together with the
 orthogonal rotations connecting any two such bases and the frame products
 that turn a realigned operator into its matrix of joint expectations.
+:func:`gell_mann_correlations` is the one record (μ, a, b) in the Gell-Mann
+frame that the scores, the reference values and the optimal bases all read.
 
 No SVD is taken here.  The operator-Schmidt form ρ = Σ_k σ_k G_k^A ⊗ G_k^B
 has σ = ``criteria.spectra(ρ).realigned`` and the bases of
@@ -11,6 +13,8 @@ the SVD factors of μ or τ are computed.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -69,7 +73,7 @@ class OrthogonalRotation:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"rotation must be a square matrix, got shape {m.shape}")
         residual = float(np.abs(m @ m.T - np.eye(m.shape[0])).max())
-        if residual > ORTHOGONALITY_TOL:
+        if not residual <= ORTHOGONALITY_TOL:  # NaN fails too
             raise ValueError(f"matrix is not orthogonal: max |O O^T - I| = {residual!r}")
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -84,6 +88,12 @@ def gell_mann_basis(d: int) -> LOOBasis:
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
+    return _gell_mann(d)
+
+
+@functools.lru_cache(maxsize=8)  # a state or a scan needs two dims
+def _gell_mann(d: int) -> LOOBasis:
+    """:func:`gell_mann_basis`, built once per d; d = 1 frames a 1-dim side."""
     rows, cols = np.triu_indices(d, k=1)  # the pairs m < n, lexicographic in (m, n)
     symmetric = np.arange(len(rows))
     antisymmetric = symmetric + len(rows)
@@ -136,21 +146,21 @@ def frame(observables: np.ndarray) -> np.ndarray:
 
 def _check_bases(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> None:
     """Both bases must fit the realigned matrix and be Hermitian within 1e-10,
-    so that the real part of each expectation is the whole of it."""
-    if realigned.shape != (len(basis_a), len(basis_b)):
+    so that the real part of each expectation is the whole of it (NaN fails)."""
+    if realigned.shape[-2:] != (len(basis_a), len(basis_b)):
         raise ValueError(
             f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match the "
-            f"{realigned.shape[0]}x{realigned.shape[1]} realigned matrix"
+            f"{realigned.shape[-2]}x{realigned.shape[-1]} realigned matrix"
         )
     for basis in (basis_a, basis_b):
         residual = hermiticity_residual(basis)
-        if residual > HERMITICITY_TOL:
+        if not residual <= HERMITICITY_TOL:
             raise ValueError(f"basis is not Hermitian: max |G_k - G_k^dagger| = {residual!r}")
 
 
 def expectation_matrix(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
     """Real matrix F_A · R(X) · F_Bᵀ of joint expectations Tr(X G_l^A ⊗ G_m^B)
-    for a realigned operator R(X) (:func:`qstate.realign`); a change of LOO
+    for a realigned R(X) (:func:`qstate.realign`), or a stack; a change of LOO
     basis rotates it orthogonally on each side.  A non-Hermitian basis raises;
     for a non-Hermitian X the entries are those of its Hermitian part."""
     _check_bases(realigned, basis_a, basis_b)
@@ -158,10 +168,12 @@ def expectation_matrix(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBas
     return np.ascontiguousarray(raw.real)
 
 
-def paired_expectations(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
-    """Leading diagonal of :func:`expectation_matrix`, Tr(X G_k^A ⊗ G_k^B) for
-    k below the shorter basis length, at the cost of one of its two products."""
-    _check_bases(realigned, basis_a, basis_b)
-    k = min(len(basis_a), len(basis_b))
-    left = frame(basis_a.observables[:k]) @ realigned
-    return (left * frame(basis_b.observables[:k])).sum(axis=1).real
+def gell_mann_correlations(realigned: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gell-Mann-frame :func:`expectation_matrix` μ of R(ρ), or of a stack, and
+    the local coordinates a = μ·t_B = ⟨G_l^A ⊗ I⟩, b = t_Aᵀ·μ = ⟨I ⊗ G_m^B⟩,
+    t_k = Tr G_k (Σ_k t_k G_k = I).  τ = μ - a·bᵀ is the covariance matrix,
+    and |a|², |b|² are Tr ρ_A², Tr ρ_B², since the basis is complete."""
+    basis_a, basis_b = (_gell_mann(math.isqrt(n)) for n in realigned.shape[-2:])
+    mu = expectation_matrix(realigned, basis_a, basis_b)
+    t_a, t_b = (np.trace(basis.observables, axis1=1, axis2=2).real for basis in (basis_a, basis_b))
+    return mu, mu @ t_b, t_a @ mu

@@ -7,10 +7,11 @@ All operations are pure functions; arrays held by the dataclasses are made
 read-only, so values are safe to share across threads.  The reductions
 (:func:`partial_trace`, :func:`partial_transpose`, :func:`realign`,
 :func:`subsystem_purities`) take a DensityMatrix or a stack of tensor views
-through :func:`tensor_view` and act per state on a stack.  :func:`trace_norm`
-takes values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
-coefficient matrix; the SVD factors of μ and τ are computed only in
-``witness._optimum``.  The state file codec is :func:`state_to_document` /
+through :func:`tensor_view` and act per state on a stack.
+``loo.gell_mann_correlations`` turns :func:`realign` into the one record
+(μ, a, b) that the scores and optima read.  :func:`trace_norm` takes
+values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
+coefficient matrix.  The state file codec is :func:`state_to_document` /
 :func:`state_from_document`; :func:`pairs_json` is its array-to-text path,
 which renders a complex array as indented JSON without building the nested
 lists of :func:`complex_to_pairs`.
@@ -19,7 +20,6 @@ lists of :func:`complex_to_pairs`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import IO, NamedTuple
 
@@ -160,16 +160,6 @@ def realign(rho) -> np.ndarray:
     return np.swapaxes(tensor, -3, -2).reshape(tensor.shape[:-4] + (dim_a**2, dim_b**2))
 
 
-def realign_covariance(realigned: np.ndarray) -> np.ndarray:
-    """R(ρ - ρ_A⊗ρ_B) = R(ρ) - vec(ρ_A)·vec(ρ_B)ᵀ (vec row-major), from R(ρ) alone:
-    vec(ρ_A) = R(ρ)·vec(I_B) sums its columns (j, j), vec(ρ_B) its rows (i, i).
-    Acts on the last two axes, so a stack of realigned matrices works per matrix."""
-    dim_a, dim_b = (math.isqrt(n) for n in realigned.shape[-2:])
-    reduced_a = realigned[..., :: dim_b + 1].sum(axis=-1)
-    reduced_b = realigned[..., :: dim_a + 1, :].sum(axis=-2)
-    return realigned - reduced_a[..., :, None] * reduced_b[..., None, :]
-
-
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values (Ky Fan / nuclear norm)."""
     return float(np.linalg.svd(m, compute_uv=False).sum())
@@ -238,7 +228,7 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
                     f"vector of length {arr.size} does not match dims ({dim_a}, {dim_b})"
                 )
             norm = float(np.linalg.norm(arr))
-            if abs(norm - 1.0) > STATE_NORM_TOL:
+            if not abs(norm - 1.0) <= STATE_NORM_TOL:  # NaN fails too
                 raise ValueError(f"state vector is not normalized: norm = {norm!r}")
             return arr, dim_a, dim_b
         if dim_a is None or dim_b is None:
@@ -246,8 +236,8 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
         if arr.shape != (dim_a * dim_b,) * 2:
             raise ValueError(f"matrix of shape {arr.shape} does not match dims ({dim_a}, {dim_b})")
         mat = arr
-    p = purity(mat)
-    if p < 1.0 - PURITY_TOL:
+    p = purity(mat) if np.isfinite(mat).all() else np.nan
+    if not p >= 1.0 - PURITY_TOL:
         raise ValueError(f"not a pure state: Tr rho^2 = {p!r}")
     eigvals, eigvecs = np.linalg.eigh((mat + mat.conj().T) / 2)
     psi = eigvecs[:, -1]

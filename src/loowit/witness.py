@@ -19,10 +19,10 @@ change of LOO basis rotates both orthogonally on each side.  The values are
 optimizing bases come from the SVD factors.
 
 :func:`correlation_matrix` and :func:`covariance_matrix` return plain real
-arrays.  SVD factors are computed only in ``_optimum``, whose full SVD and
-two basis rotations run only when the bases themselves are wanted
-(``analyze --emit-bases``); the minima alone are read from
-:func:`loowit.criteria.spectra`.
+arrays in user-supplied bases.  The optima read the Gell-Mann record (μ, a, b)
+of :func:`loo.gell_mann_correlations`, as :func:`loowit.criteria.spectra`
+does; ``_optimum``'s full SVD and two basis rotations run only when the
+bases themselves are wanted (``analyze --emit-bases``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qstate
-from .loo import LOOBasis, expectation_matrix, gell_mann_basis, paired_expectations, rotate
+from .loo import LOOBasis, expectation_matrix, gell_mann_basis, gell_mann_correlations, rotate
 from .qstate import DensityMatrix
 
 
@@ -47,14 +47,14 @@ def correlation_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis)
 
 def covariance_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
     """τ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ = μ - a·bᵀ, the correlation matrix with
-    the product of local expectations removed; vanishes on product states."""
-    covariance = qstate.realign_covariance(qstate.realign(rho))
-    return expectation_matrix(covariance, basis_a, basis_b)
+    the product R(ρ_A⊗ρ_B) = vec(ρ_A)·vec(ρ_B)ᵀ removed; zero on product states."""
+    local = np.outer(qstate.partial_trace(rho, "B"), qstate.partial_trace(rho, "A"))
+    return expectation_matrix(qstate.realign(rho) - local, basis_a, basis_b)
 
 
 def linear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
     """1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩ = 1 - Σ_k μ_kk for the given basis pair."""
-    return 1.0 - float(paired_expectations(qstate.realign(rho), basis_a, basis_b).sum())
+    return 1.0 - float(np.trace(correlation_matrix(rho, basis_a, basis_b)))
 
 
 def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
@@ -66,8 +66,7 @@ def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOB
     runs over the shorter basis; the purities count the unpaired terms.
     """
     purity_a, purity_b = qstate.subsystem_purities(rho)
-    paired = paired_expectations(qstate.realign_covariance(qstate.realign(rho)), basis_a, basis_b)
-    return 1.0 - float(paired.sum()) - (purity_a + purity_b) / 2.0
+    return 1.0 - float(np.trace(covariance_matrix(rho, basis_a, basis_b))) - (purity_a + purity_b) / 2.0
 
 
 class LinearOptimum(NamedTuple):
@@ -83,14 +82,13 @@ class NonlinearOptimum(NamedTuple):
     basis_b: LOOBasis
 
 
-def _optimum(rho: DensityMatrix, matrix_of):
+def _optimum(matrix: np.ndarray, dim_a: int, dim_b: int):
     """Σ_k σ_k of μ or τ in the Gell-Mann frame, and the bases that diagonalize
     it; the only place the SVD factors of μ or τ are computed."""
-    base_a, base_b = gell_mann_basis(rho.dim_a), gell_mann_basis(rho.dim_b)
-    u, s, vt = np.linalg.svd(matrix_of(rho, base_a, base_b))
+    u, s, vt = np.linalg.svd(matrix)
     # matrix = u Σ vt, so rotating by uᵀ / vt diagonalizes the paired
     # expectations onto the singular values.
-    return float(s.sum()), rotate(base_a, u.T), rotate(base_b, vt)
+    return float(s.sum()), rotate(gell_mann_basis(dim_a), u.T), rotate(gell_mann_basis(dim_b), vt)
 
 
 def optimal_linear_min(rho: DensityMatrix) -> LinearOptimum:
@@ -100,19 +98,20 @@ def optimal_linear_min(rho: DensityMatrix) -> LinearOptimum:
     them reproduces the minimum.  Rectangular states are handled by the
     rectangular μ directly (the shorter side keeps its d² observables).
     """
-    sigma_sum, opt_a, opt_b = _optimum(rho, correlation_matrix)
+    mu, _, _ = gell_mann_correlations(qstate.realign(rho))
+    sigma_sum, opt_a, opt_b = _optimum(mu, rho.dim_a, rho.dim_b)
     return LinearOptimum(1.0 - sigma_sum, opt_a, opt_b)
 
 
 def optimal_nonlinear_min(rho: DensityMatrix) -> NonlinearOptimum:
     """Minimum of the nonlinear witness over all LOO pairs.
 
-    Equals 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2; the returned l_max is the
-    complementary maximum, 1 - value.
+    Equals 1 - Σ_k σ_k(τ) - (|a|² + |b|²)/2, τ = μ - a·bᵀ (purities |a|², |b|²);
+    the returned l_max is the complementary maximum, 1 - value.
     """
-    sigma_sum, opt_a, opt_b = _optimum(rho, covariance_matrix)
-    purity_a, purity_b = qstate.subsystem_purities(rho)
-    l_max = sigma_sum + (purity_a + purity_b) / 2.0
+    mu, a, b = gell_mann_correlations(qstate.realign(rho))
+    sigma_sum, opt_a, opt_b = _optimum(mu - np.outer(a, b), rho.dim_a, rho.dim_b)
+    l_max = sigma_sum + float(a @ a + b @ b) / 2.0
     return NonlinearOptimum(1.0 - l_max, l_max, opt_a, opt_b)
 
 
@@ -126,6 +125,6 @@ def lmax_pure(coefficients) -> float:
     if c.size == 0 or (c < 0).any():
         raise ValueError("Schmidt coefficients must be non-negative")
     total = float(c @ c)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"squared coefficients must sum to 1, got {total!r}")
     return float(c.sum()) ** 2

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from loowit import cli, criteria, qstate
+from loowit import cli, criteria, oracle, qstate
 from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
-from loowit.loo import LOOBasis, gell_mann_basis
+from loowit.loo import LOOBasis, gell_mann_basis, transpose_basis
 from loowit.qstate import load_state, make_state, save_state, trace_norm
 from loowit.witness import (
     covariance_matrix,
@@ -243,6 +243,42 @@ class TestAnalysisDocument:
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         assert ("optimal_bases" in json.loads(out)) is emit_bases
+
+
+class TestReferenceValues:
+    """The Gell-Mann record against recomputations that share none of its code."""
+
+    @staticmethod
+    def realigned(m, da, db):
+        return m.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+
+    @pytest.mark.parametrize("dims, count", [((3, 3), 1), ((2, 3), 1), ((4, 3), 1), ((1, 3), 1), ((2, 3), 4)],
+                             ids=["3x3", "2x3", "4x3", "1x3", "stack_2x3"])
+    def test_pinned_to_direct_recomputation(self, dims, count):
+        da, db = dims
+        rng = np.random.default_rng(da * 10 + db + count)
+        states = [samplers.random_mixed_state(da, db, rng) for _ in range(count)]
+        record = criteria.spectra(states[0] if count == 1 else np.stack([r.as_tensor() for r in states]))
+        for i, rho in enumerate(states):
+            at = lambda name: getattr(record, name) if count == 1 else getattr(record, name)[i]
+            tensor = rho.data.reshape(da, db, da, db)
+            rho_a, rho_b = np.einsum("ijkj->ik", tensor), np.einsum("ijil->jl", tensor)
+            local = rho.data - np.kron(rho_a, rho_b)
+            for name, m in (("realigned", rho.data), ("covariance", local)):
+                expected = np.linalg.svd(self.realigned(m, da, db), compute_uv=False)
+                np.testing.assert_allclose(at(name), expected, rtol=0, atol=1e-12)
+            purities = np.trace(rho_a @ rho_a).real, np.trace(rho_b @ rho_b).real
+            np.testing.assert_allclose([at("purity_a"), at("purity_b")], purities, rtol=0, atol=1e-12)
+            if min(dims) < 2:
+                continue  # no Gell-Mann basis, and no analyze, for a 1-dim side
+            reference = (gell_mann_basis(da), transpose_basis(gell_mann_basis(db)))
+            values = {"linear": at("linear_at_reference"), "nonlinear": at("nonlinear_at_reference")}
+            if count == 1:
+                doc = cli._analysis_document(rho, emit_bases=False)
+                values = {kind: doc[kind]["value_at_reference_basis"] for kind in values}
+            for kind, value in values.items():
+                direct = oracle.recompute_witness_direct(rho, *reference, kind)
+                assert value == pytest.approx(direct, abs=1e-12)
 
 
 class TestScanSpec:

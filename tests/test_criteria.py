@@ -148,6 +148,12 @@ class TestConcurrencePure:
         with pytest.raises(ValueError, match="norm"):
             concurrence_pure(np.ones(4), 2, 2)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="norm"):
+            concurrence_pure(np.array([np.nan, 1.0, 0.0, 0.0]), 2, 2)
+        with pytest.raises(ValueError, match="pure"):
+            concurrence_pure(DensityMatrix(2, 2, np.full((4, 4), np.nan)))
+
     def test_projector_must_match_dims(self):
         with pytest.raises(ValueError, match=r"matrix of shape \(4, 4\) does not match dims \(2, 3\)"):
             concurrence_pure(make_state("bell").data, 2, 3)

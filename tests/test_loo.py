@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loowit import loo, qstate
+from loowit import loo, qstate, witness
 from loowit.criteria import spectra
 from loowit.loo import (
     LOOBasis,
@@ -146,6 +146,13 @@ class TestRotate:
         except ValueError as exc:
             assert "3.0" in str(exc)  # max |O O^T - I| residual
 
+    def test_nan_rotation_rejected(self):
+        # a residual check written `residual > tol` is false for NaN
+        with pytest.raises(ValueError, match="not orthogonal.*nan"):
+            OrthogonalRotation(np.full((4, 4), np.nan))
+        with pytest.raises(ValueError, match="not orthogonal"):
+            rotate(gell_mann_basis(2), np.full((4, 4), np.nan))
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             rotate(gell_mann_basis(3), np.eye(4))
@@ -229,3 +236,28 @@ class TestLOOBasisStructure:
         b = pauli_basis()
         with pytest.raises(ValueError):
             b.observables[0, 0, 0] = 1.0
+
+
+class TestBasisChecks:
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize(
+        "value", [witness.correlation_matrix, witness.covariance_matrix,
+                  witness.linear_witness_value, witness.nonlinear_witness_value]
+    )
+    def test_nan_basis_rejected(self, side, value):
+        nan_basis = LOOBasis(2, np.full((4, 2, 2), np.nan))
+        bases = (nan_basis, pauli_basis()) if side == "A" else (pauli_basis(), nan_basis)
+        with pytest.raises(ValueError, match="not Hermitian.*nan"):
+            value(make_state("bell"), *bases)
+
+
+class TestGellMannCorrelations:
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (2, 3), (4, 3), (3, 3)])
+    def test_record_matches_kronecker_expectations(self, dims):
+        rho = samplers.random_mixed_state(*dims, np.random.default_rng(sum(dims)))
+        mu, a, b = loo.gell_mann_correlations(qstate.realign(rho))
+        obs_a, obs_b = (loo._gell_mann(d).observables for d in dims)
+        expect = lambda op: np.trace(rho.data @ op).real
+        np.testing.assert_allclose(mu, [[expect(np.kron(g, h)) for h in obs_b] for g in obs_a], atol=1e-14)
+        np.testing.assert_allclose(a, [expect(np.kron(g, np.eye(dims[1]))) for g in obs_a], atol=1e-14)
+        np.testing.assert_allclose(b, [expect(np.kron(np.eye(dims[0]), h)) for h in obs_b], atol=1e-14)

@@ -261,6 +261,21 @@ class TestSchmidt:
         with pytest.raises(ValueError, match="pure"):
             schmidt(DensityMatrix(2, 2, np.eye(4) / 4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        # NaN made every norm and purity check pass before the eigensolver failed
+        vector = np.array([bad, 1.0, 0.0, 0.0])
+        matrix = np.diag([bad, 1.0, 0.0, 0.0])
+        for call in (
+            lambda: qstate.pure_state_vector(vector, 2, 2),
+            lambda: qstate.pure_state(vector, 2, 2),
+            lambda: schmidt(vector, 2, 2),
+            lambda: schmidt(matrix, 2, 2),
+            lambda: schmidt(DensityMatrix(2, 2, matrix)),
+        ):
+            with pytest.raises(ValueError, match="norm|pure"):
+                call()
+
 
 class TestGenerators:
     def test_upb_is_rank_four_unit_trace_ppt(self):

@@ -255,6 +255,11 @@ class TestLmaxPure:
         with pytest.raises(ValueError, match="non-negative"):
             lmax_pure([-0.6, 0.8])
 
+    @pytest.mark.parametrize("coefficients", [[np.nan, 1.0], [np.nan], [np.inf, 0.0]])
+    def test_rejects_non_finite(self, coefficients):
+        with pytest.raises(ValueError, match="sum to 1"):
+            lmax_pure(coefficients)
+
 
 class TestInvariantsAndProperties:
     def test_local_unitary_invariance_of_optima(self):
