@@ -7,17 +7,20 @@ local unitaries.  :meth:`Spectra.score` answers every name of
 :data:`SCORE_NAMES`, criterion or I-concurrence bound, and :func:`detected`
 is the one rule that turns a score into a detection.
 
-Every score is arithmetic on σ(μ), σ(τ) and eig(ρ^{T_A}), computed once per
-state by :func:`spectra` from the Gell-Mann record (μ, a, b) of
-``loo.gell_mann_correlations``; σ(μ) = σ(R(ρ)) and σ(τ) = σ(R(ρ - ρ_A⊗ρ_B))
-(R: realignment).  The witness minima use the covariance form of Zhang et
-al., PRA 77, 060301(R) (2008); see ``witness.optimal_*`` for the bases.
+Every score is arithmetic on σ(μ), σ(τ) and eig(ρ^{T_A}), where (μ, a, b) is
+the Gell-Mann record of ``loo.gell_mann_correlations``, τ = μ - a·bᵀ,
+σ(μ) = σ(R(ρ)) and σ(τ) = σ(R(ρ - ρ_A⊗ρ_B)) (R: realignment).  The record
+of :func:`spectra` takes each decomposition when a score first reads it, and
+at most once, so a scan of one criterion takes only that criterion's
+decomposition.  The witness minima use the covariance form of Zhang et al.,
+PRA 77, 060301(R) (2008); see ``witness.optimal_*`` for the bases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,29 +70,82 @@ def concurrence_pure(psi, dim_a: int | None = None, dim_b: int | None = None) ->
     return math.sqrt(2.0 * max(0.0, 1.0 - purity_a))
 
 
+def _stored(value) -> float | np.ndarray:
+    """A field's value: a read-only float array, or a Python float for one state."""
+    return _unbatched(_frozen(np.array(value, dtype=float)))
+
+
 @dataclass(frozen=True, eq=False)
 class Spectra:
     """σ(μ), σ(τ) and eig(ρ^{T_A}) of one state, its subsystem purities and the
     witness values at the reference pair (Gell-Mann on A, transposed Gell-Mann
     on B); every score and bound is read from these.
 
+    Each field but the dims is computed on its first read and then kept, so a
+    score takes only the decompositions it reads: ``ppt`` only eig(ρ^{T_A}),
+    ``realign``, ``linear_opt`` and ``bound_realign`` only σ(μ),
+    ``nonlinear_opt`` and ``bound_lmax`` only σ(τ) and the purities, and
+    ``bound_combined`` all three.  The Gell-Mann record (μ, a, b) is built only
+    for a field that needs it.  A ``LinAlgError`` from a decomposition is
+    therefore raised by the first read of a field or score that needs it.
+
     For a stack of states every field, score and bound gains a leading batch
     axis; for one state they are Python floats."""
 
     dim_a: int
     dim_b: int
-    realigned: np.ndarray
-    covariance: np.ndarray
-    partial_transpose: np.ndarray
-    purity_a: float | np.ndarray
-    purity_b: float | np.ndarray
-    linear_at_reference: float | np.ndarray
-    nonlinear_at_reference: float | np.ndarray
+    _tensor: np.ndarray = field(repr=False)  # read-only; never a caller's writable array
 
-    def __post_init__(self) -> None:
-        for field in fields(self)[2:]:
-            value = _frozen(np.array(getattr(self, field.name), dtype=float))
-            object.__setattr__(self, field.name, _unbatched(value))
+    @cached_property
+    def _correlations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return loo.gell_mann_correlations(qstate.realign(self._tensor))
+
+    @cached_property
+    def _tau(self) -> np.ndarray:
+        mu, a, b = self._correlations
+        return mu - a[..., :, None] * b[..., None, :]
+
+    def _at_reference(self, matrix: np.ndarray) -> np.ndarray:
+        """Σ_m s_m·M_mm: the reference B basis is transposed, G_mᵀ = s_m·G_m."""
+        obs_b = loo._gell_mann(self.dim_b).observables[: min(matrix.shape[-2:])]
+        signs = np.einsum("mij,mij->m", obs_b, obs_b).real  # s_m = Tr(G_m G_mᵀ)
+        return np.diagonal(matrix, axis1=-2, axis2=-1) @ signs
+
+    @cached_property
+    def realigned(self) -> np.ndarray:
+        """σ(μ) = σ(R(ρ)), non-increasing."""
+        return _stored(np.linalg.svd(self._correlations[0], compute_uv=False))
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """σ(τ) = σ(R(ρ - ρ_A⊗ρ_B)), non-increasing."""
+        return _stored(np.linalg.svd(self._tau, compute_uv=False))
+
+    @cached_property
+    def partial_transpose(self) -> np.ndarray:
+        """eig(ρ^{T_A}), ascending."""
+        return _stored(np.linalg.eigvalsh(qstate.partial_transpose(self._tensor, "A")))
+
+    @cached_property
+    def purity_a(self) -> float | np.ndarray:
+        """Tr ρ_A² = |a|²."""
+        return _stored(np.square(self._correlations[1]).sum(axis=-1))
+
+    @cached_property
+    def purity_b(self) -> float | np.ndarray:
+        """Tr ρ_B² = |b|²."""
+        return _stored(np.square(self._correlations[2]).sum(axis=-1))
+
+    @cached_property
+    def linear_at_reference(self) -> float | np.ndarray:
+        """The linear witness value at the reference pair, 1 - Σ_m s_m·μ_mm."""
+        return _stored(1.0 - self._at_reference(self._correlations[0]))
+
+    @cached_property
+    def nonlinear_at_reference(self) -> float | np.ndarray:
+        """The nonlinear witness value at the reference pair,
+        1 - Σ_m s_m·τ_mm - (Tr ρ_A² + Tr ρ_B²)/2."""
+        return _stored(1.0 - self._at_reference(self._tau) - (self.purity_a + self.purity_b) / 2)
 
     @property
     def linear_min(self) -> float | np.ndarray:
@@ -130,27 +186,17 @@ class Spectra:
 
 
 def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
-    """Values-only SVDs of μ and τ = μ - a·bᵀ (:func:`loo.gell_mann_correlations`)
-    and eig(ρ^{T_A}).
+    """The :class:`Spectra` record of one state, or of a (k, d_a, d_b, d_a, d_b)
+    stack of tensor views (see :meth:`DensityMatrix.as_tensor`), whose fields
+    and scores then have a leading batch axis.
 
-    Takes one state or a (k, d_a, d_b, d_a, d_b) stack of tensor views (see
-    :meth:`DensityMatrix.as_tensor`).  Each decomposition runs once over a
-    stack, and the record then has a leading batch axis.  The reference B basis
-    is transposed, G_mᵀ = s_m·G_m, so its values sum s_m·μ_mm and s_m·τ_mm."""
+    Only the input is checked here; each decomposition runs on the first read
+    of a field or score that needs it, once over a whole stack (see
+    :class:`Spectra`).  σ(μ) and σ(τ) are values-only SVDs of the Gell-Mann
+    record of :func:`loo.gell_mann_correlations`, τ = μ - a·bᵀ.  An array is
+    copied and the copy made read-only, so writing to it later changes no
+    field; a DensityMatrix's data is already read-only."""
     tensor = qstate.tensor_view(rho)
-    mu, a, b = loo.gell_mann_correlations(qstate.realign(tensor))
-    tau = mu - a[..., :, None] * b[..., None, :]
-    purity_a, purity_b = (a * a).sum(axis=-1), (b * b).sum(axis=-1)
-    obs_b = loo._gell_mann(tensor.shape[-3]).observables[: min(mu.shape[-2:])]
-    signs = np.einsum("mij,mij->m", obs_b, obs_b).real  # s_m = Tr(G_m G_mᵀ)
-    return Spectra(
-        dim_a=tensor.shape[-4],
-        dim_b=tensor.shape[-3],
-        realigned=np.linalg.svd(mu, compute_uv=False),
-        covariance=np.linalg.svd(tau, compute_uv=False),
-        partial_transpose=np.linalg.eigvalsh(qstate.partial_transpose(tensor, "A")),
-        purity_a=purity_a,
-        purity_b=purity_b,
-        linear_at_reference=1.0 - np.diagonal(mu, axis1=-2, axis2=-1) @ signs,
-        nonlinear_at_reference=1.0 - np.diagonal(tau, axis1=-2, axis2=-1) @ signs - (purity_a + purity_b) / 2,
-    )
+    if not isinstance(rho, DensityMatrix):
+        tensor = _frozen(tensor.copy())
+    return Spectra(*tensor.shape[-4:-2], tensor)

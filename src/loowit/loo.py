@@ -93,7 +93,8 @@ def gell_mann_basis(d: int) -> LOOBasis:
 
 @functools.lru_cache(maxsize=8)  # a state or a scan needs two dims
 def _gell_mann(d: int) -> LOOBasis:
-    """:func:`gell_mann_basis`, built once per d; d = 1 frames a 1-dim side."""
+    """:func:`gell_mann_basis`, built and checked Hermitian once per d; d = 1
+    frames a 1-dim side."""
     rows, cols = np.triu_indices(d, k=1)  # the pairs m < n, lexicographic in (m, n)
     symmetric = np.arange(len(rows))
     antisymmetric = symmetric + len(rows)
@@ -103,7 +104,7 @@ def _gell_mann(d: int) -> LOOBasis:
     obs[antisymmetric, rows, cols] = 1j / np.sqrt(2)
     obs[antisymmetric, cols, rows] = -1j / np.sqrt(2)
     obs[2 * len(rows) + diagonal, diagonal, diagonal] = 1.0
-    return LOOBasis(d, obs)
+    return _check_hermitian(LOOBasis(d, obs))
 
 
 def pauli_basis() -> LOOBasis:
@@ -144,18 +145,24 @@ def frame(observables: np.ndarray) -> np.ndarray:
     return observables.transpose(0, 2, 1).reshape(len(observables), -1)
 
 
-def _check_bases(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> None:
-    """Both bases must fit the realigned matrix and be Hermitian within 1e-10,
-    so that the real part of each expectation is the whole of it (NaN fails)."""
+def _check_hermitian(basis: LOOBasis) -> LOOBasis:
+    """A basis must be Hermitian within 1e-10, so that the real part of each
+    expectation is the whole of it (NaN fails)."""
+    residual = hermiticity_residual(basis)
+    if not residual <= HERMITICITY_TOL:
+        raise ValueError(f"basis is not Hermitian: max |G_k - G_k^dagger| = {residual!r}")
+    return basis
+
+
+def _frame_product(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
+    """:func:`expectation_matrix` for bases already checked Hermitian."""
     if realigned.shape[-2:] != (len(basis_a), len(basis_b)):
         raise ValueError(
             f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match the "
             f"{realigned.shape[-2]}x{realigned.shape[-1]} realigned matrix"
         )
-    for basis in (basis_a, basis_b):
-        residual = hermiticity_residual(basis)
-        if not residual <= HERMITICITY_TOL:
-            raise ValueError(f"basis is not Hermitian: max |G_k - G_k^dagger| = {residual!r}")
+    raw = frame(basis_a.observables) @ realigned @ frame(basis_b.observables).T
+    return np.ascontiguousarray(raw.real)
 
 
 def expectation_matrix(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
@@ -163,9 +170,7 @@ def expectation_matrix(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBas
     for a realigned R(X) (:func:`qstate.realign`), or a stack; a change of LOO
     basis rotates it orthogonally on each side.  A non-Hermitian basis raises;
     for a non-Hermitian X the entries are those of its Hermitian part."""
-    _check_bases(realigned, basis_a, basis_b)
-    raw = frame(basis_a.observables) @ realigned @ frame(basis_b.observables).T
-    return np.ascontiguousarray(raw.real)
+    return _frame_product(realigned, _check_hermitian(basis_a), _check_hermitian(basis_b))
 
 
 def gell_mann_correlations(realigned: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,6 +179,6 @@ def gell_mann_correlations(realigned: np.ndarray) -> tuple[np.ndarray, np.ndarra
     t_k = Tr G_k (Σ_k t_k G_k = I).  τ = μ - a·bᵀ is the covariance matrix,
     and |a|², |b|² are Tr ρ_A², Tr ρ_B², since the basis is complete."""
     basis_a, basis_b = (_gell_mann(math.isqrt(n)) for n in realigned.shape[-2:])
-    mu = expectation_matrix(realigned, basis_a, basis_b)
+    mu = _frame_product(realigned, basis_a, basis_b)
     t_a, t_b = (np.trace(basis.observables, axis1=1, axis2=2).real for basis in (basis_a, basis_b))
     return mu, mu @ t_b, t_a @ mu

@@ -210,8 +210,9 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
 
     Accepts a state vector, a DensityMatrix (dims left None or equal to its
     own), or a raw projector matrix (then dims are required).  Projectors
-    must have purity Tr ρ² ≥ 1 - 1e-8; the dominant eigenvector is
-    extracted.  Returns (psi, dim_a, dim_b).
+    must be Hermitian (within 1e-10), have unit trace (within 1e-10) and
+    purity Tr ρ² ≥ 1 - 1e-8; the dominant eigenvector is extracted.
+    Returns (psi, dim_a, dim_b).
     """
     if isinstance(state, DensityMatrix):
         own = (state.dim_a, state.dim_b)
@@ -236,7 +237,15 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
         if arr.shape != (dim_a * dim_b,) * 2:
             raise ValueError(f"matrix of shape {arr.shape} does not match dims ({dim_a}, {dim_b})")
         mat = arr
-    p = purity(mat) if np.isfinite(mat).all() else np.nan
+    if not np.isfinite(mat).all():
+        raise ValueError("not a pure state: non-finite entries")
+    herm = float(np.abs(mat - mat.conj().T).max())
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"not a pure state: max |rho - rho^dagger| = {herm!r}")
+    trace = complex(np.trace(mat))
+    if abs(trace - 1.0) > UNIT_TRACE_TOL:
+        raise ValueError(f"not a pure state: Tr rho = {trace!r}")
+    p = purity(mat)
     if not p >= 1.0 - PURITY_TOL:
         raise ValueError(f"not a pure state: Tr rho^2 = {p!r}")
     eigvals, eigvecs = np.linalg.eigh((mat + mat.conj().T) / 2)

@@ -3,7 +3,7 @@ import pytest
 
 from loowit import criteria
 from loowit.criteria import THRESHOLD_FORMS, concurrence_pure, detected, max_concurrence, spectra
-from loowit.qstate import DensityMatrix, make_state
+from loowit.qstate import DensityMatrix, make_state, schmidt
 from loowit.witness import optimal_linear_min, optimal_nonlinear_min
 
 import samplers
@@ -121,6 +121,59 @@ class TestSpectra:
             assert stacked.purity_a[i] == pytest.approx(single.purity_a, rel=0, abs=1e-12)
             assert stacked.purity_b[i] == pytest.approx(single.purity_b, rel=0, abs=1e-12)
 
+    def test_spectra_are_isolated_from_their_input(self):
+        rng = np.random.default_rng(62)
+        states = [samplers.random_mixed_state(3, 4, rng) for _ in range(3)]
+        stack = np.stack([rho.as_tensor() for rho in states])
+        untouched = spectra(stack.copy())
+        spec = spectra(stack)
+        stack[...] = 0.0
+        for name in criteria.SCORE_NAMES:
+            np.testing.assert_array_equal(spec.score(name), untouched.score(name))
+
+    # Calls each score makes of np.linalg.svd, np.linalg.eigvalsh and loo.gell_mann_correlations.
+    DECOMPOSITIONS = {
+        "ppt": (0, 1, 0),
+        "realign": (1, 0, 1),
+        "linear_opt": (1, 0, 1),
+        "nonlinear_opt": (1, 0, 1),
+        "bound_ppt": (0, 1, 0),
+        "bound_realign": (1, 0, 1),
+        "bound_lmax": (1, 0, 1),
+        "bound_combined": (2, 1, 1),
+    }
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["state", "stack"])
+    def test_each_score_takes_only_its_decompositions(self, monkeypatch, stacked):
+        calls = []
+
+        def counted(kind, function):
+            def call(*args, **kwargs):
+                calls.append(kind)
+                return function(*args, **kwargs)
+
+            return call
+
+        kinds = ("svd", "eigvalsh", "gell_mann_correlations")
+        for module, name in zip((criteria.np.linalg, criteria.np.linalg, criteria.loo), kinds):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        rho = make_state("upb_noise", 0.95)
+        state = np.stack([rho.as_tensor()] * 3) if stacked else rho
+
+        def counts():
+            return tuple(map(calls.count, kinds))
+
+        assert set(self.DECOMPOSITIONS) == set(criteria.SCORE_NAMES)
+        for name, expected in self.DECOMPOSITIONS.items():
+            calls.clear()
+            spectra(state).score(name)
+            assert counts() == expected, name
+        calls.clear()
+        spec = spectra(state)
+        for name in criteria.SCORE_NAMES * 2:
+            spec.score(name)
+        assert counts() == (2, 1, 1)
+
     def test_stack_needs_equal_dims(self):
         # The last four axes of a stack must be one (d_a, d_b, d_a, d_b) tensor view.
         bell = make_state("bell")
@@ -161,6 +214,23 @@ class TestConcurrencePure:
     def test_state_must_match_dims(self):
         with pytest.raises(ValueError, match=r"state of dims \(2, 2\) does not match dims \(3, 3\)"):
             concurrence_pure(make_state("bell"), 3, 3)
+
+    @pytest.mark.parametrize("flaw", ["trace two", "twice a projector", "not Hermitian"])
+    def test_rejects_matrices_that_are_not_pure_states(self, flaw):
+        projector = make_state("bell").data
+        matrix = {
+            "trace two": np.diag([1.5, 0.5, 0.0, 0.0]),
+            "twice a projector": 2 * projector,
+            "not Hermitian": projector + np.diag([0.5], k=3),
+        }[flaw]
+        for call in (
+            lambda: concurrence_pure(matrix, 2, 2),
+            lambda: concurrence_pure(DensityMatrix(2, 2, matrix)),
+            lambda: schmidt(matrix, 2, 2),
+            lambda: schmidt(DensityMatrix(2, 2, matrix)),
+        ):
+            with pytest.raises(ValueError, match="not a pure state"):
+                call()
 
 
 class TestConcurrenceBounds:
