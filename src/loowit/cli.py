@@ -236,8 +236,9 @@ def _write_json(doc: dict, out) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline to ``out``, where each
     numpy array in ``doc`` is written as its complex_to_pairs lists.  The rest
     of the document is encoded first, with a placeholder per array; each array
-    is then rendered by :func:`qstate.pairs_json` and written on its own, so
-    the text of the whole document is never held at once."""
+    is then written in its place by :func:`qstate.write_pairs_json`, a slice
+    of its leading axis at a time, so neither the text of the whole document
+    nor that of one array is ever held at once."""
     arrays = []
 
     def slot(value):
@@ -250,7 +251,7 @@ def _write_json(doc: dict, out) -> None:
     out.write(before)
     for array, after in zip(arrays, rest):
         line = before[before.rfind("\n") + 1 :]  # indentation of the line that holds the array
-        out.write(qstate.pairs_json(array, (len(line) - len(line.lstrip(" "))) // 2))
+        qstate.write_pairs_json(array, (len(line) - len(line.lstrip(" "))) // 2, out)
         out.write(after)
         before = after
     out.write("\n")

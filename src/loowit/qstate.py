@@ -14,7 +14,8 @@ values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
 coefficient matrix.  The state file codec is :func:`state_to_document` /
 :func:`state_from_document`; :func:`pairs_json` is its array-to-text path,
 which renders a complex array as indented JSON without building the nested
-lists of :func:`complex_to_pairs`.
+lists of :func:`complex_to_pairs`, and :func:`write_pairs_json` writes that
+text one slice of the array's leading axis at a time.
 """
 
 from __future__ import annotations
@@ -210,8 +211,9 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
 
     Accepts a state vector, a DensityMatrix (dims left None or equal to its
     own), or a raw projector matrix (then dims are required).  Projectors
-    must be Hermitian (within 1e-10), have unit trace (within 1e-10) and
-    purity Tr ρ² ≥ 1 - 1e-8; the dominant eigenvector is extracted.
+    must be Hermitian (within 1e-10), have unit trace (within 1e-10),
+    purity Tr ρ² ≥ 1 - 1e-8 and no eigenvalue below -1e-9; the dominant
+    eigenvector is extracted.
     Returns (psi, dim_a, dim_b).
     """
     if isinstance(state, DensityMatrix):
@@ -249,6 +251,9 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
     if not p >= 1.0 - PURITY_TOL:
         raise ValueError(f"not a pure state: Tr rho^2 = {p!r}")
     eigvals, eigvecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+    lowest = float(eigvals[0])
+    if not lowest >= -PSD_TOL:  # a purity near 1 does not rule out negative eigenvalues
+        raise ValueError(f"not a pure state: smallest eigenvalue {lowest!r}")
     psi = eigvecs[:, -1]
     return psi / np.linalg.norm(psi), dim_a, dim_b
 
@@ -394,15 +399,20 @@ def pairs_json(a: np.ndarray, level: int) -> str:
     NaN and Infinity where repr says nan and inf) and every axis non-empty.
 
     Each distinct magnitude is formatted once by float.__repr__, as json
-    formats floats; a Hermitian observable repeats every off-diagonal
-    magnitude, so about half the floats of a basis reuse a text.  The texts
-    and the brackets and indentation between them are then one str.join.
+    formats floats, and given a ``-`` only if it occurs negative; a
+    Hermitian observable repeats every off-diagonal magnitude, so about half
+    the floats of a basis reuse a text.  The texts and the brackets and
+    indentation between them are gathered from object arrays and joined
+    once.  :func:`write_pairs_json` writes the same text a slice at a time.
     """
     pairs = np.ascontiguousarray(a, dtype=complex).view(float).reshape(np.shape(a) + (2,))
     flat, depth = pairs.ravel(), pairs.ndim
-    magnitudes, index = np.unique(np.abs(flat), return_inverse=True)
+    magnitudes, code = np.unique(np.abs(flat), return_inverse=True)
+    negative = np.signbit(flat)
+    signed, inverse = np.unique(code[negative], return_inverse=True)
+    code[negative] = magnitudes.size + inverse
     texts = list(map(float.__repr__, magnitudes.tolist()))
-    texts += ["-" + text for text in texts]
+    texts += ["-" + texts[k] for k in signed.tolist()]
     # closing[i]: how many lists end right after float i, its [re, im] pair first.
     closing = np.zeros(flat.size, dtype=np.intp)
     for size in np.cumprod(pairs.shape[::-1]):
@@ -416,10 +426,37 @@ def pairs_json(a: np.ndarray, level: int) -> str:
         return "".join(newline[t] + "]" for t in range(depth - 1, depth - k - 1, -1))
 
     between = [closed(k) + "," + newline[depth - k] + opened(k) for k in range(depth)] + [closed(depth)]
-    pieces = [opened(depth)] * (2 * flat.size + 1)
-    pieces[1::2] = map(texts.__getitem__, (index + magnitudes.size * np.signbit(flat)).tolist())
-    pieces[2::2] = np.array(between, dtype=object)[closing].tolist()
-    return "".join(pieces)
+    pieces = np.empty(2 * flat.size + 1, dtype=object)
+    pieces[0] = opened(depth)
+    pieces[1::2] = np.array(texts, dtype=object)[code]
+    pieces[2::2] = np.array(between, dtype=object)[closing]
+    return "".join(pieces.tolist())
+
+
+# Floats per slice of write_pairs_json: 16 observables of a 16x16 basis, 28 of
+# a 12x12 one.  Writing a basis peaks at ~1.5 MB of allocations at this size,
+# in proportion to it; the write time was flat from 2048 to 16384 floats.
+PAIRS_SLICE_FLOATS = 8192
+
+
+def write_pairs_json(a: np.ndarray, level: int, out) -> None:
+    """Write :func:`pairs_json` ``(a, level)`` to ``out``, rendering it one
+    slice of ``a``'s leading axis at a time, each of about
+    ``PAIRS_SLICE_FLOATS`` floats (at least one entry of that axis), so that
+    the text of the whole array is never held.  ``a`` is an array with at
+    least one axis.
+
+    Each slice is rendered by pairs_json as a list of its own; its outer
+    brackets are dropped and the slices are joined as entries of one list.
+    """
+    rows = max(1, PAIRS_SLICE_FLOATS // (2 * a[0].size))
+    opened, closed = "[\n" + "  " * (level + 1), "\n" + "  " * level + "]"
+    out.write(opened)
+    for start in range(0, len(a), rows):
+        if start:
+            out.write("," + opened[1:])
+        out.write(pairs_json(a[start : start + rows], level)[len(opened) : -len(closed)])
+    out.write(closed)
 
 
 def state_to_document(rho: DensityMatrix) -> dict:

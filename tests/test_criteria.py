@@ -215,13 +215,18 @@ class TestConcurrencePure:
         with pytest.raises(ValueError, match=r"state of dims \(2, 2\) does not match dims \(3, 3\)"):
             concurrence_pure(make_state("bell"), 3, 3)
 
-    @pytest.mark.parametrize("flaw", ["trace two", "twice a projector", "not Hermitian"])
+    @pytest.mark.parametrize(
+        "flaw", ["trace two", "twice a projector", "not Hermitian", "negative eigenvalue", "purity within tolerance"]
+    )
     def test_rejects_matrices_that_are_not_pure_states(self, flaw):
         projector = make_state("bell").data
         matrix = {
             "trace two": np.diag([1.5, 0.5, 0.0, 0.0]),
             "twice a projector": 2 * projector,
             "not Hermitian": projector + np.diag([0.5], k=3),
+            # Hermitian and unit-trace, with Tr m^2 = 2.5 and 1 + 9.8e-9.
+            "negative eigenvalue": np.diag([1.5, -0.5, 0.0, 0.0]),
+            "purity within tolerance": np.diag([1.0, 7e-5, -7e-5, 0.0]),
         }[flaw]
         for call in (
             lambda: concurrence_pure(matrix, 2, 2),

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -477,10 +479,24 @@ class TestStateFiles:
             qstate.state_from_document(doc)
 
 
+def assert_same_text(text, expected):
+    """text == expected.  A mismatch is reported at its first differing offset:
+    pytest's line diff of two texts of a megabyte takes minutes."""
+    if text != expected:
+        at = len(os.path.commonprefix([text, expected]))
+        near = slice(max(at - 60, 0), at + 60)
+        pytest.fail(
+            f"texts of {len(text)} and {len(expected)} characters differ at {at}: "
+            f"{text[near]!r} != {expected[near]!r}"
+        )
+
+
 class TestPairsJson:
     VALUES = [0.0, -0.0, 5e-324, 1e16, 1e-5, 1 / 3, 1.7976931348623157e308, -1e-17]
 
-    @pytest.mark.parametrize("shape", [(4, 2, 2), (9, 3, 3), (5, 2, 1)])
+    # The last three span several slices of write_pairs_json, with a remainder;
+    # in (3, 4100) one entry of the leading axis is more than a slice.
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (9, 3, 3), (5, 2, 1), (300, 4, 4), (144, 12, 12), (3, 4100)])
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_matches_indented_json_of_pairs(self, shape, level):
         rng = np.random.default_rng(16)
@@ -491,4 +507,30 @@ class TestPairsJson:
         a = np.empty(shape, dtype=complex)
         a.real, a.imag = real.reshape(shape), imag.reshape(shape)
         expected = json.dumps(qstate.complex_to_pairs(a), indent=2).replace("\n", "\n" + "  " * level)
-        assert qstate.pairs_json(a, level) == expected
+        assert_same_text(qstate.pairs_json(a, level), expected)
+        out = io.StringIO()
+        qstate.write_pairs_json(a, level, out)
+        assert_same_text(out.getvalue(), expected)
+
+    def test_streamed_peak_is_below_the_text_written(self):
+        class Sink:  # counts the characters written and keeps none of them
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+
+        x = np.random.default_rng(13).normal(size=(2, 256, 16, 16))
+        a = x[0] + 1j * x[1]
+        a = a + a.conj().swapaxes(1, 2)  # a Hermitian 16x16 basis repeats its magnitudes
+        sink = Sink()
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            qstate.write_pairs_json(a, 0, sink)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < sink.chars
