@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 invalid input or a usage error, 2 no threshold found in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -345,7 +346,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``loowit`` argument parser, built on the first call and then shared
+    by every later call in the process, :func:`main` included.  Do not modify
+    it: add no argument and set no default on it.  Sharing is safe because
+    ``parse_args`` reads the parser and writes only to the namespace it
+    returns."""
     parser = _Parser(
         prog="loowit",
         description="Entanglement witnesses from local orthogonal observables.",

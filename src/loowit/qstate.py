@@ -20,6 +20,7 @@ text one slice of the array's leading axis at a time.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import IO, NamedTuple
@@ -287,20 +288,23 @@ def _ket(dim: int, i: int) -> np.ndarray:
     return v
 
 
+@functools.cache
 def _bell() -> DensityMatrix:
     psi = (np.kron(_ket(2, 0), _ket(2, 0)) + np.kron(_ket(2, 1), _ket(2, 1))) / np.sqrt(2)
     return pure_state(psi, 2, 2)
 
 
-def _noisy_singlet(p: float) -> DensityMatrix:
+@functools.cache
+def _noisy_singlet_parts() -> tuple[np.ndarray, np.ndarray]:
+    """|ψ_s⟩⟨ψ_s| and 2/3·|00⟩⟨00| + 1/3·|01⟩⟨01|, as read-only arrays."""
     singlet = (np.kron(_ket(2, 0), _ket(2, 1)) - np.kron(_ket(2, 1), _ket(2, 0))) / np.sqrt(2)
     k00 = np.kron(_ket(2, 0), _ket(2, 0))
     k01 = np.kron(_ket(2, 0), _ket(2, 1))
     sep = 2 / 3 * np.outer(k00, k00.conj()) + 1 / 3 * np.outer(k01, k01.conj())
-    data = p * np.outer(singlet, singlet.conj()) + (1 - p) * sep
-    return DensityMatrix(2, 2, data)
+    return _frozen(np.outer(singlet, singlet.conj())), _frozen(sep)
 
 
+@functools.cache
 def _upb() -> DensityMatrix:
     """3×3 bound entangled state built from the five-tile unextendible product basis."""
     k = lambda i: _ket(3, i)
@@ -356,6 +360,12 @@ def make_state(name: str, p: float | None = None) -> DensityMatrix:
     - ``upb_noise``: p·upb + (1-p)·I/9; requires p.
 
     ``bell`` and ``upb`` take no p and reject one.
+
+    The fixed states and parts are built once per process, on first use, and
+    shared read-only (every result's ``data`` is read-only).  ``bell`` and
+    ``upb`` return the same object on every call, so, DensityMatrix being
+    ``eq=False``, ``make_state("upb") == make_state("upb")`` holds by
+    identity; ``noisy_singlet`` and ``upb_noise`` build a new state per call.
     """
     if name not in STATE_NAMES:
         raise ValueError(f"unknown state name {name!r}; known: {', '.join(STATE_NAMES)}")
@@ -370,7 +380,8 @@ def make_state(name: str, p: float | None = None) -> DensityMatrix:
         return _upb()
     if name == "noisy_singlet":
         _check_unit_interval(p)
-        return _noisy_singlet(p)
+        singlet, sep = _noisy_singlet_parts()
+        return DensityMatrix(2, 2, p * singlet + (1 - p) * sep)
     return white_noise_mixture(_upb(), p)
 
 

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -724,3 +728,32 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_shared_parser_keeps_no_state_between_calls(self, tmp_path, capsys, monkeypatch):
+        # main reuses one parser per process.  Each call of a sequence whose
+        # options differ must exit and print as the same argv does alone in a
+        # fresh process.  COLUMNS fixes the width of argparse's usage text.
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_state(make_state("bell"), first)
+        save_state(make_state("noisy_singlet", 0.0), second)
+        sequence = [
+            ["scan", "--family", "mixture", "--criterion", "ppt", "--state", str(first), "--state2", str(second)],
+            ["scan", "--family", "noisy_singlet", "--criterion", "ppt"],
+            ["scan", "--family", "noisy_singlet", "--criterion", "ppt", "--no-such-flag"],
+            ["analyze", "--state", str(first), "--json", "--emit-bases"],
+            ["analyze", "--state", str(first), "--json"],
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "loowit.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

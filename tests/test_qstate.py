@@ -301,6 +301,31 @@ class TestGenerators:
     def test_upb_noise_zero_is_maximally_mixed(self):
         np.testing.assert_allclose(make_state("upb_noise", 0.0).data, np.eye(9) / 9, atol=1e-15)
 
+    @pytest.mark.parametrize("name, p", [("bell", None), ("upb", None), ("noisy_singlet", 0.3), ("upb_noise", 0.7)])
+    def test_generated_states_are_read_only(self, name, p):
+        data = make_state(name, p).data
+        assert not data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            data[0, 0] = 0.5
+
+    @pytest.mark.parametrize("name", ["bell", "upb"])
+    def test_fixed_states_are_shared(self, name):
+        assert make_state(name) is make_state(name)
+
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    def test_noisy_singlet_bits_match_definition(self, p):
+        ket = np.eye(2, dtype=complex)
+        singlet = (np.kron(ket[0], ket[1]) - np.kron(ket[1], ket[0])) / np.sqrt(2)
+        k00, k01 = np.kron(ket[0], ket[0]), np.kron(ket[0], ket[1])
+        sep = 2 / 3 * np.outer(k00, k00.conj()) + 1 / 3 * np.outer(k01, k01.conj())
+        expected = p * np.outer(singlet, singlet.conj()) + (1 - p) * sep
+        assert make_state("noisy_singlet", p).data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    def test_upb_noise_bits_match_definition(self, p):
+        expected = p * make_state("upb").data + (1 - p) * np.eye(9) / 9
+        assert make_state("upb_noise", p).data.tobytes() == expected.tobytes()
+
     def test_parameter_out_of_range(self):
         for p in (-0.1, 1.1):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
