@@ -49,6 +49,8 @@ class ScanSpec:
             raise ValueError(
                 f"unknown criterion {self.criterion!r}; known: {', '.join(criteria.SCORE_NAMES)}"
             )
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.p_start, self.p_stop, self.step, self.bisection_tol)):
+            raise ValueError(f"p_start, p_stop, step and bisection_tol must be numbers, not bools: {self}")
         if not (0.0 <= self.p_start < self.p_stop <= 1.0):
             raise ValueError(
                 f"need 0 <= start < stop <= 1, got start={self.p_start}, stop={self.p_stop}"
@@ -75,11 +77,11 @@ def load_valid_state(path) -> DensityMatrix:
     return rho
 
 
-def scan_score(rho: DensityMatrix | np.ndarray, criterion: str):
+def scan_score(rho: DensityMatrix | np.ndarray | criteria.Spectra, criterion: str):
     """Score and detection flag for any name of :data:`criteria.SCORE_NAMES`:
-    a float and a bool for one state, two arrays for a stack of tensor views,
-    which is scored in one call into :func:`criteria.spectra`."""
-    value = criteria.spectra(rho).score(criterion)
+    a float and a bool for one state, two arrays for a stack of tensor views or
+    a record of mixtures (:meth:`criteria.Spectra.mixed`), each scored in one call."""
+    value = (rho if isinstance(rho, criteria.Spectra) else criteria.spectra(rho)).score(criterion)
     return value, criteria.detected(value)
 
 
@@ -104,18 +106,12 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
         i += 1
 
 
-def _family_states(endpoints: tuple[DensityMatrix, DensityMatrix], ps) -> np.ndarray:
-    """Tensor views of p·ρ₁ + (1-p)·ρ₂ for each p in ``ps``, stacked."""
-    rho_1, rho_2 = (rho.as_tensor() for rho in endpoints)
-    p = np.asarray(ps, dtype=float).reshape(-1, 1, 1, 1, 1)
-    return p * rho_1 + (1 - p) * rho_2
-
-
 def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> ScanResult:
     """Scan the family p·ρ₁ + (1-p)·ρ₂ of ``endpoints`` (ρ₁, ρ₂): score the
     grid in stacked chunks of at most GRID_CHUNK_ENTRIES matrix entries (one
     chunk for the default 101-point grid while dim_a·dim_b <= 25), then
-    bisect the first crossing serially, one scored state per step.
+    bisect the first crossing serially, one scored state per step.  Each is
+    scored as mixes of the endpoints' record (:meth:`criteria.Spectra.mixed`).
 
     Bisection assumes the detection flag changes once inside the bracketing
     grid cell.  That is not proven.  The only check, made at every step, is
@@ -126,10 +122,11 @@ def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> 
     """
     grid = _grid(spec.p_start, spec.p_stop, spec.step)
     size = max(1, GRID_CHUNK_ENTRIES // endpoints[0].total_dim ** 2)
+    record = criteria.spectra(np.stack([rho.as_tensor() for rho in endpoints]))
     rows = []
     for start in range(0, len(grid), size):
         chunk = grid[start : start + size]
-        scores, flags = scan_score(_family_states(endpoints, chunk), spec.criterion)
+        scores, flags = scan_score(record.mixed(chunk), spec.criterion)
         rows += zip(chunk, scores.tolist(), flags.tolist())
     first = next((i for i, row in enumerate(rows) if row[2]), None)
     if first is None:
@@ -140,7 +137,7 @@ def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> 
     (lo, score_lo, _), (hi, score_hi, _) = rows[first - 1], rows[first]
     while hi - lo > spec.bisection_tol:
         mid = (lo + hi) / 2
-        (score,), (detected,) = scan_score(_family_states(endpoints, [mid]), spec.criterion)
+        (score,), (detected,) = scan_score(record.mixed([mid]), spec.criterion)
         if not (score_lo <= score + 1e-12 and score <= score_hi + 1e-12):
             return ScanResult(spec, rows, "grid_only", rows[first][0], spec.step)
         if detected:

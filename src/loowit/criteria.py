@@ -12,8 +12,9 @@ the Gell-Mann record of ``loo.gell_mann_correlations``, τ = μ - a·bᵀ,
 σ(μ) = σ(R(ρ)) and σ(τ) = σ(R(ρ - ρ_A⊗ρ_B)) (R: realignment).  The record
 of :func:`spectra` takes each decomposition when a score first reads it, and
 at most once, so a scan of one criterion takes only that criterion's
-decomposition.  The witness minima use the covariance form of Zhang et al.,
-PRA 77, 060301(R) (2008); see ``witness.optimal_*`` for the bases.
+decomposition.  A scan scores each point from p-mixes of its endpoints' record
+(:meth:`Spectra.mixed`).  The witness minima use the covariance form of Zhang
+et al., PRA 77, 060301(R) (2008); see ``witness.optimal_*`` for the bases.
 """
 
 from __future__ import annotations
@@ -90,15 +91,37 @@ class Spectra:
     therefore raised by the first read of a field or score that needs it.
 
     For a stack of states every field, score and bound gains a leading batch
-    axis; for one state they are Python floats."""
+    axis; for one state they are Python floats.  See :meth:`mixed` for mixtures."""
 
     dim_a: int
     dim_b: int
-    _tensor: np.ndarray = field(repr=False)  # read-only; never a caller's writable array
+    _tensor: np.ndarray | None = field(default=None, repr=False)  # read-only, never a caller's array
+    _endpoints: tuple[Spectra, np.ndarray] | None = field(default=None, repr=False)  # ((ρ₁, ρ₂)'s record, p)
+
+    def mixed(self, ps) -> Spectra:
+        """The record, holding no tensor, of p·ρ₁ + (1-p)·ρ₂ for each p in ``ps``
+        (one state for a scalar p), this being the record of the stack (ρ₁, ρ₂).
+        Its (μ, a, b) and ρ^{T_A}, linear in ρ, are p-mixes of this record's, made
+        on first read: exactly the endpoints' at p = 1 and 0, else equal up to rounding."""
+        if (self._tensor.shape[:-4] if self._endpoints is None else self._endpoints[1].shape) != (2,):
+            raise ValueError("mixtures need the record of a stack of two states")
+        return Spectra(self.dim_a, self.dim_b, _endpoints=(self, np.asarray(ps, dtype=float)))
+
+    def _mix(self, pair: np.ndarray) -> np.ndarray:
+        p = self._endpoints[1]
+        return np.multiply.outer(p, pair[0]) + np.multiply.outer(1 - p, pair[1])
 
     @cached_property
     def _correlations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._endpoints:
+            return tuple(map(self._mix, self._endpoints[0]._correlations))
         return loo.gell_mann_correlations(qstate.realign(self._tensor))
+
+    @cached_property
+    def _transposed(self) -> np.ndarray:  # kept only where mixtures read it; see partial_transpose
+        if self._endpoints:
+            return self._mix(self._endpoints[0]._transposed)
+        return qstate.partial_transpose(self._tensor, "A")
 
     @cached_property
     def _tau(self) -> np.ndarray:
@@ -123,8 +146,8 @@ class Spectra:
 
     @cached_property
     def partial_transpose(self) -> np.ndarray:
-        """eig(ρ^{T_A}), ascending."""
-        return _stored(np.linalg.eigvalsh(qstate.partial_transpose(self._tensor, "A")))
+        """eig(ρ^{T_A}), ascending; the record's own ρ^{T_A} is formed here, not kept."""
+        return _stored(np.linalg.eigvalsh(Spectra._transposed.func(self)))
 
     @cached_property
     def purity_a(self) -> float | np.ndarray:
@@ -194,8 +217,8 @@ def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
     of a field or score that needs it, once over a whole stack (see
     :class:`Spectra`).  σ(μ) and σ(τ) are values-only SVDs of the Gell-Mann
     record of :func:`loo.gell_mann_correlations`, τ = μ - a·bᵀ.  An array is
-    copied and the copy made read-only, so writing to it later changes no
-    field; a DensityMatrix's data is already read-only."""
+    copied read-only, so writing to it later changes no field; a DensityMatrix's
+    data is already read-only.  :meth:`Spectra.mixed` gives mixtures' records."""
     tensor = qstate.tensor_view(rho)
     if not isinstance(rho, DensityMatrix):
         tensor = _frozen(tensor.copy())

@@ -44,8 +44,8 @@ def sampled_max_trace(matrix, samples: int, seed: int, target: str | None = None
     can approach but never exceed it.  Same seed, same result, to the bit.
     """
     m = np.asarray(matrix, dtype=float)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     rows, cols = m.shape
     k = min(rows, cols)
     rng = np.random.default_rng(seed)

@@ -335,8 +335,8 @@ def mixture(rho_1: DensityMatrix, rho_2: DensityMatrix, p: float) -> DensityMatr
 
 
 def _check_unit_interval(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {p!r}")
+    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"mixing parameter must be a number in [0, 1], got {p!r}")
 
 
 def _check_equal_dims(rho_1: DensityMatrix, rho_2: DensityMatrix) -> None:

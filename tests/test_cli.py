@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loowit import cli, criteria, oracle, qstate
+from loowit import cli, criteria, loo, oracle, qstate
 from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
 from loowit.loo import LOOBasis, gell_mann_basis, transpose_basis
 from loowit.qstate import load_state, make_state, save_state, trace_norm
@@ -301,12 +301,14 @@ class TestScanSpec:
     @pytest.mark.parametrize(
         "field, value",
         [("step", float("nan")), ("step", float("inf")), ("bisection_tol", float("nan")),
-         ("bisection_tol", float("inf")), ("bisection_tol", float("-inf"))],
+         ("bisection_tol", float("inf")), ("bisection_tol", float("-inf")),
+         ("p_start", False), ("p_stop", True), ("step", True), ("bisection_tol", np.True_)],
     )
     def test_non_finite_rejected(self, field, value):
         # NaN fails every comparison, so a NaN step used to build an endless grid.
+        # A bool compares as 0 or 1, so step=True used to scan [0, 1] with step 1.
         with pytest.raises(ValueError, match=field):
-            ScanSpec("noisy_singlet", 0.0, 1.0, **{field: value})
+            ScanSpec(**{"family": "noisy_singlet", "p_start": 0.0, "p_stop": 1.0, field: value})
 
     @pytest.mark.parametrize("flag, value, named", [("--tol", "nan", "bisection_tol"), ("--tol", "inf", "bisection_tol"),
                                                     ("--step", "inf", "step")])
@@ -382,6 +384,30 @@ class TestScan:
         result = run_scan(ScanSpec("noisy_singlet", 0.0, 1.0, criterion="linear_opt"), NOISY_SINGLET)
         assert result.status == "ok"
         assert len(calls) == 8
+
+    # The 1e-4 grid has 10_001 points of 2x2, three chunks of GRID_CHUNK_ENTRIES.
+    @pytest.mark.parametrize("family, criterion, step, tol", [("noisy_singlet", "linear_opt", 0.01, 1e-4),
+                                                             ("noisy_singlet", "linear_opt", 1e-4, 1e-6),
+                                                             ("noise_mixture", "ppt", 0.01, 1e-6)])
+    def test_scan_builds_its_records_once(self, monkeypatch, family, criterion, step, tol):
+        # Every grid chunk and bisection midpoint is scored from mixes of the
+        # endpoints' record, whatever the grid size and the bisection steps.
+        calls = []
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return call
+
+        for module, name in ((loo, "gell_mann_correlations"), (qstate, "partial_transpose")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        pure = samplers.random_pure_state(2, 4, np.random.default_rng(5))
+        endpoints = NOISY_SINGLET if family == "noisy_singlet" else (pure, qstate.white_noise_mixture(pure, 0.0))
+        result = run_scan(ScanSpec(family, 0.0, 1.0, step, criterion, tol), endpoints)
+        assert result.status == "ok"
+        assert calls == ["partial_transpose" if criterion == "ppt" else "gell_mann_correlations"]
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6])
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (3, 4)])
@@ -571,19 +597,29 @@ def scan_family(name, tmp_path):
 
 
 class TestBatchedGrid:
-    """run_scan scores its grid in stacked batches; each row must match scoring
-    that grid point on its own."""
+    """run_scan scores its grid in stacked batches and its bisection from mixed
+    records; each row must match scoring that grid point on its own, and the
+    threshold must separate states built point by point."""
 
     @pytest.mark.parametrize("criterion", criteria.SCORE_NAMES)
     @pytest.mark.parametrize("family", cli.FAMILY_NAMES)
     def test_rows_match_per_point_scores(self, family, criterion, tmp_path):
         endpoints, states = scan_family(family, tmp_path)
-        rows = run_scan(ScanSpec(family, 0.0, 1.0, criterion=criterion), endpoints).rows
+        result = run_scan(ScanSpec(family, 0.0, 1.0, criterion=criterion), endpoints)
+        rows = result.rows
         grid = cli._grid(0.0, 1.0, cli.DEFAULT_STEP)
         reference = [scan_score(states(p), criterion) for p in grid]
+        flags = [detected for _, detected in reference]
         assert [row[0] for row in rows] == grid
-        assert [row[2] for row in rows] == [detected for _, detected in reference]
+        assert [row[2] for row in rows] == flags
         np.testing.assert_allclose([row[1] for row in rows], [score for score, _ in reference], rtol=0, atol=1e-12)
+        assert (result.status == "no_threshold") == (not any(flags))
+        assert (result.status == "detected_from_start") == flags[0]
+        if result.status == "ok":
+            # Clamped to the range: a threshold can lie within tol of p = 0.
+            th, tol = result.threshold, result.tolerance
+            assert not scan_score(states(max(th - tol, 0.0)), criterion)[1]
+            assert scan_score(states(min(th + tol, 1.0)), criterion)[1]
 
     def test_fine_grid_spans_several_chunks(self, tmp_path):
         endpoints, states = scan_family("upb_noise", tmp_path)

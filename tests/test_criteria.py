@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loowit import criteria
+from loowit import criteria, qstate
 from loowit.criteria import THRESHOLD_FORMS, concurrence_pure, detected, max_concurrence, spectra
 from loowit.qstate import DensityMatrix, make_state, schmidt
 from loowit.witness import optimal_linear_min, optimal_nonlinear_min
@@ -131,6 +131,28 @@ class TestSpectra:
         for name in criteria.SCORE_NAMES:
             np.testing.assert_array_equal(spec.score(name), untouched.score(name))
 
+    def test_mixed_matches_each_mixture(self):
+        rng = np.random.default_rng(63)
+        rho_1, rho_2 = samplers.random_mixed_state(3, 4, rng, rank=2), samplers.random_separable_state(3, 4, rng)
+        endpoints = spectra(np.stack([rho_1.as_tensor(), rho_2.as_tensor()]))
+        ps = [1.0, 0.7, 0.3, 0.0]
+        mixed = endpoints.mixed(ps)
+        for name in criteria.SCORE_NAMES:
+            # At p = 1 and p = 0 a mix is the endpoint's own array, to the bit.
+            np.testing.assert_array_equal(mixed.score(name)[[0, 3]], endpoints.score(name))
+            for i, p in enumerate(ps):
+                single = spectra(qstate.mixture(rho_1, rho_2, p)).score(name)
+                assert mixed.score(name)[i] == pytest.approx(single, rel=0, abs=1e-12)
+                assert endpoints.mixed(p).score(name) == mixed.score(name)[i]
+        assert isinstance(endpoints.mixed(0.5).purity_a, float)
+
+    def test_mixed_needs_a_record_of_two_states(self):
+        bell = make_state("bell")
+        pair = spectra(np.stack([bell.as_tensor()] * 2))
+        for record in (spectra(bell), spectra(np.stack([bell.as_tensor()] * 3)), pair.mixed(0.5), pair.mixed([0.5])):
+            with pytest.raises(ValueError, match="two states"):
+                record.mixed([0.5])
+
     # Calls each score makes of np.linalg.svd, np.linalg.eigvalsh and loo.gell_mann_correlations.
     DECOMPOSITIONS = {
         "ppt": (0, 1, 0),
@@ -143,8 +165,8 @@ class TestSpectra:
         "bound_combined": (2, 1, 1),
     }
 
-    @pytest.mark.parametrize("stacked", [False, True], ids=["state", "stack"])
-    def test_each_score_takes_only_its_decompositions(self, monkeypatch, stacked):
+    @pytest.mark.parametrize("form", ["state", "stack", "mixed"], ids=["state", "stack", "mixed"])
+    def test_each_score_takes_only_its_decompositions(self, monkeypatch, form):
         calls = []
 
         def counted(kind, function):
@@ -158,7 +180,12 @@ class TestSpectra:
         for module, name in zip((criteria.np.linalg, criteria.np.linalg, criteria.loo), kinds):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         rho = make_state("upb_noise", 0.95)
-        state = np.stack([rho.as_tensor()] * 3) if stacked else rho
+        state = {"state": rho, "stack": np.stack([rho.as_tensor()] * 3),
+                 "mixed": np.stack([rho.as_tensor(), make_state("upb_noise", 0.0).as_tensor()])}[form]
+
+        def record():
+            # A record of mixtures decomposes only its mixes, never the endpoints.
+            return spectra(state).mixed([0.2, 0.6, 1.0]) if form == "mixed" else spectra(state)
 
         def counts():
             return tuple(map(calls.count, kinds))
@@ -166,10 +193,10 @@ class TestSpectra:
         assert set(self.DECOMPOSITIONS) == set(criteria.SCORE_NAMES)
         for name, expected in self.DECOMPOSITIONS.items():
             calls.clear()
-            spectra(state).score(name)
+            record().score(name)
             assert counts() == expected, name
         calls.clear()
-        spec = spectra(state)
+        spec = record()
         for name in criteria.SCORE_NAMES * 2:
             spec.score(name)
         assert counts() == (2, 1, 1)

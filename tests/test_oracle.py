@@ -50,8 +50,10 @@ class TestSampledMaxTrace:
         assert medians[0] >= medians[1] >= medians[2]
 
     def test_invalid_sample_count(self):
-        with pytest.raises(ValueError, match="samples"):
-            sampled_max_trace(np.eye(2), 0, seed=0)
+        for samples in (0, True, np.True_, 2.5, np.float64(3.0)):
+            with pytest.raises(ValueError, match="samples"):
+                sampled_max_trace(np.eye(2), samples, seed=0)
+        assert sampled_max_trace(np.eye(2), np.int64(3), seed=0).samples == 3
 
 
 class TestRecomputeWitnessDirect:

@@ -327,7 +327,8 @@ class TestGenerators:
         assert make_state("upb_noise", p).data.tobytes() == expected.tobytes()
 
     def test_parameter_out_of_range(self):
-        for p in (-0.1, 1.1):
+        # A bool is not a mixing parameter, though it compares as 0 or 1.
+        for p in (-0.1, 1.1, True, False, np.True_):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 make_state("noisy_singlet", p)
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
