@@ -236,7 +236,12 @@ def _write_json(doc: dict, out) -> None:
     of the document is encoded first, with a placeholder per array; each array
     is then written in its place by :func:`qstate.write_pairs_json`, a slice
     of its leading axis at a time, so neither the text of the whole document
-    nor that of one array is ever held at once."""
+    nor that of one array is ever held at once.
+
+    The indented encoder is json's pure-Python one, whose closures form a
+    reference cycle that holds ``slot`` and so ``arrays``; the list is
+    emptied on return, so the arrays are freed then, not at the next garbage
+    collection."""
     arrays = []
 
     def slot(value):
@@ -245,14 +250,17 @@ def _write_json(doc: dict, out) -> None:
         arrays.append(value)
         return "\0"
 
-    before, *rest = json.dumps(doc, indent=2, default=slot).split(_ARRAY_SLOT)
-    out.write(before)
-    for array, after in zip(arrays, rest):
-        line = before[before.rfind("\n") + 1 :]  # indentation of the line that holds the array
-        qstate.write_pairs_json(array, (len(line) - len(line.lstrip(" "))) // 2, out)
-        out.write(after)
-        before = after
-    out.write("\n")
+    try:
+        before, *rest = json.dumps(doc, indent=2, default=slot).split(_ARRAY_SLOT)
+        out.write(before)
+        for array, after in zip(arrays, rest):
+            line = before[before.rfind("\n") + 1 :]  # indentation of the line that holds the array
+            qstate.write_pairs_json(array, (len(line) - len(line.lstrip(" "))) // 2, out)
+            out.write(after)
+            before = after
+        out.write("\n")
+    finally:
+        arrays.clear()
 
 
 def _print_analysis(doc: dict) -> None:

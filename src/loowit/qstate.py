@@ -12,7 +12,9 @@ through :func:`tensor_view` and act per state on a stack.
 (μ, a, b) that the scores and optima read.  :func:`trace_norm` takes
 values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
 coefficient matrix.  The state file codec is :func:`state_to_document` /
-:func:`state_from_document`; :func:`pairs_json` is its array-to-text path,
+:func:`state_from_document`, and :func:`load_state` decodes a canonical
+document (the shape :func:`save_state` writes) without the document's nested
+lists; :func:`pairs_json` is the codec's array-to-text path,
 which renders a complex array as indented JSON without building the nested
 lists of :func:`complex_to_pairs`, and :func:`write_pairs_json` writes that
 text one slice of the array's leading axis at a time.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass
 from typing import IO, NamedTuple
 
@@ -211,9 +214,8 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
     """Coerce a pure-state input to a normalized vector plus dims.
 
     Accepts a state vector, a DensityMatrix (dims left None or equal to its
-    own), or a raw projector matrix (then dims are required).  Projectors
-    must be Hermitian (within 1e-10), have unit trace (within 1e-10),
-    purity Tr ρ² ≥ 1 - 1e-8 and no eigenvalue below -1e-9; the dominant
+    own), or a raw projector matrix (then dims are required).  A matrix must
+    pass :func:`validate` and have purity Tr ρ² ≥ 1 - 1e-8; the dominant
     eigenvector is extracted.
     Returns (psi, dim_a, dim_b).
     """
@@ -221,7 +223,7 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
         own = (state.dim_a, state.dim_b)
         if any(d is not None and d != o for d, o in zip((dim_a, dim_b), own)):
             raise ValueError(f"state of dims {own} does not match dims ({dim_a}, {dim_b})")
-        mat, (dim_a, dim_b) = state.data, own
+        rho = state
     else:
         arr = np.asarray(state, dtype=complex)
         if arr.ndim == 1:
@@ -239,24 +241,16 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
             raise ValueError("dim_a and dim_b are required for a raw matrix")
         if arr.shape != (dim_a * dim_b,) * 2:
             raise ValueError(f"matrix of shape {arr.shape} does not match dims ({dim_a}, {dim_b})")
-        mat = arr
-    if not np.isfinite(mat).all():
-        raise ValueError("not a pure state: non-finite entries")
-    herm = float(np.abs(mat - mat.conj().T).max())
-    if herm > HERMITICITY_TOL:
-        raise ValueError(f"not a pure state: max |rho - rho^dagger| = {herm!r}")
-    trace = complex(np.trace(mat))
-    if abs(trace - 1.0) > UNIT_TRACE_TOL:
-        raise ValueError(f"not a pure state: Tr rho = {trace!r}")
+        rho = DensityMatrix(dim_a, dim_b, arr)
+    violations = validate(rho)
+    if violations:
+        raise ValueError("not a pure state: " + ", ".join(f"{v.invariant} residual {v.residual!r}" for v in violations))
+    mat = rho.data
     p = purity(mat)
     if not p >= 1.0 - PURITY_TOL:
         raise ValueError(f"not a pure state: Tr rho^2 = {p!r}")
-    eigvals, eigvecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-    lowest = float(eigvals[0])
-    if not lowest >= -PSD_TOL:  # a purity near 1 does not rule out negative eigenvalues
-        raise ValueError(f"not a pure state: smallest eigenvalue {lowest!r}")
-    psi = eigvecs[:, -1]
-    return psi / np.linalg.norm(psi), dim_a, dim_b
+    psi = np.linalg.eigh((mat + mat.conj().T) / 2)[1][:, -1]
+    return psi / np.linalg.norm(psi), rho.dim_a, rho.dim_b
 
 
 def schmidt(psi, dim_a: int | None = None, dim_b: int | None = None) -> SchmidtDecomposition:
@@ -396,6 +390,13 @@ def make_state(name: str, p: float | None = None) -> DensityMatrix:
 # one with float.__repr__, as json does, whether through json.dumps (state
 # files) or through pairs_json (the indented bases of `analyze --json`).  The
 # CLI also validates every state it reads and requires both dims >= 2.
+#
+# JSON whitespace is exactly space, tab, newline and carriage return.  A
+# document in ASCII with exactly these keys in this order, in the nesting
+# above, is canonical: load_state decodes it without a Python list per matrix
+# entry (see _load_canonical).  Anything else is read by the general JSON path
+# (json.loads, then state_from_document) with the same result: the same array
+# bit for bit, or a ValueError.
 
 
 def complex_to_pairs(a: np.ndarray) -> list:
@@ -488,28 +489,90 @@ def state_from_document(doc) -> DensityMatrix:
     if not isinstance(matrix, list) or len(matrix) != n:
         raise ValueError(f"matrix must have {n} rows for dims {dims!r}")
     pairs = np.array(matrix)  # ragged input: ValueError, or dtype object on numpy < 1.24
-    if pairs.shape != (n, n, 2) or pairs.dtype.kind not in "iuf":
-        raise ValueError(f"matrix must be {n}x{n} [real, imag] pairs of numbers")
-    if not np.isfinite(pairs).all():
-        raise ValueError("non-finite value in matrix")
+    rho = _state_from_pairs(da, db, pairs)
     # np.array turns a boolean beside a number into 0 or 1; only those entries can be one.
     suspects = np.unravel_index(np.flatnonzero((pairs == 0) | (pairs == 1)), pairs.shape)
     for i, j, c in zip(*(index.tolist() for index in suspects)):
         if type(matrix[i][j][c]) is bool:
             raise ValueError(f"boolean at matrix entry [{i}][{j}][{c}]; entries must be numbers")
+    return rho
+
+
+def _state_from_pairs(da: int, db: int, pairs: np.ndarray) -> DensityMatrix:
+    """The state of an (n, n, 2) array of finite [re, im] numbers, n = da·db."""
+    n = da * db
+    if pairs.shape != (n, n, 2) or pairs.dtype.kind not in "iuf":
+        raise ValueError(f"matrix must be {n}x{n} [real, imag] pairs of numbers")
+    if not np.isfinite(pairs).all():
+        raise ValueError("non-finite value in matrix")
     # A view, not re + 1j*im, which would turn a -0.0 real part into +0.0.
     data = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
     return DensityMatrix(da, db, data)
 
 
+# The canonical document, as save_state writes it, with any JSON whitespace
+# (exactly these four characters): its head up to the matrix, with both dims.
+_CANONICAL_HEAD = re.compile(r"[ \t\n\r]*".join(
+    ["", r"\{", '"dims"', ":", r"\[", "([1-9][0-9]{0,8})", ",", "([1-9][0-9]{0,8})", r"\]", ",", '"matrix"', ":"]
+))
+# The bytes of JSON numbers and whitespace; what is left of a canonical
+# document without them is its skeleton of brackets, commas and keys.
+_NUMBER_AND_SPACE = b"0123456789+-.eE \t\n\r"
+# Turns a canonical document into the flat JSON list ["dims", d_a, d_b, "matrix", re, im, ...].
+_FLATTEN = str.maketrans("[]{}:", "  [],")
+
+
+def _load_canonical(text) -> DensityMatrix | None:
+    """The state of the canonical document ``text``, or None when ``text`` is
+    not one (or not an ASCII str).  The state is the one that
+    :func:`state_from_document` makes of ``json.loads(text)``, and a
+    ValueError is raised where that raises one, but no Python list is built
+    per matrix entry.
+
+    The head regex gives the dims.  The skeleton of ``text`` must then be
+    exactly that of an n×n matrix of pairs (n = d_a·d_b), which is built
+    only after its length matches, so a file that claims huge dims
+    allocates nothing of size n².  One json.loads of the flattened text
+    then parses, and checks, every number token; two tokens in one slot or
+    an empty slot are JSON errors there.  Letters (true, null, NaN), quotes
+    and any other character stay in the skeleton, so such a document is
+    left to the general path.
+    """
+    if not (isinstance(text, str) and text.isascii()):
+        return None
+    head = _CANONICAL_HEAD.match(text)
+    if head is None:
+        return None
+    da, db = int(head[1]), int(head[2])
+    n = da * db
+    skeleton = text.encode("ascii").translate(None, _NUMBER_AND_SPACE)
+    prefix = b'{"dims":[,],"matrix":'
+    # n rows of 4n + 1 bytes, n - 1 commas between them, then "[", "]" and "}".
+    if len(skeleton) != len(prefix) + n * (4 * n + 2) + 2:
+        return None
+    row = b"[" + b"[,]," * (n - 1) + b"[,]]"
+    if skeleton != prefix + b"[" + (row + b",") * (n - 1) + row + b"]}":
+        return None
+    values = json.loads(text.translate(_FLATTEN))
+    return _state_from_pairs(da, db, np.array(values[4:]).reshape(n, n, 2))
+
+
 def load_state(path_or_file) -> DensityMatrix:
-    """Read a state file (see module notes for the JSON schema)."""
+    """Read a state file (see module notes for the JSON schema): a path, read
+    as UTF-8 text, or an open text file.  A canonical document (the shape
+    :func:`save_state` writes) in ASCII is decoded without a Python list per
+    matrix entry; any other is read by the general JSON path, with the same
+    result."""
+    if hasattr(path_or_file, "read"):
+        text = path_or_file.read()
+    else:
+        with open(path_or_file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    rho = _load_canonical(text)
+    if rho is not None:
+        return rho
     try:
-        if hasattr(path_or_file, "read"):
-            doc = json.load(path_or_file)
-        else:
-            with open(path_or_file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        doc = json.loads(text)
     except RecursionError:
         raise ValueError("state file is nested too deeply to be a state document") from None
     return state_from_document(doc)

@@ -1,8 +1,11 @@
 import argparse
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +251,23 @@ class TestAnalysisDocument:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         assert ("optimal_bases" in json.loads(out)) is emit_bases
 
+
+    def test_written_arrays_are_freed_on_return(self):
+        # json's indented encoder keeps its default hook in a reference cycle;
+        # an array it saw must not wait for a garbage collection to be freed.
+        array = np.zeros((3, 2), dtype=complex)
+        ref = weakref.ref(array)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out = io.StringIO()
+            cli._write_json({"basis": array, "n": 1}, out)
+            del array
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert json.loads(out.getvalue())["basis"] == [[[0.0, 0.0]] * 2] * 3
 
 class TestReferenceValues:
     """The Gell-Mann record against recomputations that share none of its code."""

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loowit import qstate
 from loowit.qstate import (
@@ -503,6 +505,220 @@ class TestStateFiles:
         doc = {"dims": dims, "matrix": [[[0.0, 0.0]] * n] * n}
         with pytest.raises(ValueError, match="dims must be positive integers"):
             qstate.state_from_document(doc)
+
+
+def decoded(load):
+    """(dims, data bytes) of the state ``load()`` returns, or None if it raises ValueError."""
+    try:
+        rho = load()
+    except ValueError:
+        return None
+    return (rho.dim_a, rho.dim_b), rho.data.tobytes()
+
+
+def assert_decodes_as_json(text):
+    """load_state reads ``text`` as state_from_document(json.loads(text)) does:
+    the same dims and array bit for bit, signbits included, or a ValueError from both."""
+    assert decoded(lambda: load_state(io.StringIO(text))) == decoded(
+        lambda: qstate.state_from_document(json.loads(text))
+    )
+
+
+def takes_fast_path(text):
+    """Whether load_state decodes ``text`` as a canonical document."""
+    try:
+        return qstate._load_canonical(text) is not None
+    except ValueError:
+        return True
+
+
+PAIRS_1x2 = "[[[0.5, 0.0], [0.25, -0.125]], [[0.25, 0.125], [0.5, -0.0]]]"
+CANONICAL_1x2 = '{"dims": [1, 2], "matrix": ' + PAIRS_1x2 + "}"
+# (text, canonical?): every case must decode as json does, and a canonical one
+# must do so on the fast path.
+DECODER_CASES = {
+    "canonical": (CANONICAL_1x2, True),
+    "json_whitespace": (" \t\n\r" + CANONICAL_1x2.replace(" ", "\r\n\t").replace(",", " ,\t").replace("[", "[\n")
+                        + "\r\n", True),
+    "no_whitespace": (CANONICAL_1x2.replace(" ", ""), True),
+    "form_feed": (CANONICAL_1x2.replace(", [0.25", ",\x0c[0.25"), False),
+    "form_feed_in_head": (CANONICAL_1x2.replace('"dims": ', '"dims":\x0c'), False),
+    "no_break_space": (CANONICAL_1x2.replace(", [0.25", ",\xa0[0.25"), False),
+    "em_space": (CANONICAL_1x2.replace(", [0.25", ",\u2003[0.25"), False),
+    "arabic_indic_digit": (CANONICAL_1x2.replace("0.125]", "0.\u0663]"), False),
+    "arabic_indic_dim": (CANONICAL_1x2.replace("[1, 2]", "[1, \u0662]"), False),
+    "keys_reordered": ('{"matrix": ' + PAIRS_1x2 + ', "dims": [1, 2]}', False),
+    "extra_key": (CANONICAL_1x2[:-1] + ', "note": "x"}', False),
+    "extra_key_first": ('{"note": [1, 2], ' + CANONICAL_1x2[1:], False),
+    "duplicate_dims": ('{"dims": [2, 1], ' + CANONICAL_1x2[1:], False),
+    "duplicate_matrix": (CANONICAL_1x2[:-1] + ', "matrix": ' + PAIRS_1x2.replace("0.5", "0.75") + "}", False),
+    "integer_entries": ('{"dims": [1, 2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}', True),
+    "negative_zero_integer": ('{"dims": [1, 2], "matrix": [[[1, -0], [-0, 0]], [[0, -0], [-0, -0]]]}', True),
+    "negative_zero_float": ('{"dims": [1, 2], "matrix": [[[1, -0.0], [-0.0, 0]], [[0, -0.0], [-0.0, -0]]]}', True),
+    "exponents": ('{"dims": [1, 2], "matrix": [[[5e-1, 0E0], [25e-2, -1.25E-1]], [[2.5e-01, 1.25e-1], [5E-1, -0e5]]]}',
+                  True),
+    "subnormal": (CANONICAL_1x2.replace("0.125]", "5e-324]"), True),
+    "overflow": (CANONICAL_1x2.replace("0.125]", "1e999]"), True),
+    "huge_integer": (CANONICAL_1x2.replace("0.125]", "9" * 400 + "]"), True),
+    "uint64_integer": (CANONICAL_1x2.replace("0.125]", str(2**64 - 1) + "]"), True),
+    "beyond_uint64_integer": (CANONICAL_1x2.replace("0.125]", str(2**64) + "]"), True),
+    "all_integers_wide": ('{"dims": [1, 2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, ' + str(2**63) + "]]]}", True),
+    "plus_sign": (CANONICAL_1x2.replace("0.125]", "+0.125]"), True),
+    "leading_zero": (CANONICAL_1x2.replace("0.125]", "00.125]"), True),
+    "bare_point": (CANONICAL_1x2.replace("0.125]", ".125]"), True),
+    "trailing_point": (CANONICAL_1x2.replace("0.125]", "1.]"), True),
+    "two_numbers_in_a_slot": (CANONICAL_1x2.replace("0.125]", "0.1 25]"), True),
+    "empty_slot": (CANONICAL_1x2.replace("0.125]", "]"), True),
+    "minus_alone": (CANONICAL_1x2.replace("0.125]", "-]"), True),
+    "true": (CANONICAL_1x2.replace("0.125]", "true]"), False),
+    "true_beside_int": ('{"dims": [1, 2], "matrix": [[[true, 0], [0, 0]], [[0, 0], [0, 0]]]}', False),
+    "false": (CANONICAL_1x2.replace("0.125]", "false]"), False),
+    "null": (CANONICAL_1x2.replace("0.125]", "null]"), False),
+    "string": (CANONICAL_1x2.replace("0.125]", '"0.125"]'), False),
+    "nan": (CANONICAL_1x2.replace("0.125]", "NaN]"), False),
+    "infinity": (CANONICAL_1x2.replace("0.125]", "-Infinity]"), False),
+    "ragged_row": ('{"dims": [1, 2], "matrix": [[[0.5, 0.0], [0.0]], [[0.0, 0.0], [0.5, 0.0]]]}', False),
+    "pair_moved_to_another_row": ('{"dims": [1, 2], "matrix": [[[0.5, 0.0], [0.25, -0.125], [0.25, 0.125]], '
+                                  '[[0.5, -0.0]]]}', False),
+    "entry_moved_to_another_pair": ('{"dims": [1, 2], "matrix": [[[0.5], [0.25, -0.125, 0.0]], '
+                                    '[[0.25, 0.125], [0.5, -0.0]]]}', False),
+    "short_row": ('{"dims": [1, 2], "matrix": [[[0.5, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}', False),
+    "triple": ('{"dims": [1, 2], "matrix": [[[0.5, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}', False),
+    "extra_nesting": ('{"dims": [1, 1], "matrix": [[[[1.0, 0.0]]]]}', False),
+    "scalar_entries": ('{"dims": [1, 2], "matrix": [[0.5, 0.0], [0.0, 0.5]]}', False),
+    "zero_dim": ('{"dims": [0, 2], "matrix": []}', False),
+    "negative_dim": ('{"dims": [-1, 2], "matrix": [[[1.0, 0.0]]]}', False),
+    "leading_zero_dim": ('{"dims": [01, 2], "matrix": ' + PAIRS_1x2 + "}", False),
+    "float_dim": ('{"dims": [1.0, 2], "matrix": ' + PAIRS_1x2 + "}", False),
+    "three_dims": ('{"dims": [1, 2, 1], "matrix": ' + PAIRS_1x2 + "}", False),
+    "dims_too_large": ('{"dims": [999999999, 999999999], "matrix": ' + PAIRS_1x2 + "}", False),
+    "dims_of_many_digits": ('{"dims": [' + "9" * 5000 + ', 2], "matrix": ' + PAIRS_1x2 + "}", False),
+    "trailing_number": (CANONICAL_1x2 + " 1", True),
+    "trailing_comma": (CANONICAL_1x2.replace("0.125]", "0.125,]"), False),
+    "not_an_object": (PAIRS_1x2, False),
+    "empty": ("", False),
+}
+
+
+class TestCanonicalDecoder:
+    @pytest.mark.parametrize("case", DECODER_CASES)
+    def test_fixed_cases_decode_as_json(self, case):
+        text, canonical = DECODER_CASES[case]
+        assert_decodes_as_json(text)
+        assert takes_fast_path(text) is canonical
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 2), (5, 3)])
+    def test_exact_skeleton_of_every_size(self, dims):
+        # A pair missing from, or added to, the last row breaks the skeleton.
+        rho = samplers.random_mixed_state(*dims, np.random.default_rng(17))
+        text = json.dumps(qstate.state_to_document(rho))
+        assert takes_fast_path(text)
+        assert_decodes_as_json(text)
+        for broken in (text[: text.rindex("[")].rstrip(", ") + "]]}", text[:-3] + ", [0.0, 0.0]]]}"):
+            assert not takes_fast_path(broken)
+            assert_decodes_as_json(broken)
+
+    def test_negative_zero_integer_decodes_to_positive_zero(self):
+        for case, negative in (("negative_zero_integer", 0), ("negative_zero_float", 4)):
+            data = load_state(io.StringIO(DECODER_CASES[case][0])).data.view(float)
+            assert np.count_nonzero(np.signbit(data)) == negative
+
+    def test_claimed_huge_dims_allocate_nothing_of_their_size(self):
+        text = DECODER_CASES["dims_too_large"][0]
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValueError, match="rows"):
+                load_state(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_generated_documents_decode_as_json(self, data):
+        assert_decodes_as_json(data.draw(state_documents()))
+
+    @pytest.mark.parametrize("name, p", [("bell", None), ("noisy_singlet", 0.3), ("upb", None), ("upb_noise", 0.9)])
+    def test_generated_states_take_the_fast_path(self, tmp_path, monkeypatch, name, p):
+        rho = make_state(name, p)
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        monkeypatch.setattr(qstate, "state_from_document", None)  # the general path would fail
+        assert load_state(path).data.tobytes() == rho.data.tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 3), (8, 8), (12, 16), (16, 16)])
+    def test_saved_random_states_take_the_fast_path(self, tmp_path, monkeypatch, dims):
+        rho = samplers.random_mixed_state(*dims, np.random.default_rng(sum(dims) + 1))
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        monkeypatch.setattr(qstate, "state_from_document", None)
+        loaded = load_state(path)
+        assert (loaded.dim_a, loaded.dim_b) == dims
+        assert loaded.data.tobytes() == rho.data.tobytes()
+
+
+# Number texts: JSON floats and integers, -0 and -0.0, and extremes.
+NUMBER_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1, 1).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["-0", "-0.0", "0", "1", "5e-324", "-5e-324", "1e999", "9" * 400, "1E2", "2.5e+1"]),
+)
+# What else may stand where a number does: byte strings over the number
+# alphabet, which are mostly not JSON numbers, and other JSON values.
+JUNK = st.one_of(
+    st.text(alphabet="0123456789+-.eE", min_size=1, max_size=5),
+    st.sampled_from(["true", "false", "null", '"0.5"', "NaN", "-Infinity", "\u0663", "[]", "[0.5]"]),
+)
+JSON_WHITESPACE = st.sampled_from(["", "", "", " ", " ", "\t", "\n", "\r\n", "\r", " \t", "\n  "])
+OTHER_WHITESPACE = st.sampled_from(["\x0c", "\xa0", "\v", "\u2003"])
+
+
+@st.composite
+def state_documents(draw):
+    """Texts near the canonical state document: random dims, entries and
+    whitespace.  One document in four may hold, now and then, a token that is
+    not a JSON number or whitespace that is not JSON's.  One in five each has
+    a pair moved to another row (or one added or dropped), an entry moved to
+    another pair, or its keys out of place."""
+    dims = draw(st.tuples(st.integers(1, 3), st.integers(1, 2)))
+    n = dims[0] * dims[1]
+    junk = draw(st.integers(0, 3)) == 0
+
+    def one_in_five():
+        return draw(st.integers(0, 4)) == 0
+
+    def rare(common, other):
+        return draw(other if junk and draw(st.integers(0, 29)) == 0 else common)
+
+    def space():
+        return rare(JSON_WHITESPACE, OTHER_WHITESPACE)
+
+    def listed(items):
+        return "[" + ",".join(space() + item + space() for item in items) + "]"
+
+    def moved(counts):  # the counts, one taken from a random place and one added to another
+        counts = list(counts)
+        counts[draw(st.integers(0, len(counts) - 1))] -= draw(st.integers(0, 1))
+        counts[draw(st.integers(0, len(counts) - 1))] += draw(st.integers(0, 1))
+        return counts
+
+    pairs = moved([n] * n) if one_in_five() else [n] * n
+    sizes = [2] * sum(pairs)
+    if sizes and one_in_five():
+        sizes = moved(sizes)
+    entries = iter(listed([rare(NUMBER_TEXTS, JUNK) for _ in range(size)]) for size in sizes)
+    rows = [listed([next(entries) for _ in range(count)]) for count in pairs]
+    members = [('"dims"', listed([str(d) for d in dims])), ('"matrix"', listed(rows))]
+    if one_in_five():
+        members = draw(st.permutations(members + [('"dims"', "[1, 1]"), ('"x"', "0")]))[: draw(st.integers(1, 4))]
+    body = ",".join(space() + key + space() + ":" + space() + value + space() for key, value in members)
+    return space() + "{" + body + "}" + space()
 
 
 def assert_same_text(text, expected):
