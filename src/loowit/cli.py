@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import criteria, oracle, qstate, witness
-from .loo import gell_mann_correlations
+from . import criteria, oracle, qstate
 from .qstate import DensityMatrix
 
 FAMILY_NAMES = ("upb_noise", "noisy_singlet", "noise_mixture", "mixture")
@@ -218,11 +217,9 @@ def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
         },
     }
     if emit_bases:
-        optima = {"linear": witness.optimal_linear_min(rho), "nonlinear": witness.optimal_nonlinear_min(rho)}
-        doc["optimal_bases"] = {
-            kind: {"basis_a": opt.basis_a.observables, "basis_b": opt.basis_b.observables}
-            for kind, opt in optima.items()
-        }
+        optima = {kind: spectra.optimum(kind) for kind in ("linear", "nonlinear")}
+        doc["optimal_bases"] = {kind: {"basis_a": opt_a.observables, "basis_b": opt_b.observables}
+                                for kind, (_, opt_a, opt_b) in optima.items()}
     return doc
 
 
@@ -331,9 +328,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    rho = load_valid_state(args.state)
-    mu, a, b = gell_mann_correlations(qstate.realign(rho))
-    for name, matrix in (("mu", mu), ("tau", mu - np.outer(a, b))):
+    record = criteria.spectra(load_valid_state(args.state))
+    for name, matrix in (("mu", record.correlations[0]), ("tau", record.tau)):
         report = oracle.sampled_max_trace(matrix, args.samples, args.seed, target=name)
         print(
             f"target {report.target}: analytic={report.analytic_value!r} "

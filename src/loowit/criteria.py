@@ -14,7 +14,7 @@ of :func:`spectra` takes each decomposition when a score first reads it, and
 at most once, so a scan of one criterion takes only that criterion's
 decomposition.  A scan scores each point from p-mixes of its endpoints' record
 (:meth:`Spectra.mixed`).  The witness minima use the covariance form of Zhang
-et al., PRA 77, 060301(R) (2008); see ``witness.optimal_*`` for the bases.
+et al., PRA 77, 060301(R) (2008); :meth:`Spectra.optimum` gives their bases.
 """
 
 from __future__ import annotations
@@ -65,10 +65,8 @@ def concurrence_pure(psi, dim_a: int | None = None, dim_b: int | None = None) ->
     Accepts a normalized vector (with dims), a DensityMatrix, or a projector
     matrix (with dims).
     """
-    vec, da, db = qstate.pure_state_vector(psi, dim_a, dim_b)
-    s = np.linalg.svd(vec.reshape(da, db), compute_uv=False)
-    purity_a = float(np.sum(s**4))
-    return math.sqrt(2.0 * max(0.0, 1.0 - purity_a))
+    coefficients = qstate.schmidt(psi, dim_a, dim_b).coefficients
+    return math.sqrt(2.0 * max(0.0, 1.0 - float(np.sum(coefficients**4))))
 
 
 def _stored(value) -> float | np.ndarray:
@@ -112,10 +110,11 @@ class Spectra:
         return np.multiply.outer(p, pair[0]) + np.multiply.outer(1 - p, pair[1])
 
     @cached_property
-    def _correlations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def correlations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only Gell-Mann record (μ, a, b) of :func:`loo.gell_mann_correlations`."""
         if self._endpoints:
-            return tuple(map(self._mix, self._endpoints[0]._correlations))
-        return loo.gell_mann_correlations(qstate.realign(self._tensor))
+            return tuple(map(_frozen, map(self._mix, self._endpoints[0].correlations)))
+        return tuple(map(_frozen, loo.gell_mann_correlations(qstate.realign(self._tensor))))
 
     @cached_property
     def _transposed(self) -> np.ndarray:  # kept only where mixtures read it; see partial_transpose
@@ -124,9 +123,10 @@ class Spectra:
         return qstate.partial_transpose(self._tensor, "A")
 
     @cached_property
-    def _tau(self) -> np.ndarray:
-        mu, a, b = self._correlations
-        return mu - a[..., :, None] * b[..., None, :]
+    def tau(self) -> np.ndarray:
+        """The covariance matrix τ = μ - a·bᵀ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ, read-only."""
+        mu, a, b = self.correlations
+        return _frozen(mu - a[..., :, None] * b[..., None, :])
 
     def _at_reference(self, matrix: np.ndarray) -> np.ndarray:
         """Σ_m s_m·M_mm: the reference B basis is transposed, G_mᵀ = s_m·G_m."""
@@ -137,12 +137,12 @@ class Spectra:
     @cached_property
     def realigned(self) -> np.ndarray:
         """σ(μ) = σ(R(ρ)), non-increasing."""
-        return _stored(np.linalg.svd(self._correlations[0], compute_uv=False))
+        return _stored(np.linalg.svd(self.correlations[0], compute_uv=False))
 
     @cached_property
     def covariance(self) -> np.ndarray:
         """σ(τ) = σ(R(ρ - ρ_A⊗ρ_B)), non-increasing."""
-        return _stored(np.linalg.svd(self._tau, compute_uv=False))
+        return _stored(np.linalg.svd(self.tau, compute_uv=False))
 
     @cached_property
     def partial_transpose(self) -> np.ndarray:
@@ -152,23 +152,23 @@ class Spectra:
     @cached_property
     def purity_a(self) -> float | np.ndarray:
         """Tr ρ_A² = |a|²."""
-        return _stored(np.square(self._correlations[1]).sum(axis=-1))
+        return _stored(np.square(self.correlations[1]).sum(axis=-1))
 
     @cached_property
     def purity_b(self) -> float | np.ndarray:
         """Tr ρ_B² = |b|²."""
-        return _stored(np.square(self._correlations[2]).sum(axis=-1))
+        return _stored(np.square(self.correlations[2]).sum(axis=-1))
 
     @cached_property
     def linear_at_reference(self) -> float | np.ndarray:
         """The linear witness value at the reference pair, 1 - Σ_m s_m·μ_mm."""
-        return _stored(1.0 - self._at_reference(self._correlations[0]))
+        return _stored(1.0 - self._at_reference(self.correlations[0]))
 
     @cached_property
     def nonlinear_at_reference(self) -> float | np.ndarray:
         """The nonlinear witness value at the reference pair,
         1 - Σ_m s_m·τ_mm - (Tr ρ_A² + Tr ρ_B²)/2."""
-        return _stored(1.0 - self._at_reference(self._tau) - (self.purity_a + self.purity_b) / 2)
+        return _stored(1.0 - self._at_reference(self.tau) - (self.purity_a + self.purity_b) / 2)
 
     @property
     def linear_min(self) -> float | np.ndarray:
@@ -184,6 +184,16 @@ class Spectra:
     def nonlinear_min(self) -> float | np.ndarray:
         """Nonlinear witness minimum over all LOO pairs, 1 - ℒ_max."""
         return 1.0 - self.l_max
+
+    def optimum(self, kind: str) -> tuple[float, loo.LOOBasis, loo.LOOBasis]:
+        """Σ_k σ_k of μ (``"linear"``) or τ (``"nonlinear"``) of one state, and the Gell-Mann
+        bases rotated to diagonalize it; the only SVD here that computes factors."""
+        if kind not in ("linear", "nonlinear"):
+            raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
+        u, s, vt = np.linalg.svd(self.tau if kind == "nonlinear" else self.correlations[0])
+        # The matrix is u Σ vt, so rotating by uᵀ / vt diagonalizes the paired expectations.
+        basis_a, basis_b = loo.gell_mann_basis(self.dim_a), loo.gell_mann_basis(self.dim_b)
+        return float(s.sum()), loo.rotate(basis_a, u.T), loo.rotate(basis_b, vt)
 
     def score(self, name: str) -> float | np.ndarray:
         """A criterion's score, or a concurrence bound's value: any of
@@ -215,10 +225,9 @@ def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
 
     Only the input is checked here; each decomposition runs on the first read
     of a field or score that needs it, once over a whole stack (see
-    :class:`Spectra`).  σ(μ) and σ(τ) are values-only SVDs of the Gell-Mann
-    record of :func:`loo.gell_mann_correlations`, τ = μ - a·bᵀ.  An array is
-    copied read-only, so writing to it later changes no field; a DensityMatrix's
-    data is already read-only.  :meth:`Spectra.mixed` gives mixtures' records."""
+    :class:`Spectra`).  An array is copied read-only, so writing to it later
+    changes no field; a DensityMatrix's data is already read-only.
+    :meth:`Spectra.mixed` gives mixtures' records."""
     tensor = qstate.tensor_view(rho)
     if not isinstance(rho, DensityMatrix):
         tensor = _frozen(tensor.copy())

@@ -7,8 +7,7 @@ frame that the scores, the reference values and the optimal bases all read.
 
 No SVD is taken here.  The operator-Schmidt form ρ = Σ_k σ_k G_k^A ⊗ G_k^B
 has σ = ``criteria.spectra(ρ).realigned`` and the bases of
-``witness.optimal_linear_min(ρ)``; ``witness._optimum`` is the only place
-the SVD factors of μ or τ are computed.
+``criteria.spectra(ρ).optimum("linear")``, which computes SVD factors.
 """
 
 from __future__ import annotations

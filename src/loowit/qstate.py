@@ -99,9 +99,14 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     rejected by the DensityMatrix constructor instead.
     """
     m = rho.data
-    non_finite = np.count_nonzero(~np.isfinite(m))
-    if non_finite:
-        return [Violation("finite", float(non_finite))]
+    return _violations(m, np.linalg.eigvalsh((m + m.conj().T) / 2) if np.isfinite(m).all() else None)
+
+
+def _violations(m: np.ndarray, eigenvalues: np.ndarray | None) -> list[Violation]:
+    """:func:`validate`'s checks of ``m``, given the eigenvalues of (m + m†)/2,
+    or None for a non-finite ``m``, which gets only the ``finite`` violation."""
+    if eigenvalues is None:
+        return [Violation("finite", float(np.count_nonzero(~np.isfinite(m))))]
     out: list[Violation] = []
     herm = float(np.abs(m - m.conj().T).max())
     if herm > HERMITICITY_TOL:
@@ -109,7 +114,7 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     tr = abs(complex(np.trace(m)) - 1.0)
     if tr > UNIT_TRACE_TOL:
         out.append(Violation("unit_trace", float(tr)))
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+    min_eig = float(eigenvalues.min())
     if min_eig < -PSD_TOL:
         out.append(Violation("positive_semidefinite", -min_eig))
     return out
@@ -215,8 +220,8 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
 
     Accepts a state vector, a DensityMatrix (dims left None or equal to its
     own), or a raw projector matrix (then dims are required).  A matrix must
-    pass :func:`validate` and have purity Tr ρ² ≥ 1 - 1e-8; the dominant
-    eigenvector is extracted.
+    pass :func:`validate` and have purity Tr ρ² ≥ 1 - 1e-8; its dominant
+    eigenvector comes from the eigensolve whose eigenvalues the PSD check reads.
     Returns (psi, dim_a, dim_b).
     """
     if isinstance(state, DensityMatrix):
@@ -242,14 +247,15 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
         if arr.shape != (dim_a * dim_b,) * 2:
             raise ValueError(f"matrix of shape {arr.shape} does not match dims ({dim_a}, {dim_b})")
         rho = DensityMatrix(dim_a, dim_b, arr)
-    violations = validate(rho)
+    mat = rho.data
+    eigenvalues, vectors = np.linalg.eigh((mat + mat.conj().T) / 2) if np.isfinite(mat).all() else (None, None)
+    violations = _violations(mat, eigenvalues)
     if violations:
         raise ValueError("not a pure state: " + ", ".join(f"{v.invariant} residual {v.residual!r}" for v in violations))
-    mat = rho.data
     p = purity(mat)
     if not p >= 1.0 - PURITY_TOL:
         raise ValueError(f"not a pure state: Tr rho^2 = {p!r}")
-    psi = np.linalg.eigh((mat + mat.conj().T) / 2)[1][:, -1]
+    psi = vectors[:, -1]
     return psi / np.linalg.norm(psi), rho.dim_a, rho.dim_b
 
 

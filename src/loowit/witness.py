@@ -19,10 +19,8 @@ change of LOO basis rotates both orthogonally on each side.  The values are
 optimizing bases come from the SVD factors.
 
 :func:`correlation_matrix` and :func:`covariance_matrix` return plain real
-arrays in user-supplied bases.  The optima read the Gell-Mann record (μ, a, b)
-of :func:`loo.gell_mann_correlations`, as :func:`loowit.criteria.spectra`
-does; ``_optimum``'s full SVD and two basis rotations run only when the
-bases themselves are wanted (``analyze --emit-bases``).
+arrays in user-supplied bases.  The optima are read from the record of
+:func:`loowit.criteria.spectra` by :meth:`~loowit.criteria.Spectra.optimum`.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qstate
-from .loo import LOOBasis, expectation_matrix, gell_mann_basis, gell_mann_correlations, rotate
+from . import criteria, qstate
+from .loo import LOOBasis, expectation_matrix
 from .qstate import DensityMatrix
 
 
@@ -82,15 +80,6 @@ class NonlinearOptimum(NamedTuple):
     basis_b: LOOBasis
 
 
-def _optimum(matrix: np.ndarray, dim_a: int, dim_b: int):
-    """Σ_k σ_k of μ or τ in the Gell-Mann frame, and the bases that diagonalize
-    it; the only place the SVD factors of μ or τ are computed."""
-    u, s, vt = np.linalg.svd(matrix)
-    # matrix = u Σ vt, so rotating by uᵀ / vt diagonalizes the paired
-    # expectations onto the singular values.
-    return float(s.sum()), rotate(gell_mann_basis(dim_a), u.T), rotate(gell_mann_basis(dim_b), vt)
-
-
 def optimal_linear_min(rho: DensityMatrix) -> LinearOptimum:
     """Minimum of the linear witness over all LOO pairs: 1 - Σ_k σ_k(μ).
 
@@ -98,8 +87,7 @@ def optimal_linear_min(rho: DensityMatrix) -> LinearOptimum:
     them reproduces the minimum.  Rectangular states are handled by the
     rectangular μ directly (the shorter side keeps its d² observables).
     """
-    mu, _, _ = gell_mann_correlations(qstate.realign(rho))
-    sigma_sum, opt_a, opt_b = _optimum(mu, rho.dim_a, rho.dim_b)
+    sigma_sum, opt_a, opt_b = criteria.spectra(rho).optimum("linear")
     return LinearOptimum(1.0 - sigma_sum, opt_a, opt_b)
 
 
@@ -109,9 +97,9 @@ def optimal_nonlinear_min(rho: DensityMatrix) -> NonlinearOptimum:
     Equals 1 - Σ_k σ_k(τ) - (|a|² + |b|²)/2, τ = μ - a·bᵀ (purities |a|², |b|²);
     the returned l_max is the complementary maximum, 1 - value.
     """
-    mu, a, b = gell_mann_correlations(qstate.realign(rho))
-    sigma_sum, opt_a, opt_b = _optimum(mu - np.outer(a, b), rho.dim_a, rho.dim_b)
-    l_max = sigma_sum + float(a @ a + b @ b) / 2.0
+    record = criteria.spectra(rho)
+    sigma_sum, opt_a, opt_b = record.optimum("nonlinear")
+    l_max = sigma_sum + (record.purity_a + record.purity_b) / 2.0
     return NonlinearOptimum(1.0 - l_max, l_max, opt_a, opt_b)
 
 

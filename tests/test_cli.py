@@ -236,6 +236,37 @@ class TestAnalysisDocument:
             expected["optimal_bases"][kind] = {"basis_a": encode(result.basis_a), "basis_b": encode(result.basis_b)}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
+    # Gell-Mann records (one qstate.realign each), values-only SVDs and full SVDs per request.
+    REQUEST_DECOMPOSITIONS = {
+        "analyze": (1, 2, 0),
+        "analyze --json": (1, 2, 0),
+        "analyze --json --emit-bases": (1, 2, 2),
+        # The oracle's two values-only SVDs are its own analytic maxima of μ and τ.
+        "oracle --samples 10": (1, 2, 0),
+    }
+
+    @pytest.mark.parametrize("request_args", list(REQUEST_DECOMPOSITIONS))
+    def test_request_builds_one_record(self, monkeypatch, tmp_path, capsys, request_args):
+        # The scores, the emitted bases and the oracle all read the record of criteria.spectra.
+        calls = []
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls.append(name if kwargs.get("compute_uv", True) else "values-only " + name)
+                return function(*args, **kwargs)
+
+            return call
+
+        for module, name in ((qstate, "realign"), (np.linalg, "svd")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        path = tmp_path / "state.json"
+        save_state(samplers.random_mixed_state(2, 3, np.random.default_rng(48)), path)
+        command, *flags = request_args.split()
+        assert main([command, "--state", str(path), *flags]) == 0
+        capsys.readouterr()
+        counts = tuple(map(calls.count, ("realign", "values-only svd", "svd")))
+        assert counts == self.REQUEST_DECOMPOSITIONS[request_args]
+
     @pytest.mark.parametrize("emit_bases", [False, True], ids=["scores", "bases"])
     @pytest.mark.parametrize("state", ["bell", "upb", "random_2x3", "random_3x2"])
     def test_output_is_indented_json_of_itself(self, tmp_path, capsys, state, emit_bases):
@@ -428,6 +459,21 @@ class TestScan:
         result = run_scan(ScanSpec(family, 0.0, 1.0, step, criterion, tol), endpoints)
         assert result.status == "ok"
         assert calls == ["partial_transpose" if criterion == "ppt" else "gell_mann_correlations"]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_isotropic_thresholds(self, d):
+        # p·|Φ_d⟩⟨Φ_d| + (1-p)·I/d² is entangled iff p > 1/(d+1), and there every
+        # criterion score is ((d²-1)/d)·(p - 1/(d+1)) and every bound at least
+        # 1.4·(p - 1/(d+1)).  The detection margin (1e-9) so moves each flag's
+        # crossing by under 1e-9, and the bisection ends on a bracket of width
+        # <= tol about it, whose midpoint is reported.  So the reported ± tol
+        # holds the exact threshold with room to spare (3.1e-7 measured at d = 4).
+        phi = qstate.pure_state(np.eye(d).reshape(-1) / np.sqrt(d), d, d)
+        endpoints = (phi, qstate.white_noise_mixture(phi, 0.0))
+        for name in criteria.SCORE_NAMES:
+            result = run_scan(ScanSpec("noise_mixture", 0, 1, 0.01, name, 1e-6), endpoints)
+            assert result.status == "ok", name
+            assert abs(result.threshold - 1 / (d + 1)) <= result.tolerance, name
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6])
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (3, 4)])

@@ -102,9 +102,20 @@ class TestSpectra:
         np.testing.assert_array_equal(criteria.detected(np.array([-1.0, margin, 1.0])), [False, False, True])
 
     def test_spectra_are_read_only(self):
-        spec = spectra(make_state("bell"))
-        with pytest.raises(ValueError):
-            spec.realigned[0] = 0.0
+        # The record (μ, a, b) and τ too, of a state and of a mixture.
+        bell = make_state("bell")
+        for spec in (spectra(bell), spectra(np.stack([bell.as_tensor()] * 2)).mixed(0.5)):
+            for array in (spec.realigned, *spec.correlations, spec.tau):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_optimum_reads_the_record(self):
+        spec = spectra(make_state("upb"))
+        sigma_sum, basis_a, basis_b = spec.optimum("nonlinear")
+        assert sigma_sum == pytest.approx(spec.covariance.sum(), rel=0, abs=1e-12)
+        np.testing.assert_array_equal(basis_a.observables, optimal_nonlinear_min(make_state("upb")).basis_a.observables)
+        with pytest.raises(ValueError, match="kind must be 'linear' or 'nonlinear'"):
+            spec.optimum("covariance")
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 4)], ids=lambda d: f"{d[0]}x{d[1]}")
     def test_stack_matches_each_state(self, dims):

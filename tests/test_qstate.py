@@ -281,6 +281,37 @@ class TestSchmidt:
                 call()
 
 
+    def test_one_eigensolve_per_matrix(self, monkeypatch):
+        # A matrix is checked and its dominant eigenvector read off one eigh of
+        # (m + m†)/2.  A vector takes no eigensolve, and neither does a
+        # non-finite matrix, which is rejected before any.
+        calls = []
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return call
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        psi = samplers.haar_state_vector(12, np.random.default_rng(11))
+        matrix = np.outer(psi, psi.conj())
+        for state, expected in ((psi, []), (matrix, ["eigh"]), (DensityMatrix(3, 4, matrix), ["eigh"])):
+            calls.clear()
+            vec, _, _ = qstate.pure_state_vector(state, 3, 4)
+            assert calls == expected
+        # ψ is the normalized dominant eigenvector of that one eigh, to the bit.
+        dominant = np.linalg.eigh((matrix + matrix.conj().T) / 2)[1][:, -1]
+        np.testing.assert_array_equal(vec, dominant / np.linalg.norm(dominant))
+        for state, expected in ((np.diag([np.nan] + [0.0] * 11), []), (np.eye(12) / 12, ["eigh"])):
+            calls.clear()
+            with pytest.raises(ValueError, match="not a pure state"):
+                qstate.pure_state_vector(state, 3, 4)
+            assert calls == expected
+
+
 class TestGenerators:
     def test_upb_is_rank_four_unit_trace_ppt(self):
         rho = make_state("upb")
