@@ -231,9 +231,9 @@ def _write_json(doc: dict, out) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline to ``out``, where each
     numpy array in ``doc`` is written as its complex_to_pairs lists.  The rest
     of the document is encoded first, with a placeholder per array; each array
-    is then written in its place by :func:`qstate.write_pairs_json`, a slice
-    of its leading axis at a time, so neither the text of the whole document
-    nor that of one array is ever held at once.
+    is then written in its place by :func:`qstate.write_pairs_json`, a chunk
+    of floats at a time, so neither the text of the whole document nor that
+    of one array is ever held at once.
 
     The indented encoder is json's pure-Python one, whose closures form a
     reference cycle that holds ``slot`` and so ``arrays``; the list is
@@ -274,11 +274,8 @@ def _print_analysis(doc: dict) -> None:
     pa, pb = doc["purities"]
     print(f"purities:              Tr rho_A^2 = {pa:.10g}, Tr rho_B^2 = {pb:.10g}")
     b = doc["concurrence_bounds"]
-    print(
-        "concurrence bounds:    "
-        f"ppt={b['bound_ppt']:.10g} realign={b['bound_realign']:.10g} "
-        f"lmax={b['bound_lmax']:.10g} combined={b['bound_combined']:.10g}"
-    )
+    bounds = " ".join(f"{name.removeprefix('bound_')}={b[name]:.10g}" for name in criteria.BOUND_NAMES)
+    print(f"concurrence bounds:    {bounds}")
 
 
 def cmd_analyze(args) -> int:

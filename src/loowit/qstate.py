@@ -14,10 +14,9 @@ values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
 coefficient matrix.  The state file codec is :func:`state_to_document` /
 :func:`state_from_document`, and :func:`load_state` decodes a canonical
 document (the shape :func:`save_state` writes) without the document's nested
-lists; :func:`pairs_json` is the codec's array-to-text path,
-which renders a complex array as indented JSON without building the nested
-lists of :func:`complex_to_pairs`, and :func:`write_pairs_json` writes that
-text one slice of the array's leading axis at a time.
+lists; :func:`write_pairs_json` is the codec's array-to-text path, which
+writes a complex array as indented JSON a fixed chunk of floats at a time,
+without building the nested lists of :func:`complex_to_pairs`.
 """
 
 from __future__ import annotations
@@ -394,8 +393,8 @@ def make_state(name: str, p: float | None = None) -> DensityMatrix:
 # (NaN, Infinity, 1e999) are rejected, and so is a document nested too deeply
 # for the JSON parser.  Floats round-trip bit-exactly: the writers format each
 # one with float.__repr__, as json does, whether through json.dumps (state
-# files) or through pairs_json (the indented bases of `analyze --json`).  The
-# CLI also validates every state it reads and requires both dims >= 2.
+# files) or through write_pairs_json (the indented bases of `analyze --json`).
+# The CLI also validates every state it reads and requires both dims >= 2.
 #
 # JSON whitespace is exactly space, tab, newline and carriage return.  A
 # document in ASCII with exactly these keys in this order, in the nesting
@@ -410,31 +409,31 @@ def complex_to_pairs(a: np.ndarray) -> list:
     return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
-def pairs_json(a: np.ndarray, level: int) -> str:
-    """``json.dumps(complex_to_pairs(a), indent=2)`` as it appears ``level``
-    levels deep in an indented document: that text with ``"  " * level``
-    after every newline.  Every entry of ``a`` must be finite (json spells
-    NaN and Infinity where repr says nan and inf) and every axis non-empty.
+# Floats per chunk of write_pairs_json: 16 observables of a 16x16 basis, 28 of
+# a 12x12 one, though a chunk may end inside an observable or a pair.  Writing a
+# basis peaks at ~1.4 MB of allocations at this size, in proportion to it; the
+# write time was flat from 2048 to 16384 floats.
+PAIRS_SLICE_FLOATS = 8192
 
-    Each distinct magnitude is formatted once by float.__repr__, as json
-    formats floats, and given a ``-`` only if it occurs negative; a
+
+def write_pairs_json(a: np.ndarray, level: int, out) -> None:
+    """Write ``json.dumps(complex_to_pairs(a), indent=2)`` to ``out`` as it
+    appears ``level`` levels deep in an indented document: that text with
+    ``"  " * level`` after every newline.  The flat floats of ``a`` are
+    rendered ``PAIRS_SLICE_FLOATS`` at a time, so the text of the whole array
+    is never held.  Every entry of ``a`` must be finite (json spells NaN and
+    Infinity where repr says nan and inf) and every axis non-empty.
+
+    Each distinct magnitude of a chunk is formatted once by float.__repr__,
+    as json formats floats, and given a ``-`` only if it occurs negative; a
     Hermitian observable repeats every off-diagonal magnitude, so about half
-    the floats of a basis reuse a text.  The texts and the brackets and
-    indentation between them are gathered from object arrays and joined
-    once.  :func:`write_pairs_json` writes the same text a slice at a time.
+    the floats of a basis reuse a text.  The brackets and indentation after
+    each float follow from how many lists end there, counted over the whole
+    array, so a chunk may end inside a pair or an observable.  A chunk's
+    texts and separators are gathered from object arrays and joined once.
     """
     pairs = np.ascontiguousarray(a, dtype=complex).view(float).reshape(np.shape(a) + (2,))
     flat, depth = pairs.ravel(), pairs.ndim
-    magnitudes, code = np.unique(np.abs(flat), return_inverse=True)
-    negative = np.signbit(flat)
-    signed, inverse = np.unique(code[negative], return_inverse=True)
-    code[negative] = magnitudes.size + inverse
-    texts = list(map(float.__repr__, magnitudes.tolist()))
-    texts += ["-" + texts[k] for k in signed.tolist()]
-    # closing[i]: how many lists end right after float i, its [re, im] pair first.
-    closing = np.zeros(flat.size, dtype=np.intp)
-    for size in np.cumprod(pairs.shape[::-1]):
-        closing[size - 1 :: size] += 1
     newline = ["\n" + "  " * (level + t) for t in range(depth + 1)]
 
     def opened(k):  # the k innermost lists opened, the deepest last
@@ -443,38 +442,31 @@ def pairs_json(a: np.ndarray, level: int) -> str:
     def closed(k):  # the k innermost lists closed, the deepest first
         return "".join(newline[t] + "]" for t in range(depth - 1, depth - k - 1, -1))
 
-    between = [closed(k) + "," + newline[depth - k] + opened(k) for k in range(depth)] + [closed(depth)]
-    pieces = np.empty(2 * flat.size + 1, dtype=object)
-    pieces[0] = opened(depth)
-    pieces[1::2] = np.array(texts, dtype=object)[code]
-    pieces[2::2] = np.array(between, dtype=object)[closing]
-    return "".join(pieces.tolist())
+    between = np.array([closed(k) + "," + newline[depth - k] + opened(k) for k in range(depth)] + [closed(depth)],
+                       dtype=object)
 
+    # One chunk's floats, each followed by its separator; a function, so that a
+    # chunk's texts are freed before the next chunk is rendered.
+    def chunk_text(start):
+        chunk = flat[start : start + PAIRS_SLICE_FLOATS]
+        magnitudes, code = np.unique(np.abs(chunk), return_inverse=True)
+        negative = np.signbit(chunk)
+        signed, inverse = np.unique(code[negative], return_inverse=True)
+        code[negative] = magnitudes.size + inverse
+        texts = list(map(float.__repr__, magnitudes.tolist()))
+        texts += ["-" + texts[k] for k in signed.tolist()]
+        # closing[i]: how many lists end right after float start + i, its [re, im] pair first.
+        closing = np.zeros(chunk.size, dtype=np.intp)
+        for size in np.cumprod(pairs.shape[::-1]).tolist():
+            closing[(size - 1 - start) % size :: size] += 1
+        pieces = np.empty(2 * chunk.size, dtype=object)
+        pieces[0::2] = np.array(texts, dtype=object)[code]
+        pieces[1::2] = between[closing]
+        return "".join(pieces.tolist())
 
-# Floats per slice of write_pairs_json: 16 observables of a 16x16 basis, 28 of
-# a 12x12 one.  Writing a basis peaks at ~1.5 MB of allocations at this size,
-# in proportion to it; the write time was flat from 2048 to 16384 floats.
-PAIRS_SLICE_FLOATS = 8192
-
-
-def write_pairs_json(a: np.ndarray, level: int, out) -> None:
-    """Write :func:`pairs_json` ``(a, level)`` to ``out``, rendering it one
-    slice of ``a``'s leading axis at a time, each of about
-    ``PAIRS_SLICE_FLOATS`` floats (at least one entry of that axis), so that
-    the text of the whole array is never held.  ``a`` is an array with at
-    least one axis.
-
-    Each slice is rendered by pairs_json as a list of its own; its outer
-    brackets are dropped and the slices are joined as entries of one list.
-    """
-    rows = max(1, PAIRS_SLICE_FLOATS // (2 * a[0].size))
-    opened, closed = "[\n" + "  " * (level + 1), "\n" + "  " * level + "]"
-    out.write(opened)
-    for start in range(0, len(a), rows):
-        if start:
-            out.write("," + opened[1:])
-        out.write(pairs_json(a[start : start + rows], level)[len(opened) : -len(closed)])
-    out.write(closed)
+    out.write(opened(depth))
+    for start in range(0, flat.size, PAIRS_SLICE_FLOATS):
+        out.write(chunk_text(start))
 
 
 def state_to_document(rho: DensityMatrix) -> dict:

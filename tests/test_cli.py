@@ -118,6 +118,12 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "DETECTED" in out
         assert "l_max" in out
+        # One label per bound name, its value as in the JSON document.
+        assert main(["analyze", "--state", bell_file, "--json"]) == 0
+        bounds = json.loads(capsys.readouterr().out)["concurrence_bounds"]
+        line = next(line for line in out.splitlines() if line.startswith("concurrence bounds:"))
+        fields = dict(field.split("=") for field in line.split()[2:])
+        assert fields == {name.removeprefix("bound_"): f"{bounds[name]:.10g}" for name in criteria.BOUND_NAMES}
 
     def test_upb_bounds_in_report(self, tmp_path, capsys):
         path = tmp_path / "upb.json"

@@ -66,6 +66,38 @@ class TestVerdicts:
                 assert score == pytest.approx(base[name], abs=1e-8)
 
 
+def slack_state(d, twin=False):
+    """|00⟩⟨00| + ε·Σ|ij⟩⟨ji| over i ≠ j with i, j ≥ 1, ε = 0.99e-9: its
+    smallest eigenvalue, -ε, is inside validate's PSD tolerance.  The twin is
+    (ρ + ε·I)/Tr, a PPT state within the same slack."""
+    eps, n = 0.99e-9, d * d
+    m = np.zeros((n, n), dtype=complex)
+    m[0, 0] = 1.0
+    for i in range(1, d):
+        for j in range(1, d):
+            if i != j:
+                m[i * d + j, j * d + i] = eps
+    if twin:
+        m = (m + eps * np.eye(n)) / (1.0 + n * eps)
+    return DensityMatrix(d, d, m)
+
+
+class TestToleranceSlack:
+    """ROADMAP item 1: a verdict that the validation tolerance can flip."""
+
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_slack_state_is_valid_and_its_twin_undetected(self, d):
+        assert qstate.validate(slack_state(d)) == []
+        scores = criterion_scores(slack_state(d, twin=True))
+        assert not any(detected(score) for score in scores.values()), scores
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_slack_state_is_not_detected(self, d):
+        scores = criterion_scores(slack_state(d))
+        assert not any(detected(score) for score in scores.values()), scores
+
+
 class TestSpectra:
     @pytest.mark.parametrize("rank", [1, None], ids=["rank1", "full"])
     @pytest.mark.parametrize(

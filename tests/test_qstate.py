@@ -767,11 +767,21 @@ def assert_same_text(text, expected):
 class TestPairsJson:
     VALUES = [0.0, -0.0, 5e-324, 1e16, 1e-5, 1 / 3, 1.7976931348623157e308, -1e-17]
 
-    # The last three span several slices of write_pairs_json, with a remainder;
-    # in (3, 4100) one entry of the leading axis is more than a slice.
-    @pytest.mark.parametrize("shape", [(4, 2, 2), (9, 3, 3), (5, 2, 1), (300, 4, 4), (144, 12, 12), (3, 4100)])
+    SHAPES = [(4, 2, 2), (9, 3, 3), (5, 2, 1), (300, 4, 4), (144, 12, 12), (3, 4100)]
+
+    # At the default chunk size of 8192 floats the last three shapes span
+    # several chunks, with a remainder; in (3, 4100) one entry of the leading
+    # axis is more than a chunk.  Chunks of 1, 3 and 7 floats end inside
+    # [re, im] pairs and inside observables.
+    @pytest.mark.parametrize(
+        "shape, chunk",
+        [pytest.param(shape, 8192, id=f"shape{i}") for i, shape in enumerate(SHAPES)]
+        + [pytest.param(shape, chunk, id=f"shape{i}-chunk{chunk}")
+           for i, shape in enumerate(SHAPES[:3]) for chunk in (1, 3, 7)],
+    )
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
-    def test_matches_indented_json_of_pairs(self, shape, level):
+    def test_matches_indented_json_of_pairs(self, shape, chunk, level, monkeypatch):
+        monkeypatch.setattr(qstate, "PAIRS_SLICE_FLOATS", chunk)
         rng = np.random.default_rng(16)
         size = int(np.prod(shape))
         # Every value appears in both parts, the real parts with random signs.
@@ -780,7 +790,6 @@ class TestPairsJson:
         a = np.empty(shape, dtype=complex)
         a.real, a.imag = real.reshape(shape), imag.reshape(shape)
         expected = json.dumps(qstate.complex_to_pairs(a), indent=2).replace("\n", "\n" + "  " * level)
-        assert_same_text(qstate.pairs_json(a, level), expected)
         out = io.StringIO()
         qstate.write_pairs_json(a, level, out)
         assert_same_text(out.getvalue(), expected)
