@@ -8,7 +8,7 @@ local unitaries.  :meth:`Spectra.score` answers every name of
 is the one rule that turns a score into a detection.
 
 Every score is arithmetic on σ(μ), σ(τ) and eig(ρ^{T_A}), where (μ, a, b) is
-the Gell-Mann record of ``loo.gell_mann_correlations``, τ = μ - a·bᵀ,
+the Gell-Mann record of ``loo.correlations``, τ = μ - a·bᵀ,
 σ(μ) = σ(R(ρ)) and σ(τ) = σ(R(ρ - ρ_A⊗ρ_B)) (R: realignment).  The record
 of :func:`spectra` takes each decomposition when a score first reads it, and
 at most once, so a scan of one criterion takes only that criterion's
@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import loo, qstate
-from .qstate import DensityMatrix, _frozen, _unbatched
+from .qstate import DensityMatrix, _frozen
 
 # Scores this close to zero are treated as float noise, not detections.
 DETECTION_MARGIN = 1e-9
@@ -69,6 +69,11 @@ def concurrence_pure(psi, dim_a: int | None = None, dim_b: int | None = None) ->
     return math.sqrt(2.0 * max(0.0, 1.0 - float(np.sum(coefficients**4))))
 
 
+def _unbatched(a):
+    """A Python scalar for a 0-d result (one state), the array itself for a stack."""
+    return a.item() if np.ndim(a) == 0 else a
+
+
 def _stored(value) -> float | np.ndarray:
     """A field's value: a read-only float array, or a Python float for one state."""
     return _unbatched(_frozen(np.array(value, dtype=float)))
@@ -100,10 +105,14 @@ class Spectra:
         """The record, holding no tensor, of p·ρ₁ + (1-p)·ρ₂ for each p in ``ps``
         (one state for a scalar p), this being the record of the stack (ρ₁, ρ₂).
         Its (μ, a, b) and ρ^{T_A}, linear in ρ, are p-mixes of this record's, made
-        on first read: exactly the endpoints' at p = 1 and 0, else equal up to rounding."""
+        on first read: exactly the endpoints' at p = 1 and 0, else equal up to rounding.
+        A p that is NaN, a bool or outside [0, 1] raises, as in :func:`qstate.mixture`."""
         if (self._tensor.shape[:-4] if self._endpoints is None else self._endpoints[1].shape) != (2,):
             raise ValueError("mixtures need the record of a stack of two states")
-        return Spectra(self.dim_a, self.dim_b, _endpoints=(self, np.asarray(ps, dtype=float)))
+        p = np.asarray(ps)
+        if p.dtype == bool or not (p.min(initial=0) >= 0 and p.max(initial=1) <= 1):  # NaN fails too; [] passes
+            raise ValueError(f"mixing parameter must be a number in [0, 1], got {ps!r}")
+        return Spectra(self.dim_a, self.dim_b, _endpoints=(self, p.astype(float)))
 
     def _mix(self, pair: np.ndarray) -> np.ndarray:
         p = self._endpoints[1]
@@ -111,10 +120,10 @@ class Spectra:
 
     @cached_property
     def correlations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The read-only Gell-Mann record (μ, a, b) of :func:`loo.gell_mann_correlations`."""
+        """The read-only Gell-Mann record (μ, a, b) of :func:`loo.correlations`."""
         if self._endpoints:
             return tuple(map(_frozen, map(self._mix, self._endpoints[0].correlations)))
-        return tuple(map(_frozen, loo.gell_mann_correlations(qstate.realign(self._tensor))))
+        return tuple(map(_frozen, loo.correlations(qstate.realign(self._tensor))))
 
     @cached_property
     def _transposed(self) -> np.ndarray:  # kept only where mixtures read it; see partial_transpose

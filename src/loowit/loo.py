@@ -153,31 +153,28 @@ def _check_hermitian(basis: LOOBasis) -> LOOBasis:
     return basis
 
 
-def _frame_product(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
-    """:func:`expectation_matrix` for bases already checked Hermitian."""
+def correlations(
+    realigned: np.ndarray, basis_a: LOOBasis | None = None, basis_b: LOOBasis | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The record (μ, a, b) of a realigned R(X) (:func:`qstate.realign`), or of a
+    stack, in one LOO pair: μ = F_A · R(X) · F_Bᵀ, the real matrix of joint
+    expectations Tr(X G_l^A ⊗ G_m^B), a = μ·t_B and b = t_Aᵀ·μ, t_k = Tr G_k.
+    A side left None takes the cached Gell-Mann basis, checked Hermitian once,
+    when it was built; a basis passed in is checked here, and a non-Hermitian
+    one raises.  For a non-Hermitian X the entries are those of its Hermitian
+    part.  A complete basis has Σ_k t_k G_k = I, so a = ⟨G_l^A ⊗ I⟩ and
+    b = ⟨I ⊗ G_m^B⟩, |a|² and |b|² are Tr ρ_A² and Tr ρ_B², and τ = μ - a·bᵀ
+    is the covariance matrix F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ."""
+    basis_a, basis_b = (
+        _gell_mann(math.isqrt(n)) if basis is None else _check_hermitian(basis)
+        for n, basis in zip(realigned.shape[-2:], (basis_a, basis_b))
+    )
     if realigned.shape[-2:] != (len(basis_a), len(basis_b)):
         raise ValueError(
             f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match the "
             f"{realigned.shape[-2]}x{realigned.shape[-1]} realigned matrix"
         )
     raw = frame(basis_a.observables) @ realigned @ frame(basis_b.observables).T
-    return np.ascontiguousarray(raw.real)
-
-
-def expectation_matrix(realigned: np.ndarray, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
-    """Real matrix F_A · R(X) · F_Bᵀ of joint expectations Tr(X G_l^A ⊗ G_m^B)
-    for a realigned R(X) (:func:`qstate.realign`), or a stack; a change of LOO
-    basis rotates it orthogonally on each side.  A non-Hermitian basis raises;
-    for a non-Hermitian X the entries are those of its Hermitian part."""
-    return _frame_product(realigned, _check_hermitian(basis_a), _check_hermitian(basis_b))
-
-
-def gell_mann_correlations(realigned: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gell-Mann-frame :func:`expectation_matrix` μ of R(ρ), or of a stack, and
-    the local coordinates a = μ·t_B = ⟨G_l^A ⊗ I⟩, b = t_Aᵀ·μ = ⟨I ⊗ G_m^B⟩,
-    t_k = Tr G_k (Σ_k t_k G_k = I).  τ = μ - a·bᵀ is the covariance matrix,
-    and |a|², |b|² are Tr ρ_A², Tr ρ_B², since the basis is complete."""
-    basis_a, basis_b = (_gell_mann(math.isqrt(n)) for n in realigned.shape[-2:])
-    mu = _frame_product(realigned, basis_a, basis_b)
+    mu = np.ascontiguousarray(raw.real)
     t_a, t_b = (np.trace(basis.observables, axis1=1, axis2=2).real for basis in (basis_a, basis_b))
     return mu, mu @ t_b, t_a @ mu

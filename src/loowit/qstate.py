@@ -5,11 +5,11 @@ Convention used throughout the package: the joint Hilbert space is
 C^dim_a ⊗ C^dim_b with the row-major product basis |i⟩_A|j⟩_B ↦ i·dim_b + j.
 All operations are pure functions; arrays held by the dataclasses are made
 read-only, so values are safe to share across threads.  The reductions
-(:func:`partial_trace`, :func:`partial_transpose`, :func:`realign`,
-:func:`subsystem_purities`) take a DensityMatrix or a stack of tensor views
-through :func:`tensor_view` and act per state on a stack.
-``loo.gell_mann_correlations`` turns :func:`realign` into the one record
-(μ, a, b) that the scores and optima read.  :func:`trace_norm` takes
+(:func:`partial_trace`, :func:`partial_transpose`, :func:`realign`) take a
+DensityMatrix or a stack of tensor views through :func:`tensor_view` and act
+per state on a stack.  ``loo.correlations`` turns :func:`realign` into the one
+record (μ, a, b) that the scores, optima and witness values read, whose
+|a|², |b|² are the subsystem purities.  :func:`trace_norm` takes
 values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
 coefficient matrix.  The state file codec is :func:`state_to_document` /
 :func:`state_from_document`, and :func:`load_state` decodes a canonical
@@ -57,11 +57,9 @@ class DensityMatrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = (self.dim_a, self.dim_b)
-        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in dims):
-            raise ValueError(f"subsystem dimensions must be positive integers, got {dims!r}")
-        object.__setattr__(self, "dim_a", int(self.dim_a))
-        object.__setattr__(self, "dim_b", int(self.dim_b))
+        dim_a, dim_b = _checked_dims(self.dim_a, self.dim_b)
+        object.__setattr__(self, "dim_a", dim_a)
+        object.__setattr__(self, "dim_b", dim_b)
         data = np.array(self.data, dtype=complex)
         n = self.dim_a * self.dim_b
         if data.shape != (n, n):
@@ -78,6 +76,13 @@ class DensityMatrix:
     def as_tensor(self) -> np.ndarray:
         """View as a (dim_a, dim_b, dim_a, dim_b) tensor: [i,j,k,l] = ⟨ij|ρ|kl⟩."""
         return self.data.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+
+
+def _checked_dims(*dims) -> tuple[int, ...]:
+    """Subsystem dims as Python ints; each must be a positive integer, Python or NumPy, not bool."""
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in dims):
+        raise ValueError(f"subsystem dimensions must be positive integers, got {dims!r}")
+    return tuple(map(int, dims))
 
 
 class Violation(NamedTuple):
@@ -174,21 +179,6 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def _unbatched(a):
-    """A Python scalar for a 0-d result (one state), the array itself for a stack."""
-    return a.item() if np.ndim(a) == 0 else a
-
-
-def purity(m: np.ndarray):
-    """Tr(m²) for a Hermitian matrix: a float, or one per matrix of a stack."""
-    return _unbatched((m @ m).trace(axis1=-2, axis2=-1).real)
-
-
-def subsystem_purities(rho):
-    """(Tr ρ_A², Tr ρ_B²): two floats, or two arrays for a stack."""
-    return purity(partial_trace(rho, "B")), purity(partial_trace(rho, "A"))
-
-
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """ψ = Σ_k c_k |a_k⟩|b_k⟩ with c non-increasing, Σ c² = 1.
@@ -218,10 +208,11 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
     """Coerce a pure-state input to a normalized vector plus dims.
 
     Accepts a state vector, a DensityMatrix (dims left None or equal to its
-    own), or a raw projector matrix (then dims are required).  A matrix must
-    pass :func:`validate` and have purity Tr ρ² ≥ 1 - 1e-8; its dominant
-    eigenvector comes from the eigensolve whose eigenvalues the PSD check reads.
-    Returns (psi, dim_a, dim_b).
+    own), or a raw projector matrix (then dims are required).  Given dims must
+    be positive integers, as :class:`DensityMatrix` requires.  A matrix must
+    pass :func:`validate` and have purity Tr ρ² ≥ 1 - 1e-8, read as Σ λ² off
+    the one eigensolve whose eigenvalues λ the PSD check reads and whose
+    dominant eigenvector is returned.  Returns (psi, dim_a, dim_b).
     """
     if isinstance(state, DensityMatrix):
         own = (state.dim_a, state.dim_b)
@@ -230,9 +221,10 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
         rho = state
     else:
         arr = np.asarray(state, dtype=complex)
+        if dim_a is None or dim_b is None:
+            raise ValueError("dim_a and dim_b are required for a bare state vector or a raw matrix")
+        dim_a, dim_b = _checked_dims(dim_a, dim_b)
         if arr.ndim == 1:
-            if dim_a is None or dim_b is None:
-                raise ValueError("dim_a and dim_b are required for a bare state vector")
             if dim_a * dim_b != arr.size:
                 raise ValueError(
                     f"vector of length {arr.size} does not match dims ({dim_a}, {dim_b})"
@@ -241,8 +233,6 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
             if not abs(norm - 1.0) <= STATE_NORM_TOL:  # NaN fails too
                 raise ValueError(f"state vector is not normalized: norm = {norm!r}")
             return arr, dim_a, dim_b
-        if dim_a is None or dim_b is None:
-            raise ValueError("dim_a and dim_b are required for a raw matrix")
         if arr.shape != (dim_a * dim_b,) * 2:
             raise ValueError(f"matrix of shape {arr.shape} does not match dims ({dim_a}, {dim_b})")
         rho = DensityMatrix(dim_a, dim_b, arr)
@@ -251,7 +241,7 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
     violations = _violations(mat, eigenvalues)
     if violations:
         raise ValueError("not a pure state: " + ", ".join(f"{v.invariant} residual {v.residual!r}" for v in violations))
-    p = purity(mat)
+    p = float(eigenvalues @ eigenvalues)
     if not p >= 1.0 - PURITY_TOL:
         raise ValueError(f"not a pure state: Tr rho^2 = {p!r}")
     psi = vectors[:, -1]

@@ -9,11 +9,13 @@ For LOO bases {G_k^A}, {G_k^B} the two witness values are
 Both are non-negative on every separable state for every basis choice, so a
 negative value certifies entanglement.
 
-Every basis-dependent number is read from one frame product (see
-:func:`loo.frame`): μ = F_A · R(ρ) · F_Bᵀ is the correlation matrix
-μ_lm = ⟨G_l^A⊗G_m^B⟩ and τ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ = μ - a·bᵀ the
-covariance matrix (R: realignment; a, b the local expectation vectors).  A
-change of LOO basis rotates both orthogonally on each side.  The values are
+Every basis-dependent number is read from one record (μ, a, b) of
+:func:`loo.correlations`: μ = F_A · R(ρ) · F_Bᵀ is the correlation matrix
+μ_lm = ⟨G_l^A⊗G_m^B⟩, a, b are the local expectation vectors, and
+τ = μ - a·bᵀ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ is the covariance matrix
+(R: realignment; F: the frame of :func:`loo.frame`).  A change of LOO basis
+rotates μ and τ orthogonally on each side.  The purities are
+Tr ρ_A² = |a|² and Tr ρ_B² = |b|².  The values are
 1 - Σ_k μ_kk and 1 - Σ_k τ_kk - (Tr ρ_A² + Tr ρ_B²)/2, the minima
 1 - Σ_k σ_k(μ) and 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2, and the
 optimizing bases come from the SVD factors.
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import criteria, qstate
-from .loo import LOOBasis, expectation_matrix
+from .loo import LOOBasis, correlations
 from .qstate import DensityMatrix
 
 
@@ -40,14 +42,14 @@ def correlation_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis)
     The expansion ρ = Σ_lm μ_lm G_l^A ⊗ G_m^B reconstructs the state for any
     LOO pair, and Σ_k σ_k(μ) is basis-independent.
     """
-    return expectation_matrix(qstate.realign(rho), basis_a, basis_b)
+    return correlations(qstate.realign(rho), basis_a, basis_b)[0]
 
 
 def covariance_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
-    """τ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ = μ - a·bᵀ, the correlation matrix with
+    """τ = μ - a·bᵀ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ, the correlation matrix with
     the product R(ρ_A⊗ρ_B) = vec(ρ_A)·vec(ρ_B)ᵀ removed; zero on product states."""
-    local = np.outer(qstate.partial_trace(rho, "B"), qstate.partial_trace(rho, "A"))
-    return expectation_matrix(qstate.realign(rho) - local, basis_a, basis_b)
+    mu, a, b = correlations(qstate.realign(rho), basis_a, basis_b)
+    return mu - np.outer(a, b)
 
 
 def linear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
@@ -56,15 +58,16 @@ def linear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasi
 
 
 def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
-    """Nonlinear witness value 1 - Σ_k τ_kk - (Tr ρ_A² + Tr ρ_B²)/2.
+    """Nonlinear witness value 1 - Σ_k τ_kk - (Tr ρ_A² + Tr ρ_B²)/2, with the
+    purities read as |a|², |b|² from the same record as τ = μ - a·bᵀ.
 
     Equal to the defining form only for complete trace-orthonormal bases
     (:class:`LOOBasis` checks only the shape), because it uses
     Σ_k ⟨G_k^A ⊗ I⟩² = Tr ρ_A² and likewise for B.  On rectangular states k
     runs over the shorter basis; the purities count the unpaired terms.
     """
-    purity_a, purity_b = qstate.subsystem_purities(rho)
-    return 1.0 - float(np.trace(covariance_matrix(rho, basis_a, basis_b))) - (purity_a + purity_b) / 2.0
+    mu, a, b = correlations(qstate.realign(rho), basis_a, basis_b)
+    return 1.0 - float(np.trace(mu - np.outer(a, b))) - float(a @ a + b @ b) / 2.0
 
 
 class LinearOptimum(NamedTuple):

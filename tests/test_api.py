@@ -1,3 +1,9 @@
+import functools
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
 import numpy as np
 
 import loowit
@@ -72,3 +78,25 @@ def test_correlation_and_covariance_are_plain_arrays():
         m = maker(rho, basis_a, basis_b)
         assert type(m) is np.ndarray
         assert m.dtype == float and m.shape == (4, 9)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_example_runs_and_its_names_exist():
+    text = README.read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    exec(compile(example, str(README), "exec"), {})
+    # Every cited `module.name` or `Class.name` of the package, called or not,
+    # such as `qstate.load_state` or `loowit.cli.main(argv)`, must resolve.
+    heads = {name: getattr(loowit, name) for name in loowit.__all__}
+    for info in pkgutil.iter_modules(loowit.__path__):
+        heads[info.name] = importlib.import_module(f"loowit.{info.name}")
+    cited = [name for name in re.findall(r"`(?:loowit\.)?((?:\w+\.)+\w+)[`(]", text) if name.split(".")[0] in heads]
+    assert cited
+
+    def resolve(name):
+        head, *rest = name.split(".")
+        return functools.reduce(lambda obj, attr: getattr(obj, attr, None), rest, heads[head])
+
+    assert [name for name in cited if resolve(name) is None] == []

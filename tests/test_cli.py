@@ -458,13 +458,13 @@ class TestScan:
 
             return call
 
-        for module, name in ((loo, "gell_mann_correlations"), (qstate, "partial_transpose")):
+        for module, name in ((loo, "correlations"), (qstate, "partial_transpose")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         pure = samplers.random_pure_state(2, 4, np.random.default_rng(5))
         endpoints = NOISY_SINGLET if family == "noisy_singlet" else (pure, qstate.white_noise_mixture(pure, 0.0))
         result = run_scan(ScanSpec(family, 0.0, 1.0, step, criterion, tol), endpoints)
         assert result.status == "ok"
-        assert calls == ["partial_transpose" if criterion == "ppt" else "gell_mann_correlations"]
+        assert calls == ["partial_transpose" if criterion == "ppt" else "correlations"]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
     def test_isotropic_thresholds(self, d):

@@ -196,7 +196,17 @@ class TestSpectra:
             with pytest.raises(ValueError, match="two states"):
                 record.mixed([0.5])
 
-    # Calls each score makes of np.linalg.svd, np.linalg.eigvalsh and loo.gell_mann_correlations.
+    @pytest.mark.parametrize("ps", [[-0.2], [1.5], [0.5, np.nan], np.nan, True, [True]])
+    def test_mixed_needs_each_p_in_the_unit_interval(self, ps):
+        # p = -0.2 or 1.5 used to give the scores of a non-state, and NaN a LinAlgError.
+        bell = make_state("bell")
+        pair = spectra(np.stack([bell.as_tensor(), qstate.white_noise_mixture(bell, 0.0).as_tensor()]))
+        with pytest.raises(ValueError, match=r"mixing parameter must be a number in \[0, 1\]"):
+            pair.mixed(ps)
+        assert pair.mixed([0.0, 1.0]).purity_a.tolist() == [pair.purity_a[1], pair.purity_a[0]]
+        assert pair.mixed([]).score("realign").shape == (0,)
+
+    # Calls each score makes of np.linalg.svd, np.linalg.eigvalsh and loo.correlations.
     DECOMPOSITIONS = {
         "ppt": (0, 1, 0),
         "realign": (1, 0, 1),
@@ -219,7 +229,7 @@ class TestSpectra:
 
             return call
 
-        kinds = ("svd", "eigvalsh", "gell_mann_correlations")
+        kinds = ("svd", "eigvalsh", "correlations")
         for module, name in zip((criteria.np.linalg, criteria.np.linalg, criteria.loo), kinds):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         rho = make_state("upb_noise", 0.95)

@@ -53,7 +53,7 @@ class TestGellMann:
         for d in (2, 3, 4):
             rho = qstate.partial_trace(samplers.random_mixed_state(d, d, rng), "B")
             total = sum(np.trace(g @ rho).real ** 2 for g in gell_mann_basis(d))
-            assert total == pytest.approx(qstate.purity(rho), abs=1e-9)
+            assert total == pytest.approx(np.trace(rho @ rho).real, abs=1e-9)
 
     def test_dimension_below_two_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -170,7 +170,7 @@ class TestRotate:
         total = sum(np.trace(g @ reduced).real ** 2 for g in basis)
         total_rot = sum(np.trace(g @ reduced).real ** 2 for g in rotated)
         assert total == pytest.approx(total_rot, abs=1e-9)
-        assert total == pytest.approx(qstate.purity(reduced), abs=1e-9)
+        assert total == pytest.approx(np.trace(reduced @ reduced).real, abs=1e-9)
 
 
 class TestOperatorSchmidt:
@@ -254,10 +254,22 @@ class TestBasisChecks:
 class TestGellMannCorrelations:
     @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (2, 3), (4, 3), (3, 3)])
     def test_record_matches_kronecker_expectations(self, dims):
-        rho = samplers.random_mixed_state(*dims, np.random.default_rng(sum(dims)))
-        mu, a, b = loo.gell_mann_correlations(qstate.realign(rho))
-        obs_a, obs_b = (loo._gell_mann(d).observables for d in dims)
+        # The default Gell-Mann pair, then a Haar-rotated user pair.
+        rng = np.random.default_rng(sum(dims))
+        rho = samplers.random_mixed_state(*dims, rng)
+        gell_mann = [loo._gell_mann(d) for d in dims]  # gell_mann_basis(d), which rejects d = 1
+        user = [rotate(basis, samplers.haar_rotation(basis.dim**2, rng)) for basis in gell_mann]
         expect = lambda op: np.trace(rho.data @ op).real
-        np.testing.assert_allclose(mu, [[expect(np.kron(g, h)) for h in obs_b] for g in obs_a], atol=1e-14)
-        np.testing.assert_allclose(a, [expect(np.kron(g, np.eye(dims[1]))) for g in obs_a], atol=1e-14)
-        np.testing.assert_allclose(b, [expect(np.kron(np.eye(dims[0]), h)) for h in obs_b], atol=1e-14)
+        for bases, record in (
+            (gell_mann, loo.correlations(qstate.realign(rho))),
+            (user, loo.correlations(qstate.realign(rho), *user)),
+        ):
+            mu, a, b = record
+            obs_a, obs_b = (basis.observables for basis in bases)
+            np.testing.assert_allclose(mu, [[expect(np.kron(g, h)) for h in obs_b] for g in obs_a], atol=1e-14)
+            np.testing.assert_allclose(a, [expect(np.kron(g, np.eye(dims[1]))) for g in obs_a], atol=1e-14)
+            np.testing.assert_allclose(b, [expect(np.kron(np.eye(dims[0]), h)) for h in obs_b], atol=1e-14)
+        # Passing the Gell-Mann pair explicitly gives the default record to the bit.
+        explicit = loo.correlations(qstate.realign(rho), *gell_mann)
+        assert all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
+                   for x, y in zip(explicit, loo.correlations(qstate.realign(rho))))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loowit import qstate
+from loowit.criteria import concurrence_pure
 from loowit.qstate import (
     DensityMatrix,
     load_state,
@@ -208,8 +209,6 @@ class TestStacks:
                 np.testing.assert_allclose(partial_trace(stack, side)[i], partial_trace(rho, side), rtol=0, atol=1e-15)
                 np.testing.assert_array_equal(partial_transpose(stack, side)[i], partial_transpose(rho, side))
             np.testing.assert_array_equal(realign(stack)[i], realign(rho))
-            stacked = [purity[i] for purity in qstate.subsystem_purities(stack)]
-            np.testing.assert_allclose(stacked, qstate.subsystem_purities(rho), rtol=0, atol=1e-15)
 
     def test_rejects_a_bare_matrix(self):
         with pytest.raises(ValueError, match="tensor views"):
@@ -279,6 +278,13 @@ class TestSchmidt:
         ):
             with pytest.raises(ValueError, match="norm|pure"):
                 call()
+
+    @pytest.mark.parametrize("dims", [(True, 4), (2.0, 2.0), (-2, -2)], ids=["bool", "float", "negative"])
+    @pytest.mark.parametrize("function", [schmidt, concurrence_pure, pure_state], ids=lambda f: f.__name__)
+    def test_vector_dims_checked_as_density_matrix_checks_them(self, function, dims):
+        # A bool, float or negative dim used to break the vector's reshape with a TypeError.
+        with pytest.raises(ValueError, match="subsystem dimensions must be positive integers"):
+            function(bell_vector(), *dims)
 
 
     def test_one_eigensolve_per_matrix(self, monkeypatch):
