@@ -182,11 +182,7 @@ def _load_family(args) -> tuple[DensityMatrix, DensityMatrix]:
 
 
 def cmd_gen(args) -> int:
-    rho = qstate.make_state(args.name, args.p)
-    if args.out:
-        qstate.save_state(rho, args.out)
-    else:
-        qstate.dump_state(rho, sys.stdout)
+    qstate.save_state(qstate.make_state(args.name, args.p), args.out or sys.stdout)
     return 0
 
 

@@ -106,11 +106,13 @@ class Spectra:
         (one state for a scalar p), this being the record of the stack (ρ₁, ρ₂).
         Its (μ, a, b) and ρ^{T_A}, linear in ρ, are p-mixes of this record's, made
         on first read: exactly the endpoints' at p = 1 and 0, else equal up to rounding.
-        A p that is NaN, a bool or outside [0, 1] raises, as in :func:`qstate.mixture`."""
+        A p that is not a real number (an int or float), is NaN or is outside [0, 1]
+        raises, as in :func:`qstate.mixture`."""
         if (self._tensor.shape[:-4] if self._endpoints is None else self._endpoints[1].shape) != (2,):
             raise ValueError("mixtures need the record of a stack of two states")
         p = np.asarray(ps)
-        if p.dtype == bool or not (p.min(initial=0) >= 0 and p.max(initial=1) <= 1):  # NaN fails too; [] passes
+        real = p.dtype.kind in "iuf"  # ints and floats; not bool, complex, str or object
+        if not (real and p.min(initial=0) >= 0 and p.max(initial=1) <= 1):  # NaN fails too; [] passes
             raise ValueError(f"mixing parameter must be a number in [0, 1], got {ps!r}")
         return Spectra(self.dim_a, self.dim_b, _endpoints=(self, p.astype(float)))
 

@@ -2,8 +2,10 @@
 subsystem, trace-orthonormal under Tr(G_k G_l) = δ_kl, together with the
 orthogonal rotations connecting any two such bases and the frame products
 that turn a realigned operator into its matrix of joint expectations.
-:func:`gell_mann_correlations` is the one record (μ, a, b) in the Gell-Mann
-frame that the scores, the reference values and the optimal bases all read.
+:func:`correlations` builds the one record (μ, a, b) of a LOO pair, the
+Gell-Mann pair by default, that the scores, reference values, optimal bases
+and user-basis witness values read.  A :class:`LOOBasis` is checked Hermitian
+once, when it is built.
 
 No SVD is taken here.  The operator-Schmidt form ρ = Σ_k σ_k G_k^A ⊗ G_k^B
 has σ = ``criteria.spectra(ρ).realigned`` and the bases of
@@ -26,7 +28,9 @@ ORTHOGONALITY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class LOOBasis:
-    """Ordered set of dim² Hermitian dim×dim observables, stacked on axis 0."""
+    """Ordered set of dim² Hermitian dim×dim observables, stacked on axis 0.
+    Built only with the right shape and every G_k Hermitian within 1e-10 (NaN
+    fails); completeness and orthonormality are not checked."""
 
     dim: int
     observables: np.ndarray
@@ -37,6 +41,9 @@ class LOOBasis:
         if obs.shape != expected:
             raise ValueError(f"observables must have shape {expected}, got {obs.shape}")
         object.__setattr__(self, "observables", _frozen(obs))
+        residual = hermiticity_residual(self)
+        if not residual <= HERMITICITY_TOL:  # NaN fails too
+            raise ValueError(f"basis is not Hermitian: max |G_k - G_k^dagger| = {residual!r}")
 
     def __len__(self) -> int:
         return self.observables.shape[0]
@@ -92,8 +99,7 @@ def gell_mann_basis(d: int) -> LOOBasis:
 
 @functools.lru_cache(maxsize=8)  # a state or a scan needs two dims
 def _gell_mann(d: int) -> LOOBasis:
-    """:func:`gell_mann_basis`, built and checked Hermitian once per d; d = 1
-    frames a 1-dim side."""
+    """:func:`gell_mann_basis`, built once per d; d = 1 frames a 1-dim side."""
     rows, cols = np.triu_indices(d, k=1)  # the pairs m < n, lexicographic in (m, n)
     symmetric = np.arange(len(rows))
     antisymmetric = symmetric + len(rows)
@@ -103,7 +109,7 @@ def _gell_mann(d: int) -> LOOBasis:
     obs[antisymmetric, rows, cols] = 1j / np.sqrt(2)
     obs[antisymmetric, cols, rows] = -1j / np.sqrt(2)
     obs[2 * len(rows) + diagonal, diagonal, diagonal] = 1.0
-    return _check_hermitian(LOOBasis(d, obs))
+    return LOOBasis(d, obs)
 
 
 def pauli_basis() -> LOOBasis:
@@ -144,29 +150,20 @@ def frame(observables: np.ndarray) -> np.ndarray:
     return observables.transpose(0, 2, 1).reshape(len(observables), -1)
 
 
-def _check_hermitian(basis: LOOBasis) -> LOOBasis:
-    """A basis must be Hermitian within 1e-10, so that the real part of each
-    expectation is the whole of it (NaN fails)."""
-    residual = hermiticity_residual(basis)
-    if not residual <= HERMITICITY_TOL:
-        raise ValueError(f"basis is not Hermitian: max |G_k - G_k^dagger| = {residual!r}")
-    return basis
-
-
 def correlations(
     realigned: np.ndarray, basis_a: LOOBasis | None = None, basis_b: LOOBasis | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The record (μ, a, b) of a realigned R(X) (:func:`qstate.realign`), or of a
     stack, in one LOO pair: μ = F_A · R(X) · F_Bᵀ, the real matrix of joint
     expectations Tr(X G_l^A ⊗ G_m^B), a = μ·t_B and b = t_Aᵀ·μ, t_k = Tr G_k.
-    A side left None takes the cached Gell-Mann basis, checked Hermitian once,
-    when it was built; a basis passed in is checked here, and a non-Hermitian
-    one raises.  For a non-Hermitian X the entries are those of its Hermitian
-    part.  A complete basis has Σ_k t_k G_k = I, so a = ⟨G_l^A ⊗ I⟩ and
-    b = ⟨I ⊗ G_m^B⟩, |a|² and |b|² are Tr ρ_A² and Tr ρ_B², and τ = μ - a·bᵀ
-    is the covariance matrix F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ."""
+    A side left None takes the cached Gell-Mann basis; every :class:`LOOBasis`
+    was checked Hermitian when it was built, so the real part is the whole
+    expectation, and none is checked here.  For a non-Hermitian X the entries
+    are those of its Hermitian part.  A complete basis has Σ_k t_k G_k = I, so
+    a = ⟨G_l^A ⊗ I⟩ and b = ⟨I ⊗ G_m^B⟩, |a|² and |b|² are Tr ρ_A² and
+    Tr ρ_B², and τ = μ - a·bᵀ is the covariance matrix F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ."""
     basis_a, basis_b = (
-        _gell_mann(math.isqrt(n)) if basis is None else _check_hermitian(basis)
+        _gell_mann(math.isqrt(n)) if basis is None else basis
         for n, basis in zip(realigned.shape[-2:], (basis_a, basis_b))
     )
     if realigned.shape[-2:] != (len(basis_a), len(basis_b)):

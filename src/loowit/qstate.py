@@ -13,10 +13,11 @@ record (μ, a, b) that the scores, optima and witness values read, whose
 values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
 coefficient matrix.  The state file codec is :func:`state_to_document` /
 :func:`state_from_document`, and :func:`load_state` decodes a canonical
-document (the shape :func:`save_state` writes) without the document's nested
-lists; :func:`write_pairs_json` is the codec's array-to-text path, which
-writes a complex array as indented JSON a fixed chunk of floats at a time,
-without building the nested lists of :func:`complex_to_pairs`.
+document (the shape :func:`save_state` writes, to a path or an open file)
+without the document's nested lists; :func:`write_pairs_json` is the codec's
+array-to-text path, which writes a complex array as indented JSON a fixed
+chunk of floats at a time, without building the nested lists of
+:func:`complex_to_pairs`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,13 +285,13 @@ def _bell() -> DensityMatrix:
 
 
 @functools.cache
-def _noisy_singlet_parts() -> tuple[np.ndarray, np.ndarray]:
-    """|ψ_s⟩⟨ψ_s| and 2/3·|00⟩⟨00| + 1/3·|01⟩⟨01|, as read-only arrays."""
+def _noisy_singlet_parts() -> tuple[DensityMatrix, DensityMatrix]:
+    """|ψ_s⟩⟨ψ_s| and 2/3·|00⟩⟨00| + 1/3·|01⟩⟨01|, the endpoints of ``noisy_singlet``."""
     singlet = (np.kron(_ket(2, 0), _ket(2, 1)) - np.kron(_ket(2, 1), _ket(2, 0))) / np.sqrt(2)
     k00 = np.kron(_ket(2, 0), _ket(2, 0))
     k01 = np.kron(_ket(2, 0), _ket(2, 1))
     sep = 2 / 3 * np.outer(k00, k00.conj()) + 1 / 3 * np.outer(k01, k01.conj())
-    return _frozen(np.outer(singlet, singlet.conj())), _frozen(sep)
+    return DensityMatrix(2, 2, np.outer(singlet, singlet.conj())), DensityMatrix(2, 2, sep)
 
 
 @functools.cache
@@ -324,7 +325,9 @@ def mixture(rho_1: DensityMatrix, rho_2: DensityMatrix, p: float) -> DensityMatr
 
 
 def _check_unit_interval(p: float) -> None:
-    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
+    """p must be a Python or NumPy int or float, not a bool or an array, in [0, 1]."""
+    real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+    if not (real and 0.0 <= p <= 1.0):
         raise ValueError(f"mixing parameter must be a number in [0, 1], got {p!r}")
 
 
@@ -344,13 +347,14 @@ def make_state(name: str, p: float | None = None) -> DensityMatrix:
 
     - ``bell``: (|00⟩+|11⟩)/√2 projector.
     - ``noisy_singlet``: p·|ψ_s⟩⟨ψ_s| + (1-p)·(2/3·|00⟩⟨00| + 1/3·|01⟩⟨01|)
-      with ψ_s = (|01⟩-|10⟩)/√2; requires p.
+      with ψ_s = (|01⟩-|10⟩)/√2, the :func:`mixture` of its two endpoints;
+      requires p.
     - ``upb``: the 3×3 bound entangled tiles-UPB state.
-    - ``upb_noise``: p·upb + (1-p)·I/9; requires p.
+    - ``upb_noise``: p·upb + (1-p)·I/9 (:func:`white_noise_mixture`); requires p.
 
     ``bell`` and ``upb`` take no p and reject one.
 
-    The fixed states and parts are built once per process, on first use, and
+    The fixed states and endpoints are built once per process, on first use, and
     shared read-only (every result's ``data`` is read-only).  ``bell`` and
     ``upb`` return the same object on every call, so, DensityMatrix being
     ``eq=False``, ``make_state("upb") == make_state("upb")`` holds by
@@ -368,9 +372,7 @@ def make_state(name: str, p: float | None = None) -> DensityMatrix:
     if name == "upb":
         return _upb()
     if name == "noisy_singlet":
-        _check_unit_interval(p)
-        singlet, sep = _noisy_singlet_parts()
-        return DensityMatrix(2, 2, p * singlet + (1 - p) * sep)
+        return mixture(*_noisy_singlet_parts(), p)
     return white_noise_mixture(_upb(), p)
 
 
@@ -566,13 +568,14 @@ def load_state(path_or_file) -> DensityMatrix:
     return state_from_document(doc)
 
 
-def dump_state(rho: DensityMatrix, fh: IO[str]) -> None:
+def save_state(rho: DensityMatrix, path_or_file) -> None:
+    """Write a state file to a path, as UTF-8 text, or to an open text file,
+    the two inputs :func:`load_state` reads; floats are printed so they
+    round-trip exactly.  A non-finite state raises before a path is opened."""
     # One json.dumps call: only a one-shot, unindented encode uses json's C encoder.
-    fh.write(json.dumps(state_to_document(rho), allow_nan=False))
-    fh.write("\n")
-
-
-def save_state(rho: DensityMatrix, path) -> None:
-    """Write a state file; floats are printed so they round-trip exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_state(rho, fh)
+    text = json.dumps(state_to_document(rho), allow_nan=False) + "\n"
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)
+    else:
+        with open(path_or_file, "w", encoding="utf-8") as fh:
+            fh.write(text)

@@ -62,9 +62,10 @@ def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOB
     purities read as |a|², |b|² from the same record as τ = μ - a·bᵀ.
 
     Equal to the defining form only for complete trace-orthonormal bases
-    (:class:`LOOBasis` checks only the shape), because it uses
-    Σ_k ⟨G_k^A ⊗ I⟩² = Tr ρ_A² and likewise for B.  On rectangular states k
-    runs over the shorter basis; the purities count the unpaired terms.
+    (:class:`LOOBasis` checks shape and Hermiticity, not completeness),
+    because it uses Σ_k ⟨G_k^A ⊗ I⟩² = Tr ρ_A² and likewise for B.  On
+    rectangular states k runs over the shorter basis; the purities count the
+    unpaired terms.
     """
     mu, a, b = correlations(qstate.realign(rho), basis_a, basis_b)
     return 1.0 - float(np.trace(mu - np.outer(a, b))) - float(a @ a + b @ b) / 2.0

@@ -1,3 +1,4 @@
+import ast
 import functools
 import importlib
 import pkgutil
@@ -100,3 +101,28 @@ def test_readme_example_runs_and_its_names_exist():
         return functools.reduce(lambda obj, attr: getattr(obj, attr, None), rest, heads[head])
 
     assert [name for name in cited if resolve(name) is None] == []
+
+
+def test_docstring_cross_references_resolve():
+    # Every :func:, :meth:, :class:, :data: or :attr: target in the package's
+    # source must name something that exists.  A bare name resolves in its
+    # own module or on the class whose body cites it; a dotted one may also
+    # start at the package, with or without the ``loowit.``.
+    def resolve(name, start):
+        return functools.reduce(lambda obj, attr: getattr(obj, attr, None), name.split("."), start)
+
+    cited, unresolved = 0, []
+    for info in pkgutil.iter_modules(loowit.__path__):
+        module = importlib.import_module(f"loowit.{info.name}")
+        text = Path(module.__file__).read_text(encoding="utf-8")
+        classes = [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.ClassDef)]
+        for match in re.finditer(r":(?:func|meth|class|data|attr):`~?([^`]+)`", text):
+            cited += 1
+            line = text.count("\n", 0, match.start()) + 1
+            name = match[1].removeprefix("loowit.")
+            starts = [getattr(module, c.name, None) for c in classes if c.lineno <= line <= c.end_lineno]
+            starts += [module, loowit] if "." in name else [module]
+            if all(resolve(name, start) is None for start in starts):
+                unresolved.append(f"{info.name}:{line}: {match[1]}")
+    assert cited
+    assert unresolved == []

@@ -82,6 +82,14 @@ class TestGen:
         doc = json.loads(capsys.readouterr().out)
         assert doc["dims"] == [2, 2]
 
+    @pytest.mark.parametrize("args", [["bell"], ["noisy_singlet", "--p", "0.3"], ["upb"], ["upb_noise", "--p", "0.9"]])
+    def test_stdout_and_out_get_the_same_bytes(self, tmp_path, capsys, args):
+        out = tmp_path / "state.json"
+        assert main(["gen", *args]) == 0
+        printed = capsys.readouterr().out
+        assert main(["gen", *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == printed.encode("utf-8")
+
     def test_unknown_name_fails(self, capsys):
         assert main(["gen", "ghz"]) == 1
         assert "unknown state" in capsys.readouterr().err

@@ -245,10 +245,24 @@ class TestBasisChecks:
                   witness.linear_witness_value, witness.nonlinear_witness_value]
     )
     def test_nan_basis_rejected(self, side, value):
-        nan_basis = LOOBasis(2, np.full((4, 2, 2), np.nan))
-        bases = (nan_basis, pauli_basis()) if side == "A" else (pauli_basis(), nan_basis)
+        # The NaN basis raises when it is built, before any value reads it.
         with pytest.raises(ValueError, match="not Hermitian.*nan"):
+            nan_basis = LOOBasis(2, np.full((4, 2, 2), np.nan))
+            bases = (nan_basis, pauli_basis()) if side == "A" else (pauli_basis(), nan_basis)
             value(make_state("bell"), *bases)
+
+    def test_hermiticity_checked_when_built(self):
+        message = r"basis is not Hermitian: max \|G_k - G_k\^dagger\| = "
+        observables = gell_mann_basis(3).observables.copy()
+        observables[0] *= 1j  # iG_0 is anti-Hermitian: residual √2
+        with pytest.raises(ValueError, match=message + "1.41"):
+            LOOBasis(3, observables)
+        with pytest.raises(ValueError, match=message + "nan"):
+            LOOBasis(3, np.full((9, 3, 3), np.nan))
+        # Off Hermitian by 0.9e-10 in one entry: within tolerance, so it builds.
+        observables = gell_mann_basis(3).observables.copy()
+        observables[0, 0, 1] += 0.9e-10
+        assert hermiticity_residual(LOOBasis(3, observables)) == pytest.approx(0.9e-10, rel=1e-6)
 
 
 class TestGellMannCorrelations:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loowit import qstate
-from loowit.criteria import concurrence_pure
+from loowit.criteria import concurrence_pure, spectra
 from loowit.qstate import (
     DensityMatrix,
     load_state,
@@ -373,6 +373,25 @@ class TestGenerators:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 make_state("upb_noise", p)
 
+    @pytest.mark.parametrize("p", [0.5 + 1j, 0.5 + 0j, "0.5", None], ids=repr)
+    @pytest.mark.parametrize("mixer", ["mixture", "white_noise_mixture", "make_state", "Spectra.mixed"])
+    def test_parameter_must_be_a_real_number(self, mixer, p):
+        # Only a real p mixes: a complex one must not be scored by its real part.
+        bell, sep = make_state("bell"), make_state("noisy_singlet", 0.0)
+        mix = {
+            "mixture": lambda p: qstate.mixture(bell, sep, p),
+            "white_noise_mixture": lambda p: qstate.white_noise_mixture(bell, p),
+            "make_state": lambda p: make_state("noisy_singlet", p),
+            "Spectra.mixed": spectra(np.stack([bell.as_tensor(), sep.as_tensor()])).mixed,
+        }[mixer]
+        with pytest.raises(ValueError, match="mixing parameter"):
+            mix(p)
+
+    def test_mixture_rejects_an_array_parameter(self):
+        # A length-n p would broadcast over a state's columns and mix a non-state.
+        with pytest.raises(ValueError, match=r"mixing parameter must be a number in \[0, 1\]"):
+            qstate.mixture(make_state("bell"), make_state("noisy_singlet", 0.0), np.full(4, 0.5))
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown state"):
             make_state("ghz")
@@ -417,10 +436,17 @@ class TestStateFiles:
         assert (loaded.dim_a, loaded.dim_b) == (2, 3)
         assert np.array_equal(loaded.data, rho.data)
 
+    def test_non_finite_state_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("kept")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_state(DensityMatrix(1, 1, [[np.nan]]), path)
+        assert path.read_text() == "kept"
+
     def test_load_from_file_object(self):
         rho = make_state("bell")
         buf = io.StringIO()
-        qstate.dump_state(rho, buf)
+        save_state(rho, buf)
         buf.seek(0)
         assert np.array_equal(load_state(buf).data, rho.data)
 
