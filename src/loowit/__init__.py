@@ -2,6 +2,7 @@
 observables, with the PPT/realignment criteria and I-concurrence lower bounds
 they induce for bipartite states."""
 
+from .codec import load_state, save_state
 from .criteria import Spectra, concurrence_pure, spectra
 from .loo import (
     LOOBasis,
@@ -16,14 +17,12 @@ from .qstate import (
     DensityMatrix,
     SchmidtDecomposition,
     Violation,
-    load_state,
     make_state,
     mixture,
     partial_trace,
     partial_transpose,
     pure_state,
     realign,
-    save_state,
     schmidt,
     trace_norm,
     validate,

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import criteria, oracle, qstate
+from . import codec, criteria, oracle, qstate
 from .qstate import DensityMatrix
 
 FAMILY_NAMES = ("upb_noise", "noisy_singlet", "noise_mixture", "mixture")
@@ -66,7 +65,7 @@ class InvalidState(ValueError):
 
 def load_valid_state(path) -> DensityMatrix:
     """Load a state file and require a density matrix with both dims >= 2."""
-    rho = qstate.load_state(path)
+    rho = codec.load_state(path)
     if min(rho.dim_a, rho.dim_b) < 2:
         raise ValueError(f"subsystem dimensions must be at least 2, got ({rho.dim_a}, {rho.dim_b})")
     violations = qstate.validate(rho)
@@ -182,7 +181,7 @@ def _load_family(args) -> tuple[DensityMatrix, DensityMatrix]:
 
 
 def cmd_gen(args) -> int:
-    qstate.save_state(qstate.make_state(args.name, args.p), args.out or sys.stdout)
+    codec.save_state(qstate.make_state(args.name, args.p), args.out or sys.stdout)
     return 0
 
 
@@ -219,43 +218,6 @@ def _analysis_document(rho: DensityMatrix, emit_bases: bool) -> dict:
     return doc
 
 
-# JSON text of the string that stands in for each array while the rest of a document is encoded.
-_ARRAY_SLOT = json.dumps("\0")
-
-
-def _write_json(doc: dict, out) -> None:
-    """Write ``json.dumps(doc, indent=2)`` and a newline to ``out``, where each
-    numpy array in ``doc`` is written as its complex_to_pairs lists.  The rest
-    of the document is encoded first, with a placeholder per array; each array
-    is then written in its place by :func:`qstate.write_pairs_json`, a chunk
-    of floats at a time, so neither the text of the whole document nor that
-    of one array is ever held at once.
-
-    The indented encoder is json's pure-Python one, whose closures form a
-    reference cycle that holds ``slot`` and so ``arrays``; the list is
-    emptied on return, so the arrays are freed then, not at the next garbage
-    collection."""
-    arrays = []
-
-    def slot(value):
-        if not isinstance(value, np.ndarray):
-            raise TypeError(f"cannot write {type(value).__name__} as JSON")
-        arrays.append(value)
-        return "\0"
-
-    try:
-        before, *rest = json.dumps(doc, indent=2, default=slot).split(_ARRAY_SLOT)
-        out.write(before)
-        for array, after in zip(arrays, rest):
-            line = before[before.rfind("\n") + 1 :]  # indentation of the line that holds the array
-            qstate.write_pairs_json(array, (len(line) - len(line.lstrip(" "))) // 2, out)
-            out.write(after)
-            before = after
-        out.write("\n")
-    finally:
-        arrays.clear()
-
-
 def _print_analysis(doc: dict) -> None:
     da, db = doc["dims"]
     print(f"state: {da}x{db} bipartite density matrix")
@@ -280,7 +242,7 @@ def cmd_analyze(args) -> int:
     rho = load_valid_state(args.state)
     doc = _analysis_document(rho, args.emit_bases)
     if args.json:
-        _write_json(doc, sys.stdout)
+        codec.write_json(doc, sys.stdout)
     else:
         _print_analysis(doc)
     return 0
@@ -396,7 +358,7 @@ def main(argv=None) -> int:
     except InvalidState as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

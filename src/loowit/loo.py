@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .qstate import HERMITICITY_TOL, _frozen
+from .qstate import HERMITICITY_TOL, _checked_dims, _frozen
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -29,15 +29,18 @@ ORTHOGONALITY_TOL = 1e-10
 @dataclass(frozen=True, eq=False)
 class LOOBasis:
     """Ordered set of dim² Hermitian dim×dim observables, stacked on axis 0.
-    Built only with the right shape and every G_k Hermitian within 1e-10 (NaN
-    fails); completeness and orthonormality are not checked."""
+    Built only with a positive integer dim (Python or NumPy, not bool), the
+    right shape and every G_k Hermitian within 1e-10 (NaN fails); completeness
+    and orthonormality are not checked."""
 
     dim: int
     observables: np.ndarray
 
     def __post_init__(self) -> None:
+        (dim,) = _checked_dims(self.dim)
+        object.__setattr__(self, "dim", dim)
         obs = np.array(self.observables, dtype=complex)
-        expected = (self.dim**2, self.dim, self.dim)
+        expected = (dim**2, dim, dim)
         if obs.shape != expected:
             raise ValueError(f"observables must have shape {expected}, got {obs.shape}")
         object.__setattr__(self, "observables", _frozen(obs))
@@ -70,12 +73,16 @@ def orthonormality_residual(basis: LOOBasis) -> float:
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalRotation:
-    """Real orthogonal dim²×dim² matrix mapping one LOO basis to another."""
+    """Real orthogonal dim²×dim² matrix mapping one LOO basis to another.
+    Its entries must be ints or floats: a complex or bool matrix raises."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
+        m = np.array(self.matrix)
+        if m.dtype.kind not in "iuf":  # ints and floats; not bool, complex, str or object
+            raise ValueError(f"rotation must be a matrix of real numbers, got dtype {m.dtype}")
+        m = m.astype(float, copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"rotation must be a square matrix, got shape {m.shape}")
         residual = float(np.abs(m @ m.T - np.eye(m.shape[0])).max())

@@ -42,8 +42,12 @@ def sampled_max_trace(matrix, samples: int, seed: int, target: str | None = None
 
     The analytic maximum is the sum of singular values of M; random sampling
     can approach but never exceed it.  Same seed, same result, to the bit.
+    The entries of M must be ints or floats: a complex or bool M raises.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = np.asarray(matrix)
+    if m.dtype.kind not in "iuf":  # ints and floats; not bool, complex, str or object
+        raise ValueError(f"matrix must hold real numbers, got dtype {m.dtype}")
+    m = m.astype(float, copy=False)
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     rows, cols = m.shape

@@ -89,7 +89,7 @@ def test_readme_example_runs_and_its_names_exist():
     (example,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
     exec(compile(example, str(README), "exec"), {})
     # Every cited `module.name` or `Class.name` of the package, called or not,
-    # such as `qstate.load_state` or `loowit.cli.main(argv)`, must resolve.
+    # such as `codec.load_state` or `loowit.cli.main(argv)`, must resolve.
     heads = {name: getattr(loowit, name) for name in loowit.__all__}
     for info in pkgutil.iter_modules(loowit.__path__):
         heads[info.name] = importlib.import_module(f"loowit.{info.name}")

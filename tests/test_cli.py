@@ -1,20 +1,18 @@
 import argparse
-import gc
-import io
 import json
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from loowit import cli, criteria, loo, oracle, qstate
+from loowit import cli, codec, criteria, loo, oracle, qstate
 from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
+from loowit.codec import load_state, save_state
 from loowit.loo import LOOBasis, gell_mann_basis, transpose_basis
-from loowit.qstate import load_state, make_state, save_state, trace_norm
+from loowit.qstate import make_state, trace_norm
 from loowit.witness import (
     covariance_matrix,
     linear_witness_value,
@@ -164,7 +162,7 @@ class TestAnalyze:
         assert captured.err == "error: --emit-bases needs --json: the bases appear only in the JSON output\n"
 
     def test_invalid_state_reports_residuals(self, tmp_path, capsys):
-        doc = qstate.state_to_document(make_state("bell"))
+        doc = codec.state_to_document(make_state("bell"))
         doc["matrix"][0][0] = [2.0, 0.0]  # breaks unit trace and PSD structure
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -184,7 +182,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("dims", [[2.7, 2.2], [True, "4"]])
     def test_non_integer_dims_fail(self, tmp_path, capsys, dims):
-        doc = qstate.state_to_document(make_state("bell"))
+        doc = codec.state_to_document(make_state("bell"))
         doc["dims"] = dims
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -296,23 +294,6 @@ class TestAnalysisDocument:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         assert ("optimal_bases" in json.loads(out)) is emit_bases
 
-
-    def test_written_arrays_are_freed_on_return(self):
-        # json's indented encoder keeps its default hook in a reference cycle;
-        # an array it saw must not wait for a garbage collection to be freed.
-        array = np.zeros((3, 2), dtype=complex)
-        ref = weakref.ref(array)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            out = io.StringIO()
-            cli._write_json({"basis": array, "n": 1}, out)
-            del array
-            assert ref() is None
-        finally:
-            if enabled:
-                gc.enable()
-        assert json.loads(out.getvalue())["basis"] == [[[0.0, 0.0]] * 2] * 3
 
 class TestReferenceValues:
     """The Gell-Mann record against recomputations that share none of its code."""

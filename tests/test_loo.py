@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loowit import loo, qstate, witness
+from loowit import loo, oracle, qstate, witness
 from loowit.criteria import spectra
 from loowit.loo import (
     LOOBasis,
@@ -263,6 +263,31 @@ class TestBasisChecks:
         observables = gell_mann_basis(3).observables.copy()
         observables[0, 0, 1] += 0.9e-10
         assert hermiticity_residual(LOOBasis(3, observables)) == pytest.approx(0.9e-10, rel=1e-6)
+
+    # Inputs that numpy would silently coerce: a float or bool dim (4.0 == 4,
+    # so the shape check passes), and a complex or bool matrix where real
+    # numbers are meant (the imaginary part would be dropped).
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LOOBasis(2.0, pauli_basis().observables), "positive integers"),
+            (lambda: LOOBasis(True, np.ones((1, 1, 1))), "positive integers"),
+            (lambda: OrthogonalRotation(np.eye(4) + 1e-3j * np.eye(4)[::-1]), "real numbers"),
+            (lambda: rotate(pauli_basis(), np.eye(4) + 1e-3j * np.eye(4)[::-1]), "real numbers"),
+            (lambda: OrthogonalRotation(np.eye(4, dtype=bool)), "real numbers"),
+            (lambda: oracle.sampled_max_trace(np.eye(3) * (1 + 1j), 10, 0), "real numbers"),
+            (lambda: oracle.sampled_max_trace(np.eye(3, dtype=bool), 10, 0), "real numbers"),
+        ],
+        ids=["float_dim", "bool_dim", "complex_rotation", "complex_rotate", "bool_rotation",
+             "complex_oracle_matrix", "bool_oracle_matrix"],
+    )
+    def test_coercible_inputs_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_dim_is_stored_as_a_python_int(self):
+        basis = LOOBasis(np.int64(2), pauli_basis().observables)
+        assert type(basis.dim) is int and basis.dim == 2
 
 
 class TestGellMannCorrelations:

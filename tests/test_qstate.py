@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loowit import qstate
+from loowit import codec, qstate
+from loowit.codec import load_state, save_state
 from loowit.criteria import concurrence_pure, spectra
 from loowit.qstate import (
     DensityMatrix,
-    load_state,
     make_state,
     partial_trace,
     partial_transpose,
     pure_state,
     realign,
-    save_state,
     schmidt,
     trace_norm,
     validate,
@@ -534,7 +533,7 @@ class TestStateFiles:
     def test_document_matches_per_entry_encoder(self):
         rho = samplers.random_mixed_state(3, 2, np.random.default_rng(14))
         reference = [[[float(z.real), float(z.imag)] for z in row] for row in rho.data]
-        doc = qstate.state_to_document(rho)
+        doc = codec.state_to_document(rho)
         assert json.dumps(doc["matrix"]) == json.dumps(reference)
 
     def test_saved_bytes_match_per_entry_encoder(self, tmp_path):
@@ -557,17 +556,17 @@ class TestStateFiles:
 
     @pytest.mark.parametrize("dims", [[2.7, 2.2], [2.0, 2.0], [True, "4"], [2, None]])
     def test_rejects_non_integer_dims(self, dims):
-        doc = qstate.state_to_document(make_state("bell"))
+        doc = codec.state_to_document(make_state("bell"))
         doc["dims"] = dims
         with pytest.raises(ValueError, match="integers"):
-            qstate.state_from_document(doc)
+            codec.state_from_document(doc)
 
     @pytest.mark.parametrize("dims", [[0, 2], [-1, 2], [-2, -2]])
     def test_rejects_nonpositive_dims(self, dims):
         n = abs(dims[0] * dims[1])
         doc = {"dims": dims, "matrix": [[[0.0, 0.0]] * n] * n}
         with pytest.raises(ValueError, match="dims must be positive integers"):
-            qstate.state_from_document(doc)
+            codec.state_from_document(doc)
 
 
 def decoded(load):
@@ -583,14 +582,14 @@ def assert_decodes_as_json(text):
     """load_state reads ``text`` as state_from_document(json.loads(text)) does:
     the same dims and array bit for bit, signbits included, or a ValueError from both."""
     assert decoded(lambda: load_state(io.StringIO(text))) == decoded(
-        lambda: qstate.state_from_document(json.loads(text))
+        lambda: codec.state_from_document(json.loads(text))
     )
 
 
 def takes_fast_path(text):
     """Whether load_state decodes ``text`` as a canonical document."""
     try:
-        return qstate._load_canonical(text) is not None
+        return codec._load_canonical(text) is not None
     except ValueError:
         return True
 
@@ -674,7 +673,7 @@ class TestCanonicalDecoder:
     def test_exact_skeleton_of_every_size(self, dims):
         # A pair missing from, or added to, the last row breaks the skeleton.
         rho = samplers.random_mixed_state(*dims, np.random.default_rng(17))
-        text = json.dumps(qstate.state_to_document(rho))
+        text = json.dumps(codec.state_to_document(rho))
         assert takes_fast_path(text)
         assert_decodes_as_json(text)
         for broken in (text[: text.rindex("[")].rstrip(", ") + "]]}", text[:-3] + ", [0.0, 0.0]]]}"):
@@ -711,7 +710,7 @@ class TestCanonicalDecoder:
         rho = make_state(name, p)
         path = tmp_path / "state.json"
         save_state(rho, path)
-        monkeypatch.setattr(qstate, "state_from_document", None)  # the general path would fail
+        monkeypatch.setattr(codec, "state_from_document", None)  # the general path would fail
         assert load_state(path).data.tobytes() == rho.data.tobytes()
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 3), (8, 8), (12, 16), (16, 16)])
@@ -719,7 +718,7 @@ class TestCanonicalDecoder:
         rho = samplers.random_mixed_state(*dims, np.random.default_rng(sum(dims) + 1))
         path = tmp_path / "state.json"
         save_state(rho, path)
-        monkeypatch.setattr(qstate, "state_from_document", None)
+        monkeypatch.setattr(codec, "state_from_document", None)
         loaded = load_state(path)
         assert (loaded.dim_a, loaded.dim_b) == dims
         assert loaded.data.tobytes() == rho.data.tobytes()
@@ -813,7 +812,7 @@ class TestPairsJson:
     )
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_matches_indented_json_of_pairs(self, shape, chunk, level, monkeypatch):
-        monkeypatch.setattr(qstate, "PAIRS_SLICE_FLOATS", chunk)
+        monkeypatch.setattr(codec, "PAIRS_SLICE_FLOATS", chunk)
         rng = np.random.default_rng(16)
         size = int(np.prod(shape))
         # Every value appears in both parts, the real parts with random signs.
@@ -821,9 +820,9 @@ class TestPairsJson:
         imag = np.resize(self.VALUES[::-1], size)
         a = np.empty(shape, dtype=complex)
         a.real, a.imag = real.reshape(shape), imag.reshape(shape)
-        expected = json.dumps(qstate.complex_to_pairs(a), indent=2).replace("\n", "\n" + "  " * level)
+        expected = json.dumps(codec.complex_to_pairs(a), indent=2).replace("\n", "\n" + "  " * level)
         out = io.StringIO()
-        qstate.write_pairs_json(a, level, out)
+        codec.write_pairs_json(a, level, out)
         assert_same_text(out.getvalue(), expected)
 
     def test_streamed_peak_is_below_the_text_written(self):
@@ -842,7 +841,7 @@ class TestPairsJson:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            qstate.write_pairs_json(a, 0, sink)
+            codec.write_pairs_json(a, 0, sink)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if started:
