@@ -12,7 +12,7 @@ from .loo import (
     rotate,
     transpose_basis,
 )
-from .oracle import OracleReport, recompute_witness_direct, sampled_max_trace
+from .oracle import OracleReport, sampled_max_trace
 from .qstate import (
     DensityMatrix,
     SchmidtDecomposition,
@@ -31,8 +31,6 @@ from .qstate import (
 from .witness import (
     LinearOptimum,
     NonlinearOptimum,
-    correlation_matrix,
-    covariance_matrix,
     linear_witness_value,
     lmax_pure,
     nonlinear_witness_value,
@@ -53,8 +51,6 @@ __all__ = [
     "Spectra",
     "Violation",
     "concurrence_pure",
-    "correlation_matrix",
-    "covariance_matrix",
     "gell_mann_basis",
     "linear_witness_value",
     "lmax_pure",
@@ -69,7 +65,6 @@ __all__ = [
     "pauli_basis",
     "pure_state",
     "realign",
-    "recompute_witness_direct",
     "rotate",
     "save_state",
     "schmidt",

@@ -47,8 +47,8 @@ class ScanSpec:
             raise ValueError(
                 f"unknown criterion {self.criterion!r}; known: {', '.join(criteria.SCORE_NAMES)}"
             )
-        if any(isinstance(v, (bool, np.bool_)) for v in (self.p_start, self.p_stop, self.step, self.bisection_tol)):
-            raise ValueError(f"p_start, p_stop, step and bisection_tol must be numbers, not bools: {self}")
+        if not all(map(qstate._is_real_number, (self.p_start, self.p_stop, self.step, self.bisection_tol))):
+            raise ValueError(f"p_start, p_stop, step and bisection_tol must be ints or floats, not bools: {self}")
         if not (0.0 <= self.p_start < self.p_stop <= 1.0):
             raise ValueError(
                 f"need 0 <= start < stop <= 1, got start={self.p_start}, stop={self.p_stop}"

@@ -54,11 +54,6 @@ BOUND_NAMES = (*_BOUND_SOURCES, "bound_combined")
 SCORE_NAMES = (*THRESHOLD_FORMS, *BOUND_NAMES)
 
 
-def max_concurrence(dim_min: int) -> float:
-    """Largest possible I-concurrence for min subsystem dimension m."""
-    return math.sqrt(2.0 * (dim_min - 1) / dim_min)
-
-
 def concurrence_pure(psi, dim_a: int | None = None, dim_b: int | None = None) -> float:
     """I-concurrence √(2(1 - Tr ρ_A²)) of a pure bipartite state.
 
@@ -108,13 +103,17 @@ class Spectra:
         on first read: exactly the endpoints' at p = 1 and 0, else equal up to rounding.
         A p that is not a real number (an int or float), is NaN or is outside [0, 1]
         raises, as in :func:`qstate.mixture`."""
-        if (self._tensor.shape[:-4] if self._endpoints is None else self._endpoints[1].shape) != (2,):
+        if self._batch_shape != (2,):
             raise ValueError("mixtures need the record of a stack of two states")
         p = np.asarray(ps)
         real = p.dtype.kind in "iuf"  # ints and floats; not bool, complex, str or object
         if not (real and p.min(initial=0) >= 0 and p.max(initial=1) <= 1):  # NaN fails too; [] passes
             raise ValueError(f"mixing parameter must be a number in [0, 1], got {ps!r}")
         return Spectra(self.dim_a, self.dim_b, _endpoints=(self, p.astype(float)))
+
+    @property
+    def _batch_shape(self) -> tuple[int, ...]:  # () for one state, else a stack's or ps's shape
+        return self._tensor.shape[:-4] if self._endpoints is None else self._endpoints[1].shape
 
     def _mix(self, pair: np.ndarray) -> np.ndarray:
         p = self._endpoints[1]
@@ -198,9 +197,12 @@ class Spectra:
 
     def optimum(self, kind: str) -> tuple[float, loo.LOOBasis, loo.LOOBasis]:
         """Σ_k σ_k of μ (``"linear"``) or τ (``"nonlinear"``) of one state, and the Gell-Mann
-        bases rotated to diagonalize it; the only SVD here that computes factors."""
+        bases rotated to diagonalize it; the only SVD here that computes factors.
+        A stack, or a mixture at several p, has no one optimum and raises."""
         if kind not in ("linear", "nonlinear"):
             raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
+        if self._batch_shape:
+            raise ValueError(f"optimum needs the record of one state, got a batch of shape {self._batch_shape}")
         u, s, vt = np.linalg.svd(self.tau if kind == "nonlinear" else self.correlations[0])
         # The matrix is u Σ vt, so rotating by uᵀ / vt diagonalizes the paired expectations.
         basis_a, basis_b = loo.gell_mann_basis(self.dim_a), loo.gell_mann_basis(self.dim_b)

@@ -1,9 +1,9 @@
-"""Independent brute-force verifiers used by the test suite.
+"""The Monte-Carlo check behind ``loowit oracle``.
 
-Both oracles deliberately avoid the library's computation paths: the
-Monte-Carlo maximizer samples the rotation group directly, and the witness
-recomputation builds every tensor product explicitly.  Agreement with the
-closed forms is the check; these functions never feed back into them.
+:func:`sampled_max_trace` samples the rotation group directly, sharing no
+computation with the closed forms, and reports how close random orthogonal
+pairs come to the analytic maximum Σ_k σ_k(M); agreement is the check, and
+the samples never feed back into the closed forms.
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .loo import LOOBasis
-from .qstate import DensityMatrix
 
 # Fixed chunk so that sampling streams agree on their common prefix whenever
 # sample counts are multiples of it (the shrinking-gap check relies on this).
@@ -42,11 +39,12 @@ def sampled_max_trace(matrix, samples: int, seed: int, target: str | None = None
 
     The analytic maximum is the sum of singular values of M; random sampling
     can approach but never exceed it.  Same seed, same result, to the bit.
-    The entries of M must be ints or floats: a complex or bool M raises.
+    M must be one 2-D matrix of finite ints or floats: a complex or bool M,
+    a stack, a vector or a NaN entry raises before any sample is drawn.
     """
     m = np.asarray(matrix)
-    if m.dtype.kind not in "iuf":  # ints and floats; not bool, complex, str or object
-        raise ValueError(f"matrix must hold real numbers, got dtype {m.dtype}")
+    if m.dtype.kind not in "iuf" or m.ndim != 2 or not np.isfinite(m).all():
+        raise ValueError(f"matrix must be one 2-D matrix of finite real numbers, got {m.dtype} of shape {m.shape}")
     m = m.astype(float, copy=False)
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
@@ -74,29 +72,3 @@ def sampled_max_trace(matrix, samples: int, seed: int, target: str | None = None
         gap=analytic - best,
     )
 
-
-def recompute_witness_direct(
-    rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis, kind: str
-) -> float:
-    """Witness value by definition: explicit G_k^A ⊗ G_k^B products and traces.
-
-    Shares no computation with the witness module.  ``kind`` is "linear" or
-    "nonlinear"; unequal basis lengths are padded with zero operators.
-    """
-    if kind not in ("linear", "nonlinear"):
-        raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
-    da, db = rho.dim_a, rho.dim_b
-    id_a = np.eye(da, dtype=complex)
-    id_b = np.eye(db, dtype=complex)
-    zero_a = np.zeros((da, da), dtype=complex)
-    zero_b = np.zeros((db, db), dtype=complex)
-    total = 1.0
-    for k in range(max(len(basis_a), len(basis_b))):
-        ga = basis_a[k] if k < len(basis_a) else zero_a
-        gb = basis_b[k] if k < len(basis_b) else zero_b
-        total -= float(np.trace(rho.data @ np.kron(ga, gb)).real)
-        if kind == "nonlinear":
-            mean_a = float(np.trace(rho.data @ np.kron(ga, id_b)).real)
-            mean_b = float(np.trace(rho.data @ np.kron(id_a, gb)).real)
-            total -= 0.5 * (mean_a - mean_b) ** 2
-    return total

@@ -10,7 +10,7 @@ DensityMatrix or a stack of tensor views through :func:`tensor_view` and act
 per state on a stack.  ``loo.correlations`` turns :func:`realign` into the one
 record (μ, a, b) that the scores, optima and witness values read, whose
 |a|², |b|² are the subsystem purities.  :func:`trace_norm` takes
-values-only SVDs and :func:`schmidt` factors a pure state's d_a×d_b
+a values-only SVD and :func:`schmidt` factors a pure state's d_a×d_b
 coefficient matrix.  State files are read and written by :mod:`loowit.codec`.
 """
 
@@ -168,7 +168,9 @@ def realign(rho) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values (Ky Fan / nuclear norm)."""
+    """Sum of singular values (Ky Fan / nuclear norm) of one 2-D matrix; a stack raises."""
+    if np.ndim(m) != 2:
+        raise ValueError(f"trace_norm needs one 2-D matrix, got shape {np.shape(m)}")
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
@@ -316,10 +318,14 @@ def mixture(rho_1: DensityMatrix, rho_2: DensityMatrix, p: float) -> DensityMatr
     return DensityMatrix(rho_1.dim_a, rho_1.dim_b, p * rho_1.data + (1 - p) * rho_2.data)
 
 
+def _is_real_number(v) -> bool:
+    """A Python or NumPy int or float, not a bool or an array."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def _check_unit_interval(p: float) -> None:
-    """p must be a Python or NumPy int or float, not a bool or an array, in [0, 1]."""
-    real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
-    if not (real and 0.0 <= p <= 1.0):
+    """p must be a real number (:func:`_is_real_number`) in [0, 1]."""
+    if not (_is_real_number(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"mixing parameter must be a number in [0, 1], got {p!r}")
 
 

@@ -20,8 +20,8 @@ Tr ρ_A² = |a|² and Tr ρ_B² = |b|².  The values are
 1 - Σ_k σ_k(μ) and 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2, and the
 optimizing bases come from the SVD factors.
 
-:func:`correlation_matrix` and :func:`covariance_matrix` return plain real
-arrays in user-supplied bases.  The optima are read from the record of
+:func:`linear_witness_value` and :func:`nonlinear_witness_value` read the
+record in user-supplied bases; the optima are read from the record of
 :func:`loowit.criteria.spectra` by :meth:`~loowit.criteria.Spectra.optimum`.
 """
 
@@ -36,25 +36,9 @@ from .loo import LOOBasis, correlations
 from .qstate import DensityMatrix
 
 
-def correlation_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
-    """μ_lm = Tr(ρ G_l^A ⊗ G_m^B) = (F_A · R(ρ) · F_Bᵀ)_lm, a real dim_a²×dim_b² array.
-
-    The expansion ρ = Σ_lm μ_lm G_l^A ⊗ G_m^B reconstructs the state for any
-    LOO pair, and Σ_k σ_k(μ) is basis-independent.
-    """
-    return correlations(qstate.realign(rho), basis_a, basis_b)[0]
-
-
-def covariance_matrix(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> np.ndarray:
-    """τ = μ - a·bᵀ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ, the correlation matrix with
-    the product R(ρ_A⊗ρ_B) = vec(ρ_A)·vec(ρ_B)ᵀ removed; zero on product states."""
-    mu, a, b = correlations(qstate.realign(rho), basis_a, basis_b)
-    return mu - np.outer(a, b)
-
-
 def linear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
     """1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩ = 1 - Σ_k μ_kk for the given basis pair."""
-    return 1.0 - float(np.trace(correlation_matrix(rho, basis_a, basis_b)))
+    return 1.0 - float(np.trace(correlations(qstate.realign(rho), basis_a, basis_b)[0]))
 
 
 def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:

@@ -1,4 +1,5 @@
-"""Seeded samplers shared by the test suite.
+"""Seeded samplers shared by the test suite, and the correlation and
+covariance matrices of a state in user-supplied bases.
 
 Every seeded test draws its states, unitaries and rotations from these
 functions, so one seed names the same draw in every test module.  A seed is
@@ -9,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from loowit.loo import OrthogonalRotation
-from loowit.qstate import DensityMatrix, pure_state
+from loowit.loo import OrthogonalRotation, correlations
+from loowit.qstate import DensityMatrix, pure_state, realign
 
 
 def _rng(seed) -> np.random.Generator:
@@ -77,3 +78,14 @@ def haar_rotation(size: int, rng) -> OrthogonalRotation:
     signs = np.sign(np.diagonal(r))
     signs[signs == 0] = 1.0
     return OrthogonalRotation(q * signs)
+
+
+def correlation_matrix(rho: DensityMatrix, basis_a, basis_b) -> np.ndarray:
+    """μ_lm = Tr(ρ G_l^A ⊗ G_m^B), read from the record of ``loo.correlations``."""
+    return correlations(realign(rho), basis_a, basis_b)[0]
+
+
+def covariance_matrix(rho: DensityMatrix, basis_a, basis_b) -> np.ndarray:
+    """τ = μ - a·bᵀ, read from the record of ``loo.correlations``."""
+    mu, a, b = correlations(realign(rho), basis_a, basis_b)
+    return mu - np.outer(a, b)

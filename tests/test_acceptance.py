@@ -15,8 +15,6 @@ from loowit.loo import gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.oracle import sampled_max_trace
 from loowit.qstate import make_state, realign, trace_norm, white_noise_mixture
 from loowit.witness import (
-    correlation_matrix,
-    covariance_matrix,
     linear_witness_value,
     lmax_pure,
     nonlinear_witness_value,
@@ -25,6 +23,7 @@ from loowit.witness import (
 )
 
 import samplers
+from samplers import correlation_matrix, covariance_matrix
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
 PROPERTY_STATES_PER_DIM = 200

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import loowit
-from loowit import loo, qstate, witness
+from loowit import loo, qstate
 
 import samplers
 
@@ -23,8 +23,6 @@ PUBLIC_NAMES = [
     "Spectra",
     "Violation",
     "concurrence_pure",
-    "correlation_matrix",
-    "covariance_matrix",
     "gell_mann_basis",
     "linear_witness_value",
     "lmax_pure",
@@ -39,7 +37,6 @@ PUBLIC_NAMES = [
     "pauli_basis",
     "pure_state",
     "realign",
-    "recompute_witness_direct",
     "rotate",
     "save_state",
     "schmidt",
@@ -72,13 +69,52 @@ def test_public_surface():
     assert all(callable(getattr(samplers, name)) for name in SAMPLER_NAMES)
 
 
+# Only tests called these; the tests' own copies live in tests/samplers.py
+# (the two matrices) and tests/oracles.py (the brute-force references).
+REMOVED_NAMES = {"correlation_matrix", "covariance_matrix", "recompute_witness_direct", "max_concurrence"}
+TESTS = Path(__file__).resolve().parent
+
+
+def package_modules():
+    return [importlib.import_module(f"loowit.{info.name}") for info in pkgutil.iter_modules(loowit.__path__)]
+
+
+def test_removed_names_are_unreachable():
+    # Under no name, and under no alias: no attribute of the package or of any
+    # of its modules is a function of a removed name.
+    for module in (loowit, *package_modules()):
+        reached = [name for name, value in vars(module).items()
+                   if REMOVED_NAMES & {name, getattr(value, "__name__", None)}]
+        assert reached == [], module.__name__
+
+
+def test_library_imports_nothing_from_tests():
+    test_modules = {path.stem for path in TESTS.glob("*.py")} | {"tests"}
+    for module in package_modules():
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+        assert imported & test_modules == set(), module.__name__
+
+
+def test_oracles_module_imports_numpy_only():
+    # The brute-force references must share no code path with the library.
+    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"__future__", "numpy"}
+
+
 def test_correlation_and_covariance_are_plain_arrays():
+    # The user-basis record: μ and τ = μ - a·bᵀ are plain real arrays.
     rho = samplers.random_mixed_state(2, 3, np.random.default_rng(5))
-    basis_a, basis_b = loo.gell_mann_basis(2), loo.gell_mann_basis(3)
-    for maker in (witness.correlation_matrix, witness.covariance_matrix):
-        m = maker(rho, basis_a, basis_b)
+    mu, a, b = loo.correlations(qstate.realign(rho), loo.gell_mann_basis(2), loo.gell_mann_basis(3))
+    for m in (mu, mu - np.outer(a, b)):
         assert type(m) is np.ndarray
         assert m.dtype == float and m.shape == (4, 9)
+    assert a.shape == (4,) and b.shape == (9,)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -8,19 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loowit import cli, codec, criteria, loo, oracle, qstate
+from loowit import cli, codec, criteria, loo, qstate
 from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
 from loowit.codec import load_state, save_state
 from loowit.loo import LOOBasis, gell_mann_basis, transpose_basis
 from loowit.qstate import make_state, trace_norm
 from loowit.witness import (
-    covariance_matrix,
     linear_witness_value,
     nonlinear_witness_value,
     optimal_linear_min,
     optimal_nonlinear_min,
 )
 
+import oracles
 import samplers
 
 
@@ -200,7 +200,7 @@ class TestAnalysisDocument:
             purity_a, purity_b = doc["purities"]
             assert linear["min"] <= linear["value_at_reference_basis"] + 1e-9
             assert nonlinear["min"] <= nonlinear["value_at_reference_basis"] + 1e-9
-            tau_sum = trace_norm(covariance_matrix(rho, gell_mann_basis(da), gell_mann_basis(db)))
+            tau_sum = trace_norm(samplers.covariance_matrix(rho, gell_mann_basis(da), gell_mann_basis(db)))
             expected_lmax = tau_sum + (purity_a + purity_b) / 2
             assert nonlinear["l_max"] == pytest.approx(expected_lmax, abs=1e-10)
             assert nonlinear["l_max"] == pytest.approx(1.0 - nonlinear["min"], abs=1e-12)
@@ -327,7 +327,7 @@ class TestReferenceValues:
                 doc = cli._analysis_document(rho, emit_bases=False)
                 values = {kind: doc[kind]["value_at_reference_basis"] for kind in values}
             for kind, value in values.items():
-                direct = oracle.recompute_witness_direct(rho, *reference, kind)
+                direct = oracles.recompute_witness_direct(rho, *reference, kind)
                 assert value == pytest.approx(direct, abs=1e-12)
 
 
@@ -354,6 +354,18 @@ class TestScanSpec:
         # NaN fails every comparison, so a NaN step used to build an endless grid.
         # A bool compares as 0 or 1, so step=True used to scan [0, 1] with step 1.
         with pytest.raises(ValueError, match=field):
+            ScanSpec(**{"family": "noisy_singlet", "p_start": 0.0, "p_stop": 1.0, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p_start", "0"), ("p_stop", "1"), ("step", None), ("bisection_tol", None), ("step", 0.01 + 0j),
+         ("p_stop", np.array(1.0))],
+        ids=["p_start-str", "p_stop-str", "step-None", "bisection_tol-None", "step-complex", "p_stop-array"],
+    )
+    def test_non_number_rejected(self, field, value):
+        # Only an int or a float, not a bool, as for a mixing parameter: these
+        # used to raise TypeError from a comparison, or (a 0-d array) to pass.
+        with pytest.raises(ValueError, match="must be ints or floats"):
             ScanSpec(**{"family": "noisy_singlet", "p_start": 0.0, "p_stop": 1.0, field: value})
 
     @pytest.mark.parametrize("flag, value, named", [("--tol", "nan", "bisection_tol"), ("--tol", "inf", "bisection_tol"),

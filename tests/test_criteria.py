@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from loowit import criteria, qstate
-from loowit.criteria import THRESHOLD_FORMS, concurrence_pure, detected, max_concurrence, spectra
+from loowit.criteria import THRESHOLD_FORMS, concurrence_pure, detected, spectra
 from loowit.qstate import DensityMatrix, make_state, schmidt
 from loowit.witness import optimal_linear_min, optimal_nonlinear_min
 
+import oracles
 import samplers
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
@@ -149,6 +150,22 @@ class TestSpectra:
         with pytest.raises(ValueError, match="kind must be 'linear' or 'nonlinear'"):
             spec.optimum("covariance")
 
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("batch", ["stack", "mixed_at_two_p"])
+    def test_optimum_needs_one_state(self, batch, kind, monkeypatch):
+        # Both used to take a full batched SVD and then fail inside loo.rotate.
+        bell = make_state("bell")
+        pair = spectra(np.stack([bell.as_tensor()] * 2))
+        record = pair if batch == "stack" else pair.mixed([0.2, 0.5])
+        single = (spectra(bell), pair.mixed(0.2))
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("a decomposition ran"))
+        with pytest.raises(ValueError, match=r"optimum needs the record of one state, got a batch of shape \(2,\)"):
+            record.optimum(kind)
+        monkeypatch.undo()
+        for spec in single:
+            sigma_sum, _, _ = spec.optimum(kind)
+            assert sigma_sum == pytest.approx(spec.realigned.sum() if kind == "linear" else spec.covariance.sum())
+
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 4)], ids=lambda d: f"{d[0]}x{d[1]}")
     def test_stack_matches_each_state(self, dims):
         rng = np.random.default_rng([61, *dims])
@@ -275,7 +292,7 @@ class TestConcurrencePure:
         psi = np.zeros(9, dtype=complex)
         psi[[0, 4, 8]] = 1 / np.sqrt(3)
         assert concurrence_pure(psi, 3, 3) == pytest.approx(np.sqrt(4 / 3), abs=1e-12)
-        assert max_concurrence(3) == pytest.approx(np.sqrt(4 / 3), abs=1e-15)
+        assert oracles.max_concurrence(3) == pytest.approx(np.sqrt(4 / 3), abs=1e-15)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
@@ -371,13 +388,64 @@ class TestConcurrenceBounds:
         states = [make_state("bell"), make_state("upb")]
         states += [samplers.random_mixed_state(da, db, rng) for da, db in DIMS for _ in range(5)]
         for rho in states:
-            cap = max_concurrence(min(rho.dim_a, rho.dim_b))
+            cap = oracles.max_concurrence(min(rho.dim_a, rho.dim_b))
             assert bounds(rho)["bound_combined"] <= cap + 1e-9
 
     def test_requires_min_dimension_two(self):
         rho = DensityMatrix(1, 3, np.eye(3) / 3)
         with pytest.raises(ValueError, match="min dim"):
             bounds(rho)
+
+
+def maximally_entangled_state(da: int, db: int) -> DensityMatrix:
+    """Σ_i |ii⟩/√m over the m = min(d_a, d_b) shared levels, which has the largest I-concurrence."""
+    m = min(da, db)
+    psi = np.zeros((da, db))
+    psi[range(m), range(m)] = 1 / np.sqrt(m)
+    return qstate.pure_state(psi.reshape(-1), da, db)
+
+
+class TestTwoQubitOracle:
+    """The bounds against exact concurrences: Wootters' for two qubits (tests/oracles.py)
+    and the largest I-concurrence √(2(m-1)/m) at every supported size."""
+
+    def test_bounds_never_exceed_wootters_concurrence(self):
+        # 100 seeded states of each rank 1-4.  On pure states (rank 1) every
+        # bound equals C in exact arithmetic, so the check is tight there.  Each
+        # side is a sum of at most 4 singular values or eigenvalues of a matrix
+        # of spectral norm at most 1 (μ, τ, ρ^{T_A}, and Lᵀ(σ_y⊗σ_y)L with
+        # ‖L‖₂² = ‖ρ‖₂ ≤ 1), so rounding moves it by O(4ε): known_answer_tol(4, 1)
+        # is 1.4e-14, against a worst excess of 1.4e-15 measured on these states
+        # (1.8e-15 on 2000 states drawn from seed 1).
+        rng = np.random.default_rng(71)
+        states = [samplers.random_mixed_state(2, 2, rng, rank=rank) for rank in (1, 2, 3, 4) for _ in range(100)]
+        record = spectra(np.stack([rho.as_tensor() for rho in states]))
+        concurrences = np.array([oracles.wootters_concurrence(rho.data) for rho in states])
+        assert (concurrences > 0.1).sum() > 100  # many states are far from separable
+        for name in criteria.BOUND_NAMES:
+            excess = record.score(name) - concurrences
+            assert excess.max() <= known_answer_tol(4, 1.0), name
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.9])
+    def test_noisy_singlet_concurrence_is_p(self, p):
+        # The noise 2/3·|00⟩⟨00| + 1/3·|01⟩⟨01| leaves ρ_44 = 0, so C = 2|ρ_23| = p.
+        rho = make_state("noisy_singlet", p)
+        assert oracles.wootters_concurrence(rho.data) == pytest.approx(p, rel=0, abs=1e-14)
+        assert oracles.wootters_concurrence(make_state("bell").data) == pytest.approx(1.0, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (3, 4), (8, 8), (12, 16), (16, 16)], ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_bounds_capped_by_maximal_concurrence_at_every_size(self, dims):
+        # The maximally entangled state reaches the cap, so its bounds equal it
+        # up to rounding; known_answer_tol bounds that rounding (see its docstring).
+        rng = np.random.default_rng([72, *dims])
+        states = [maximally_entangled_state(*dims), samplers.random_pure_state(*dims, rng),
+                  samplers.random_mixed_state(*dims, rng, rank=2), samplers.random_mixed_state(*dims, rng)]
+        record = spectra(np.stack([rho.as_tensor() for rho in states]))
+        cap = oracles.max_concurrence(min(dims))
+        tol = known_answer_tol(dims[0] * dims[1], cap)
+        for name in criteria.BOUND_NAMES:
+            assert record.score(name).max() <= cap + tol, name
+        assert record.score("bound_combined")[0] == pytest.approx(cap, rel=0, abs=tol)
 
 
 def known_answer_tol(n: int, value: float) -> float:

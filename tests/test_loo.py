@@ -241,7 +241,7 @@ class TestLOOBasisStructure:
 class TestBasisChecks:
     @pytest.mark.parametrize("side", ["A", "B"])
     @pytest.mark.parametrize(
-        "value", [witness.correlation_matrix, witness.covariance_matrix,
+        "value", [samplers.correlation_matrix, samplers.covariance_matrix,
                   witness.linear_witness_value, witness.nonlinear_witness_value]
     )
     def test_nan_basis_rejected(self, side, value):

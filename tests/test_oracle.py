@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from loowit import witness
+from loowit import oracle, witness
 from loowit.loo import gell_mann_basis, pauli_basis, rotate
-from loowit.oracle import recompute_witness_direct, sampled_max_trace
+from loowit.oracle import sampled_max_trace
 from loowit.qstate import make_state
 
 import samplers
+from oracles import recompute_witness_direct
 
 
 class TestSampledMaxTrace:
@@ -48,6 +49,18 @@ class TestSampledMaxTrace:
                 assert -1e-9 <= r.gap <= r.analytic_value
             medians.append(np.median([r.gap for r in reports]))
         assert medians[0] >= medians[1] >= medians[2]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.ones(3), np.ones((2, 2, 2)), np.float64(1.0), [[1.0, np.nan], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
+        ids=["vector", "stack", "scalar", "nan", "inf"],
+    )
+    def test_not_one_finite_matrix_rejected(self, matrix, monkeypatch):
+        # A vector or a stack used to fail to unpack its shape, and a NaN
+        # entry drew every sample before the SVD failed to converge.
+        monkeypatch.setattr(oracle, "_orthogonal_batch", lambda *args: pytest.fail("a sample was drawn"))
+        with pytest.raises(ValueError, match="must be one 2-D matrix of finite real numbers"):
+            sampled_max_trace(matrix, 10, seed=0)
 
     def test_invalid_sample_count(self):
         for samples in (0, True, np.True_, 2.5, np.float64(3.0)):

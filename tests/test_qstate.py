@@ -213,6 +213,14 @@ class TestStacks:
         with pytest.raises(ValueError, match="tensor views"):
             realign(make_state("bell").data)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 4, 4), (4,), ()], ids=str)
+    def test_trace_norm_takes_one_matrix(self, shape):
+        # trace_norm(np.ones((2, 2, 2))) used to return 4.0, both matrices'
+        # singular values summed as if they were one norm.
+        with pytest.raises(ValueError, match=r"trace_norm needs one 2-D matrix, got shape"):
+            trace_norm(np.ones(shape))
+        assert trace_norm(np.ones((2, 2))) == pytest.approx(2.0, abs=1e-15)
+
 
 class TestSchmidt:
     def test_bell_coefficients(self):

@@ -7,8 +7,6 @@ from loowit import oracle, qstate, witness
 from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.qstate import DensityMatrix, make_state, realign, trace_norm
 from loowit.witness import (
-    correlation_matrix,
-    covariance_matrix,
     linear_witness_value,
     lmax_pure,
     nonlinear_witness_value,
@@ -17,6 +15,7 @@ from loowit.witness import (
 )
 
 import samplers
+from samplers import correlation_matrix, covariance_matrix
 
 DIMS = [(2, 2), (2, 3), (3, 3), (3, 2)]
 BASIS_FUNCTIONS = [correlation_matrix, covariance_matrix, linear_witness_value, nonlinear_witness_value]
