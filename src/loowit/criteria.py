@@ -69,9 +69,10 @@ def _unbatched(a):
     return a.item() if np.ndim(a) == 0 else a
 
 
-def _stored(value) -> float | np.ndarray:
-    """A field's value: a read-only float array, or a Python float for one state."""
-    return _unbatched(_frozen(np.array(value, dtype=float)))
+def _stored(value: np.ndarray) -> float | np.ndarray:
+    """A field's value from its fresh float result: the array made read-only, not
+    copied, or a Python float for one state."""
+    return value.item() if value.ndim == 0 else _frozen(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,17 +95,23 @@ class Spectra:
     dim_a: int
     dim_b: int
     _tensor: np.ndarray | None = field(default=None, repr=False)  # read-only, never a caller's array
-    _endpoints: tuple[Spectra, np.ndarray] | None = field(default=None, repr=False)  # ((ρ₁, ρ₂)'s record, p)
+    # A mixture's (record of (ρ₁, ρ₂), p), p a float for one state.
+    _endpoints: tuple[Spectra, float | np.ndarray] | None = field(default=None, repr=False)
 
     def mixed(self, ps) -> Spectra:
         """The record, holding no tensor, of p·ρ₁ + (1-p)·ρ₂ for each p in ``ps``
-        (one state for a scalar p), this being the record of the stack (ρ₁, ρ₂).
-        Its (μ, a, b) and ρ^{T_A}, linear in ρ, are p-mixes of this record's, made
-        on first read: exactly the endpoints' at p = 1 and 0, else equal up to rounding.
+        (one state, with Python float fields and scores, for a scalar p), this
+        being the record of the stack (ρ₁, ρ₂).  Its μ, (a, b) and ρ^{T_A}, linear
+        in ρ, are p-mixes of this record's, each made on its first read: exactly
+        the endpoints' at p = 1 and 0, else equal up to rounding, and to the bit
+        the same for a scalar p as for that p in a sequence.
         A p that is not a real number (an int or float), is NaN or is outside [0, 1]
         raises, as in :func:`qstate.mixture`."""
         if self._batch_shape != (2,):
             raise ValueError("mixtures need the record of a stack of two states")
+        if qstate._is_real_number(ps):  # one p, checked by plain comparisons, which NaN fails
+            qstate._check_unit_interval(ps)
+            return Spectra(self.dim_a, self.dim_b, _endpoints=(self, float(ps)))
         p = np.asarray(ps)
         real = p.dtype.kind in "iuf"  # ints and floats; not bool, complex, str or object
         if not (real and p.min(initial=0) >= 0 and p.max(initial=1) <= 1):  # NaN fails too; [] passes
@@ -113,18 +120,32 @@ class Spectra:
 
     @property
     def _batch_shape(self) -> tuple[int, ...]:  # () for one state, else a stack's or ps's shape
-        return self._tensor.shape[:-4] if self._endpoints is None else self._endpoints[1].shape
+        return self._tensor.shape[:-4] if self._endpoints is None else np.shape(self._endpoints[1])
 
     def _mix(self, pair: np.ndarray) -> np.ndarray:
+        """p·x₁ + (1-p)·x₂ of the endpoints' pair (x₁, x₂) of one field, for each p; read-only."""
         p = self._endpoints[1]
-        return np.multiply.outer(p, pair[0]) + np.multiply.outer(1 - p, pair[1])
+        if isinstance(p, float):
+            mix = p * pair[0] + (1 - p) * pair[1]
+        else:
+            mix = np.multiply.outer(p, pair[0])
+            mix += np.multiply.outer(1 - p, pair[1])
+        return _frozen(mix)
 
     @cached_property
     def correlations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The read-only Gell-Mann record (μ, a, b) of :func:`loo.correlations`."""
         if self._endpoints:
-            return tuple(map(_frozen, map(self._mix, self._endpoints[0].correlations)))
+            return (self._mu, *self._marginals)
         return tuple(map(_frozen, loo.correlations(qstate.realign(self._tensor))))
+
+    @cached_property
+    def _mu(self) -> np.ndarray:  # μ alone, so that a mixture mixes only what its scores read
+        return self._mix(self._endpoints[0]._mu) if self._endpoints else self.correlations[0]
+
+    @cached_property
+    def _marginals(self) -> tuple[np.ndarray, np.ndarray]:  # (a, b)
+        return tuple(map(self._mix, self._endpoints[0]._marginals)) if self._endpoints else self.correlations[1:]
 
     @cached_property
     def _transposed(self) -> np.ndarray:  # kept only where mixtures read it; see partial_transpose
@@ -135,8 +156,8 @@ class Spectra:
     @cached_property
     def tau(self) -> np.ndarray:
         """The covariance matrix τ = μ - a·bᵀ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ, read-only."""
-        mu, a, b = self.correlations
-        return _frozen(mu - a[..., :, None] * b[..., None, :])
+        a, b = self._marginals
+        return _frozen(self._mu - a[..., :, None] * b[..., None, :])
 
     def _at_reference(self, matrix: np.ndarray) -> np.ndarray:
         """Σ_m s_m·M_mm: the reference B basis is transposed, G_mᵀ = s_m·G_m."""
@@ -147,7 +168,7 @@ class Spectra:
     @cached_property
     def realigned(self) -> np.ndarray:
         """σ(μ) = σ(R(ρ)), non-increasing."""
-        return _stored(np.linalg.svd(self.correlations[0], compute_uv=False))
+        return _stored(np.linalg.svd(self._mu, compute_uv=False))
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -162,17 +183,17 @@ class Spectra:
     @cached_property
     def purity_a(self) -> float | np.ndarray:
         """Tr ρ_A² = |a|²."""
-        return _stored(np.square(self.correlations[1]).sum(axis=-1))
+        return _stored(np.square(self._marginals[0]).sum(axis=-1))
 
     @cached_property
     def purity_b(self) -> float | np.ndarray:
         """Tr ρ_B² = |b|²."""
-        return _stored(np.square(self.correlations[2]).sum(axis=-1))
+        return _stored(np.square(self._marginals[1]).sum(axis=-1))
 
     @cached_property
     def linear_at_reference(self) -> float | np.ndarray:
         """The linear witness value at the reference pair, 1 - Σ_m s_m·μ_mm."""
-        return _stored(1.0 - self._at_reference(self.correlations[0]))
+        return _stored(1.0 - self._at_reference(self._mu))
 
     @cached_property
     def nonlinear_at_reference(self) -> float | np.ndarray:
@@ -214,14 +235,19 @@ class Spectra:
         criterion's score, m the smaller dim, and exactly zero where that
         criterion detects nothing; ``bound_combined`` is the largest bound.
         ``bound_lmax`` (from ℒ_max - 1) is never weaker than ``bound_realign``."""
+        # One state's bounds are clamped in Python floats, with the bits of np.where
+        # and np.maximum: a bound is never NaN or -0.
         if name == "bound_combined":
-            return _unbatched(np.maximum.reduce([self.score(bound) for bound in _BOUND_SOURCES]))
+            bounds = [self.score(bound) for bound in _BOUND_SOURCES]
+            return max(bounds) if isinstance(bounds[0], float) else np.maximum.reduce(bounds)
         if name in _BOUND_SOURCES:
             m = min(self.dim_a, self.dim_b)
             if m < 2:
                 raise ValueError(f"concurrence bounds need min dim >= 2, got {m}")
-            score = self.score(_BOUND_SOURCES[name])
-            return _unbatched(np.where(detected(score), math.sqrt(2.0 / (m * (m - 1))) * score, 0.0))
+            score, factor = self.score(_BOUND_SOURCES[name]), math.sqrt(2.0 / (m * (m - 1)))
+            if isinstance(score, float):
+                return factor * score if detected(score) else 0.0
+            return np.where(detected(score), factor * score, 0.0)
         if name == "ppt":
             return _unbatched(np.abs(self.partial_transpose).sum(axis=-1) - 1.0)
         if name == "nonlinear_opt":

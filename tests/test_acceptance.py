@@ -6,9 +6,8 @@ see them); measured-but-not-asserted comparisons print as REPORT lines.
 import time
 
 import numpy as np
-import pytest
 
-from loowit import criteria, qstate, witness
+from loowit import criteria, qstate
 from loowit.cli import ScanSpec, run_scan
 from loowit.criteria import spectra
 from loowit.loo import gell_mann_basis, pauli_basis, rotate, transpose_basis

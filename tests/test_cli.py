@@ -528,7 +528,7 @@ class TestScan:
 
         def not_monotone(rho, criterion):
             scores, flags = scan_score(rho, criterion)
-            if len(scores) == 1:
+            if np.ndim(scores) == 0:  # a bisection step scores one midpoint, a float
                 steps.append(criterion)
                 if len(steps) == failing_step:
                     return scores - 1.0, flags
@@ -641,6 +641,16 @@ class TestScan:
             float(p), float(score)
             assert detected in ("0", "1")
             assert "," not in p
+
+    def test_csv_matches_the_per_row_format(self):
+        # scan_csv formats every row with one %-format; its bytes are those of
+        # one f-string per row, a negative zero, tiny and long values included.
+        spec = ScanSpec("noisy_singlet", 0.0, 1.0, criterion="realign")
+        rows = [(0.0, -0.0, False), (0.01, 5e-324, False), (0.3333333333333333, -1.2345678901234e-13, False),
+                (0.99, 0.123456789012345, True), (1.0, 1e300, True)]
+        text = scan_csv(cli.ScanResult(spec, rows, "ok", 0.5, 1e-4))
+        assert text == "p,score,detected\n" + "".join(f"{p:.10g},{s:.10g},{int(d)}\n" for p, s, d in rows)
+        assert text.splitlines()[1] == "0,-0,0"
 
 
 def scan_family(name, tmp_path):

@@ -205,6 +205,17 @@ class TestSpectra:
                 assert mixed.score(name)[i] == pytest.approx(single, rel=0, abs=1e-12)
                 assert endpoints.mixed(p).score(name) == mixed.score(name)[i]
         assert isinstance(endpoints.mixed(0.5).purity_a, float)
+        # A scalar p mixes to the bit as it does in a sequence, for every score:
+        # p·x₁ + (1-p)·x₂ is the same IEEE arithmetic either way.
+        for dims in ((2, 2), (3, 3), (2, 4), (3, 4)):
+            rho_1, rho_2 = samplers.random_mixed_state(*dims, rng, rank=2), samplers.random_separable_state(*dims, rng)
+            endpoints = spectra(np.stack([rho_1.as_tensor(), rho_2.as_tensor()]))
+            ps = [0.0, 1.0, *rng.uniform(0.0, 1.0, 20).tolist()]
+            mixed = endpoints.mixed(ps)
+            for name in criteria.SCORE_NAMES:
+                singles = [endpoints.mixed(p).score(name) for p in ps]
+                assert all(type(single) is float for single in singles), (dims, name)
+                assert np.array(singles).tobytes() == mixed.score(name).tobytes(), (dims, name)
 
     def test_mixed_needs_a_record_of_two_states(self):
         bell = make_state("bell")
@@ -213,7 +224,11 @@ class TestSpectra:
             with pytest.raises(ValueError, match="two states"):
                 record.mixed([0.5])
 
-    @pytest.mark.parametrize("ps", [[-0.2], [1.5], [0.5, np.nan], np.nan, True, [True]])
+    @pytest.mark.parametrize("ps", [[-0.2], [1.5], [0.5, np.nan], np.nan, True, [True],
+                                    *(pytest.param(p, id=f"scalar_{label}") for p, label in (
+                                        (-0.2, "negative"), (1.5, "above_one"), (float("nan"), "float_nan"),
+                                        (np.float64("nan"), "float64_nan"), (0.5 + 0j, "complex"),
+                                        ("0.5", "str"), (None, "None")))])
     def test_mixed_needs_each_p_in_the_unit_interval(self, ps):
         # p = -0.2 or 1.5 used to give the scores of a non-state, and NaN a LinAlgError.
         bell = make_state("bell")
@@ -235,7 +250,8 @@ class TestSpectra:
         "bound_combined": (2, 1, 1),
     }
 
-    @pytest.mark.parametrize("form", ["state", "stack", "mixed"], ids=["state", "stack", "mixed"])
+    @pytest.mark.parametrize("form", ["state", "stack", "mixed", "mixed_at_one_p"],
+                             ids=["state", "stack", "mixed", "mixed_at_one_p"])
     def test_each_score_takes_only_its_decompositions(self, monkeypatch, form):
         calls = []
 
@@ -250,12 +266,13 @@ class TestSpectra:
         for module, name in zip((criteria.np.linalg, criteria.np.linalg, criteria.loo), kinds):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         rho = make_state("upb_noise", 0.95)
-        state = {"state": rho, "stack": np.stack([rho.as_tensor()] * 3),
-                 "mixed": np.stack([rho.as_tensor(), make_state("upb_noise", 0.0).as_tensor()])}[form]
+        pair = np.stack([rho.as_tensor(), make_state("upb_noise", 0.0).as_tensor()])
+        state = {"state": rho, "stack": np.stack([rho.as_tensor()] * 3), "mixed": pair, "mixed_at_one_p": pair}[form]
 
         def record():
             # A record of mixtures decomposes only its mixes, never the endpoints.
-            return spectra(state).mixed([0.2, 0.6, 1.0]) if form == "mixed" else spectra(state)
+            ps = {"mixed": [0.2, 0.6, 1.0], "mixed_at_one_p": 0.6}.get(form)
+            return spectra(state) if ps is None else spectra(state).mixed(ps)
 
         def counts():
             return tuple(map(calls.count, kinds))
@@ -270,6 +287,35 @@ class TestSpectra:
         for name in criteria.SCORE_NAMES * 2:
             spec.score(name)
         assert counts() == (2, 1, 1)
+
+    # Fields each score mixes from the endpoints' record: μ, a, b and ρ^{T_A}.
+    MIXES = {
+        "ppt": 1,
+        "realign": 1,
+        "linear_opt": 1,
+        "nonlinear_opt": 3,
+        "bound_ppt": 1,
+        "bound_realign": 1,
+        "bound_lmax": 3,
+        "bound_combined": 4,
+    }
+
+    @pytest.mark.parametrize("ps", [0.6, [0.2, 0.6]], ids=["one_p", "two_p"])
+    def test_mixture_mixes_only_what_its_score_reads(self, monkeypatch, ps):
+        # A realign step mixes μ alone, not (a, b), which only τ and the purities read.
+        mixes = []
+        mix = criteria.Spectra._mix
+        monkeypatch.setattr(criteria.Spectra, "_mix", lambda self, pair: mixes.append(pair.shape) or mix(self, pair))
+        rho = make_state("upb_noise", 0.95)
+        pair = spectra(np.stack([rho.as_tensor(), make_state("upb_noise", 0.0).as_tensor()]))
+        assert set(self.MIXES) == set(criteria.SCORE_NAMES)
+        for name, expected in self.MIXES.items():
+            mixes.clear()
+            pair.mixed(ps).score(name)
+            assert len(mixes) == expected, name
+        mixes.clear()
+        pair.mixed(ps).score("realign")
+        assert mixes == [(2, 9, 9)]
 
     def test_stack_needs_equal_dims(self):
         # The last four axes of a stack must be one (d_a, d_b, d_a, d_b) tensor view.

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loowit import oracle, qstate, witness
+from loowit import oracle, qstate
 from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.qstate import DensityMatrix, make_state, realign, trace_norm
 from loowit.witness import (
