@@ -12,7 +12,6 @@ from .loo import (
     rotate,
     transpose_basis,
 )
-from .oracle import OracleReport, sampled_max_trace
 from .qstate import (
     DensityMatrix,
     SchmidtDecomposition,
@@ -45,7 +44,6 @@ __all__ = [
     "LOOBasis",
     "LinearOptimum",
     "NonlinearOptimum",
-    "OracleReport",
     "OrthogonalRotation",
     "SchmidtDecomposition",
     "Spectra",

@@ -1,7 +1,8 @@
 """Command-line front end: state generation, analysis, one-parameter family
-scans with bisection thresholds, and Monte-Carlo oracle runs.
+scans with bisection thresholds, and trace-inequality certificates of the optima.
 
-Exit codes: 0 success, 1 invalid input or a usage error, 2 no threshold found in a scan.
+Exit codes: 0 success, 1 invalid input or a usage error, 2 no threshold found in a scan,
+3 an optimum that its bases do not certify (``oracle`` prints FAILED).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codec, criteria, oracle, qstate
+from . import codec, criteria, qstate, witness
 from .qstate import DensityMatrix
 
 FAMILY_NAMES = ("upb_noise", "noisy_singlet", "noise_mixture", "mixture")
@@ -285,15 +286,16 @@ def cmd_scan(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    record = criteria.spectra(load_valid_state(args.state))
-    for name, matrix in (("mu", record.correlations[0]), ("tau", record.tau)):
-        report = oracle.sampled_max_trace(matrix, args.samples, args.seed, target=name)
-        print(
-            f"target {report.target}: analytic={report.analytic_value!r} "
-            f"best_sampled={report.best_sampled!r} gap={report.gap!r} "
-            f"samples={report.samples} seed={report.seed}"
-        )
-    return 0
+    rho = load_valid_state(args.state)
+    record = criteria.spectra(rho)
+    code = 0
+    for target, kind in (("mu", "linear"), ("tau", "nonlinear")):
+        analytic, basis_a, basis_b = record.optimum(kind)
+        lower, upper, certified = witness.optimum_bracket(rho, kind, analytic, basis_a, basis_b)
+        print(f"target {target}: analytic={analytic!r} lower={lower!r} upper={upper!r} "
+              + ("certified" if certified else "FAILED"))
+        code = code if certified else 3
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -343,10 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p_scan.set_defaults(func=cmd_scan)
 
-    p_or = sub.add_parser("oracle", help="Monte-Carlo check of the closed-form optima")
+    p_or = sub.add_parser("oracle", help="certify the closed-form optima at their bases (trace inequality)")
     p_or.add_argument("--state", required=True)
-    p_or.add_argument("--samples", type=int, default=1000)
-    p_or.add_argument("--seed", type=int, default=0)
     p_or.set_defaults(func=cmd_oracle)
 
     return parser

@@ -30,8 +30,9 @@ ORTHOGONALITY_TOL = 1e-10
 class LOOBasis:
     """Ordered set of dim² Hermitian dim×dim observables, stacked on axis 0.
     Built only with a positive integer dim (Python or NumPy, not bool), the
-    right shape and every G_k Hermitian within 1e-10 (NaN fails); completeness
-    and orthonormality are not checked."""
+    right shape, every G_k Hermitian within h = 1e-10 (NaN fails), and trace-orthonormal,
+    hence complete, within (1 + dim·h)² - 1 + 2·dim²·ε: what entry errors up to h
+    do to Tr(G_k G_l), plus the Gram's rounding (ε: float64 machine epsilon)."""
 
     dim: int
     observables: np.ndarray
@@ -47,6 +48,9 @@ class LOOBasis:
         residual = hermiticity_residual(self)
         if not residual <= HERMITICITY_TOL:  # NaN fails too
             raise ValueError(f"basis is not Hermitian: max |G_k - G_k^dagger| = {residual!r}")
+        residual = orthonormality_residual(self)
+        if not residual <= (1 + dim * HERMITICITY_TOL) ** 2 - 1 + 2 * dim**2 * np.finfo(float).eps:
+            raise ValueError(f"basis is not orthonormal: max |Tr(G_k G_l) - delta_kl| = {residual!r}")
 
     def __len__(self) -> int:
         return self.observables.shape[0]
@@ -65,9 +69,10 @@ def hermiticity_residual(basis: LOOBasis) -> float:
 
 
 def orthonormality_residual(basis: LOOBasis) -> float:
-    """max |Tr(G_k G_l) - δ_kl| over all pairs."""
-    vecs = basis.observables.reshape(len(basis), -1)
-    gram = vecs @ vecs.conj().T
+    """max |Tr(G_k G_l) - δ_kl| over all pairs, from the real Gram Re Tr(G_k G_l†)
+    of the flat observables, which is Tr(G_k G_l) for Hermitian G_k."""
+    vecs = basis.observables.reshape(len(basis), -1).view(float)
+    gram = vecs @ vecs.T
     return float(np.abs(gram - np.eye(len(basis))).max())
 
 

@@ -22,11 +22,13 @@ optimizing bases come from the SVD factors.
 
 :func:`linear_witness_value` and :func:`nonlinear_witness_value` read the
 record in user-supplied bases; the optima are read from the record of
-:func:`loowit.criteria.spectra` by :meth:`~loowit.criteria.Spectra.optimum`.
+:func:`loowit.criteria.spectra` by :meth:`~loowit.criteria.Spectra.optimum`,
+and :func:`optimum_bracket` certifies them at their bases.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -45,14 +47,42 @@ def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOB
     """Nonlinear witness value 1 - Σ_k τ_kk - (Tr ρ_A² + Tr ρ_B²)/2, with the
     purities read as |a|², |b|² from the same record as τ = μ - a·bᵀ.
 
-    Equal to the defining form only for complete trace-orthonormal bases
-    (:class:`LOOBasis` checks shape and Hermiticity, not completeness),
-    because it uses Σ_k ⟨G_k^A ⊗ I⟩² = Tr ρ_A² and likewise for B.  On
-    rectangular states k runs over the shorter basis; the purities count the
-    unpaired terms.
+    It uses Σ_k ⟨G_k^A ⊗ I⟩² = Tr ρ_A², and likewise for B, which holds
+    because every :class:`LOOBasis` is complete.  On rectangular states k runs
+    over the shorter basis; the purities count the unpaired terms.
     """
     mu, a, b = correlations(qstate.realign(rho), basis_a, basis_b)
     return 1.0 - float(np.trace(mu - np.outer(a, b))) - float(a @ a + b @ b) / 2.0
+
+
+def optimum_bracket(rho: DensityMatrix, kind: str, analytic: float, basis_a: LOOBasis, basis_b: LOOBasis):
+    """(lower, upper, certified) for ``analytic`` = ‖M‖_tr, M = μ (``"linear"``) or
+    τ (``"nonlinear"``), at the bases that :meth:`~loowit.criteria.Spectra.optimum` gives with it.
+
+    D is M in those bases, by the frame product of :func:`loo.correlations` (no
+    SVD); E is its off-diagonal part and k = min(D.shape).  D = O_A·M·O_Bᵀ for
+    orthogonal O_A, O_B, so by von Neumann's trace inequality and ‖E‖_tr ≤ √k·‖E‖_F,
+    lower = Tr D ≤ ‖M‖_tr ≤ Σ|D_ii| + √k·‖E‖_F = upper: both are Σσ(M) at the
+    optimum, and a wrong SVD factor or rotation leaves off-diagonal mass.
+
+    Certified: upper - lower ≤ A and lower - A ≤ analytic ≤ upper + A, where
+    A = 24·√k·n·ε, n = d_A² + d_B², ε the float64 epsilon.  In the first-order
+    rounding model a backward-stable stage of size ≤ n (a frame or rotation
+    product, an SVD) moves its matrix by ≤ n·ε·‖·‖_F, and ‖M‖_F ≤ ‖R(ρ)‖_F +
+    ‖R(ρ_A⊗ρ_B)‖_F ≤ 2.  Four stages (frame product to M, SVD, basis rotations,
+    frame product to D) put D within δ = 8·n·ε of the SVD's Σ; so Tr D, Σ|D_ii|
+    and √k·‖E‖_F each move by ≤ √k·δ, the width is ≤ 3·√k·δ = A and each end
+    lies within A of ``analytic``.
+    """
+    if kind not in ("linear", "nonlinear"):
+        raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
+    mu, a, b = correlations(qstate.realign(rho), basis_a, basis_b)
+    d = mu - np.outer(a, b) if kind == "nonlinear" else mu
+    k, diagonal = min(d.shape), np.diagonal(d)
+    lower = float(diagonal.sum())
+    upper = float(np.abs(diagonal).sum() + math.sqrt(k) * np.linalg.norm(d[~np.eye(*d.shape, dtype=bool)]))
+    allowance = 24 * math.sqrt(k) * sum(d.shape) * math.ulp(1.0)  # ulp(1.0) = ε
+    return lower, upper, upper - lower <= allowance and lower - allowance <= analytic <= upper + allowance
 
 
 class LinearOptimum(NamedTuple):

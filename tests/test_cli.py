@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -253,8 +254,10 @@ class TestAnalysisDocument:
         "analyze": (1, 2, 0),
         "analyze --json": (1, 2, 0),
         "analyze --json --emit-bases": (1, 2, 2),
-        # The oracle's two values-only SVDs are its own analytic maxima of μ and τ.
-        "oracle --samples 10": (1, 2, 0),
+        # The oracle reads each target's value and bases from the record's full SVD
+        # of μ or τ, then re-forms it in those bases: one more realign and frame
+        # product per target, and no values-only SVD.
+        "oracle": (3, 0, 2),
     }
 
     @pytest.mark.parametrize("request_args", list(REQUEST_DECOMPOSITIONS))
@@ -717,21 +720,54 @@ class TestBatchedGrid:
 
 
 class TestOracleCommand:
-    def test_gaps_nonnegative(self, bell_file, capsys):
-        assert main(["oracle", "--state", bell_file, "--samples", "500", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "target mu:" in out and "target tau:" in out
-        for line in out.strip().splitlines():
-            gap = float(line.split("gap=")[1].split(" ")[0])
-            assert gap >= -1e-9
+    def test_both_targets_certified(self, bell_file, capsys):
+        assert main(["oracle", "--state", bell_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["target mu", "target tau"]
+        for line, analytic in zip(lines, (2.0, 1.5)):  # ‖μ‖_tr = 2 and ‖τ‖_tr = 3/2 for a Bell state
+            assert line.endswith(" certified")
+            values = dict(field.split("=") for field in line.split()[2:5])
+            assert float(values["analytic"]) == pytest.approx(analytic, rel=0, abs=1e-14)
+            assert float(values["lower"]) - 1e-14 <= analytic <= float(values["upper"]) + 1e-14
 
-    def test_fixed_seed_identical_bytes(self, bell_file, capsys):
-        argv = ["oracle", "--state", bell_file, "--samples", "300", "--seed", "11"]
+    def test_identical_bytes_on_repeat(self, bell_file, capsys):
+        argv = ["oracle", "--state", bell_file]
         main(argv)
         first = capsys.readouterr().out
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_sampling_flags_are_usage_errors(self, bell_file, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--state", bell_file, flag, "10"])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
+
+    def test_wrong_rotation_fails_with_exit_3(self, bell_file, capsys, monkeypatch):
+        # Swapping the first two A observables swaps two rows of D: the
+        # singular values leave the diagonal and the bracket opens.
+        optimum = criteria.Spectra.optimum
+
+        def swapped(self, kind):
+            value, basis_a, basis_b = optimum(self, kind)
+            swap = np.eye(len(basis_a))[[1, 0, *range(2, len(basis_a))]]
+            return value, loo.rotate(basis_a, swap), basis_b
+
+        monkeypatch.setattr(criteria.Spectra, "optimum", swapped)
+        assert main(["oracle", "--state", bell_file]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and all(line.endswith(" FAILED") for line in lines)
+
+    def test_sixteen_by_sixteen_under_a_second(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        save_state(samplers.random_mixed_state(16, 16, np.random.default_rng(16)), path)
+        start = time.perf_counter()
+        assert main(["oracle", "--state", str(path)]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out.count(" certified\n") == 2
+        assert elapsed < 1.0
 
 
 class TestInputValidation:
@@ -762,7 +798,7 @@ class TestInputValidation:
         assert "invalid state: unit_trace violated, residual" in capsys.readouterr().err
 
     def test_oracle_rejects_invalid_state(self, identity_file, capsys):
-        assert main(["oracle", "--state", identity_file, "--samples", "10"]) == 1
+        assert main(["oracle", "--state", identity_file]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid state: unit_trace violated, residual" in captured.err
@@ -795,7 +831,7 @@ class TestInputValidation:
             ["analyze", "--state"],
             ["scan", "--family", "noise_mixture", "--criterion", "ppt", "--state"],
             ["scan", "--family", "noise_mixture", "--criterion", "bound_lmax", "--state"],
-            ["oracle", "--samples", "10", "--state"],
+            ["oracle", "--state"],
         ],
         ids=["analyze", "scan_ppt", "scan_bound", "oracle"],
     )
@@ -808,7 +844,7 @@ class TestInputValidation:
         [
             ["analyze", "--state"],
             ["scan", "--family", "noise_mixture", "--criterion", "ppt", "--state"],
-            ["oracle", "--samples", "10", "--state"],
+            ["oracle", "--state"],
         ],
         ids=["analyze", "scan", "oracle"],
     )

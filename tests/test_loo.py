@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loowit import loo, oracle, qstate, witness
+from loowit import loo, qstate, witness
 from loowit.criteria import spectra
 from loowit.loo import (
     LOOBasis,
@@ -16,6 +16,7 @@ from loowit.loo import (
 from loowit.qstate import make_state
 from loowit.witness import optimal_linear_min
 
+import oracles
 import samplers
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -264,6 +265,25 @@ class TestBasisChecks:
         observables[0, 0, 1] += 0.9e-10
         assert hermiticity_residual(LOOBasis(3, observables)) == pytest.approx(0.9e-10, rel=1e-6)
 
+    @pytest.mark.parametrize("value", [witness.linear_witness_value, witness.nonlinear_witness_value])
+    def test_orthonormality_checked_when_built(self, value):
+        # Twice the Pauli basis is Hermitian but has Tr(G_k G_l) = 2·δ_kl; both
+        # witness values used to read -3.0 on |00⟩, a false detection.
+        message = r"basis is not orthonormal: max \|Tr\(G_k G_l\) - delta_kl\| = (3\.0|2\.99)"
+        with pytest.raises(ValueError, match=message):
+            value(qstate.pure_state([1, 0, 0, 0], 2, 2), LOOBasis(2, 2 * pauli_basis().observables), pauli_basis())
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_orthonormality_tolerance(self, d):
+        # Entry errors up to the Hermiticity tolerance h move Tr(G_k G_l) by at
+        # most (1 + d·h)² - 1, and the Gram's rounding by at most 2d²ε.
+        tol = (1 + d * qstate.HERMITICITY_TOL) ** 2 - 1 + 2 * d**2 * np.finfo(float).eps
+        observables = gell_mann_basis(d).observables
+        inside = LOOBasis(d, observables * np.sqrt(1 + 0.9 * tol))  # Tr(G_k G_k) = 1 + 0.9·tol
+        assert orthonormality_residual(inside) == pytest.approx(0.9 * tol, rel=1e-3)
+        with pytest.raises(ValueError, match="basis is not orthonormal"):
+            LOOBasis(d, observables * np.sqrt(1 + 1.1 * tol))
+
     # Inputs that numpy would silently coerce: a float or bool dim (4.0 == 4,
     # so the shape check passes), and a complex or bool matrix where real
     # numbers are meant (the imaginary part would be dropped).
@@ -275,8 +295,8 @@ class TestBasisChecks:
             (lambda: OrthogonalRotation(np.eye(4) + 1e-3j * np.eye(4)[::-1]), "real numbers"),
             (lambda: rotate(pauli_basis(), np.eye(4) + 1e-3j * np.eye(4)[::-1]), "real numbers"),
             (lambda: OrthogonalRotation(np.eye(4, dtype=bool)), "real numbers"),
-            (lambda: oracle.sampled_max_trace(np.eye(3) * (1 + 1j), 10, 0), "real numbers"),
-            (lambda: oracle.sampled_max_trace(np.eye(3, dtype=bool), 10, 0), "real numbers"),
+            (lambda: oracles.sampled_max_trace(np.eye(3) * (1 + 1j), 10, 0), "real numbers"),
+            (lambda: oracles.sampled_max_trace(np.eye(3, dtype=bool), 10, 0), "real numbers"),
         ],
         ids=["float_dim", "bool_dim", "complex_rotation", "complex_rotate", "bool_rotation",
              "complex_oracle_matrix", "bool_oracle_matrix"],

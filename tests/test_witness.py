@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loowit import oracle, qstate
+from loowit import qstate
+from loowit.criteria import spectra
 from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.qstate import DensityMatrix, make_state, realign, trace_norm
 from loowit.witness import (
@@ -12,8 +13,10 @@ from loowit.witness import (
     nonlinear_witness_value,
     optimal_linear_min,
     optimal_nonlinear_min,
+    optimum_bracket,
 )
 
+import oracles
 import samplers
 from samplers import correlation_matrix, covariance_matrix
 
@@ -302,8 +305,7 @@ class TestInvariantsAndProperties:
         mu = correlation_matrix(rho, gell_mann_basis(2), gell_mann_basis(3))
         tau = covariance_matrix(rho, gell_mann_basis(2), gell_mann_basis(3))
         for data in (mu, tau):
-            report = oracle.sampled_max_trace(data, 1000, seed=42)
-            assert report.best_sampled <= trace_norm(data) + 1e-9
+            assert oracles.sampled_max_trace(data, 1000, seed=42) <= trace_norm(data) + 1e-9
 
     def test_rectangular_padding_leaves_singular_values(self):
         rng = np.random.default_rng(42)
@@ -334,3 +336,58 @@ class TestInvariantsAndProperties:
                 lin = optimal_linear_min(rho).value
                 assert non <= lin + 1e-9
 
+
+def swap_first_two(m: np.ndarray, axis: int) -> np.ndarray:
+    order = [1, 0, *range(2, m.shape[axis])]
+    return m[:, order] if axis == 1 else m[order]
+
+
+class TestOptimumBracket:
+    """Von Neumann's trace inequality at the bases that come with each optimum."""
+
+    @pytest.mark.parametrize("rank", [1, 2, None], ids=["rank1", "rank2", "full"])
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (3, 3), (4, 4), (8, 8), (12, 12), (16, 16), (3, 5), (2, 16)], ids=lambda d: f"{d[0]}x{d[1]}"
+    )
+    def test_emitted_bases_certified(self, dims, rank):
+        rho = samplers.random_mixed_state(*dims, np.random.default_rng(sum(dims)), rank=rank)
+        record = spectra(rho)
+        for kind, matrix in (("linear", record.correlations[0]), ("nonlinear", record.tau)):
+            analytic, basis_a, basis_b = record.optimum(kind)
+            lower, upper, certified = optimum_bracket(rho, kind, analytic, basis_a, basis_b)
+            assert certified, (kind, analytic, lower, upper)
+            assert analytic == pytest.approx(trace_norm(matrix), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("change", ["swap_u_columns", "swap_vt_rows", "tilt_u"])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (16, 16)], ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_perturbed_rotation_fails(self, dims, change):
+        # The bases of Spectra.optimum, rebuilt from the same SVD, certify; a
+        # swap of two singular vectors, or a 1e-6 rad turn between two, does not.
+        rho = samplers.random_mixed_state(*dims, np.random.default_rng(7))
+        record = spectra(rho)
+        for kind, matrix in (("linear", record.correlations[0]), ("nonlinear", record.tau)):
+            u, s, vt = np.linalg.svd(matrix)
+            bases = [rotate(gell_mann_basis(dims[0]), u.T), rotate(gell_mann_basis(dims[1]), vt)]
+            assert optimum_bracket(rho, kind, s.sum(), *bases)[2]
+            if change == "swap_u_columns":
+                u = swap_first_two(u, axis=1)
+            elif change == "swap_vt_rows":
+                vt = swap_first_two(vt, axis=0)
+            else:
+                turn = np.eye(len(u))
+                turn[:2, :2] = [[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]]
+                u = u @ turn
+            bases = [rotate(gell_mann_basis(dims[0]), u.T), rotate(gell_mann_basis(dims[1]), vt)]
+            assert not optimum_bracket(rho, kind, s.sum(), *bases)[2]
+
+    def test_wrong_analytic_value_fails(self):
+        rho = samplers.random_mixed_state(3, 3, np.random.default_rng(8))
+        analytic, basis_a, basis_b = spectra(rho).optimum("linear")
+        assert optimum_bracket(rho, "linear", analytic, basis_a, basis_b)[2]
+        assert not optimum_bracket(rho, "linear", analytic * (1 + 1e-9), basis_a, basis_b)[2]
+        assert not optimum_bracket(rho, "linear", analytic * (1 - 1e-9), basis_a, basis_b)[2]
+
+    def test_unknown_kind_rejected(self):
+        rho = make_state("bell")
+        with pytest.raises(ValueError, match="kind"):
+            optimum_bracket(rho, "mu", 2.0, pauli_basis(), pauli_basis())
