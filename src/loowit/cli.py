@@ -61,19 +61,11 @@ class ScanSpec:
                 raise ValueError(f"{label} must be finite and >= {MIN_TOL}, got {value}")
 
 
-class InvalidState(ValueError):
-    """A loaded state that violates an invariant; one message line per violation."""
-
-
-def load_valid_state(path) -> DensityMatrix:
-    """Load a state file and require a density matrix with both dims >= 2."""
+def load_state_file(path) -> DensityMatrix:
+    """Load a state file with both dims >= 2; :func:`criteria.spectra` checks that it is a state."""
     rho = codec.load_state(path)
     if min(rho.dim_a, rho.dim_b) < 2:
         raise ValueError(f"subsystem dimensions must be at least 2, got ({rho.dim_a}, {rho.dim_b})")
-    violations = qstate.validate(rho)
-    if violations:
-        lines = (f"invalid state: {v.invariant} violated, residual {v.residual!r}" for v in violations)
-        raise InvalidState("\n".join(lines))
     return rho
 
 
@@ -111,7 +103,8 @@ def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> 
     grid in stacked chunks of at most GRID_CHUNK_ENTRIES matrix entries (one
     chunk for the default 101-point grid while dim_a·dim_b <= 25), then
     bisect the first crossing serially, one scored state per step.  Each is
-    scored as mixes of the endpoints' record (:meth:`criteria.Spectra.mixed`);
+    scored as mixes (:meth:`criteria.Spectra.mixed`) of the endpoints' record,
+    whose :func:`criteria.spectra` checks that both are states;
     a step mixes at its scalar midpoint, so its score and flag are a float and
     a bool, to the bit those of that midpoint in a chunk.
 
@@ -156,7 +149,7 @@ def scan_csv(result: ScanResult) -> str:
 
 
 def _load_family(args) -> tuple[DensityMatrix, DensityMatrix]:
-    """The validated endpoints (ρ₁, ρ₂) of the family p·ρ₁ + (1-p)·ρ₂."""
+    """The endpoints (ρ₁, ρ₂) of the family p·ρ₁ + (1-p)·ρ₂, checked by :func:`run_scan`."""
     name = args.family
     if args.state and name in ("upb_noise", "noisy_singlet"):
         raise ValueError(f"family {name!r} reads no --state file")
@@ -167,13 +160,12 @@ def _load_family(args) -> tuple[DensityMatrix, DensityMatrix]:
     if name == "noise_mixture":
         if not args.state:
             raise ValueError("family 'noise_mixture' requires --state")
-        base = load_valid_state(args.state)
+        base = load_state_file(args.state)
         return base, qstate.white_noise_mixture(base, 0.0)
     if name == "mixture":
         if not (args.state and args.state2):
             raise ValueError("family 'mixture' requires --state and --state2")
-        first = load_valid_state(args.state)
-        second = load_valid_state(args.state2)
+        first, second = load_state_file(args.state), load_state_file(args.state2)
         qstate._check_equal_dims(first, second)
         return first, second
     raise ValueError(f"unknown family {name!r}")
@@ -242,8 +234,7 @@ def _print_analysis(doc: dict) -> None:
 def cmd_analyze(args) -> int:
     if args.emit_bases and not args.json:
         raise ValueError("--emit-bases needs --json: the bases appear only in the JSON output")
-    rho = load_valid_state(args.state)
-    doc = _analysis_document(rho, args.emit_bases)
+    doc = _analysis_document(load_state_file(args.state), args.emit_bases)
     if args.json:
         codec.write_json(doc, sys.stdout)
     else:
@@ -286,12 +277,11 @@ def cmd_scan(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    rho = load_valid_state(args.state)
-    record = criteria.spectra(rho)
+    record = criteria.spectra(load_state_file(args.state))
     code = 0
     for target, kind in (("mu", "linear"), ("tau", "nonlinear")):
         analytic, basis_a, basis_b = record.optimum(kind)
-        lower, upper, certified = witness.optimum_bracket(rho, kind, analytic, basis_a, basis_b)
+        lower, upper, certified = witness.optimum_bracket(record, kind, analytic, basis_a, basis_b)
         print(f"target {target}: analytic={analytic!r} lower={lower!r} upper={upper!r} "
               + ("certified" if certified else "FAILED"))
         code = code if certified else 3
@@ -357,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidState as exc:
+    except criteria.InvalidState as exc:
         print(exc, file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

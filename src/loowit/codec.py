@@ -8,7 +8,7 @@ matrix row-major over the product basis.  Entries must be JSON numbers
 for the JSON parser.  Floats round-trip bit-exactly: the writers format each
 one with float.__repr__, as json does, whether through json.dumps (state
 files) or through write_pairs_json (the indented bases of `analyze --json`).
-The CLI also validates every state it reads and requires both dims >= 2.
+criteria.spectra checks that a loaded matrix is a state; the CLI needs dims >= 2.
 
 JSON whitespace is exactly space, tab, newline and carriage return.  A
 document in ASCII with exactly these keys in this order, in the nesting

@@ -90,7 +90,7 @@ class Spectra:
     therefore raised by the first read of a field or score that needs it.
 
     For a stack of states every field, score and bound gains a leading batch
-    axis; for one state they are Python floats.  See :meth:`mixed` for mixtures."""
+    axis; for one state they are Python floats.  Every record is of states: see :func:`spectra` and :meth:`mixed`."""
 
     dim_a: int
     dim_b: int
@@ -106,7 +106,7 @@ class Spectra:
         the endpoints' at p = 1 and 0, else equal up to rounding, and to the bit
         the same for a scalar p as for that p in a sequence.
         A p that is not a real number (an int or float), is NaN or is outside [0, 1]
-        raises, as in :func:`qstate.mixture`."""
+        raises, as in :func:`qstate.mixture`.  No state is checked again: a mixture of states is a state."""
         if self._batch_shape != (2,):
             raise ValueError("mixtures need the record of a stack of two states")
         if qstate._is_real_number(ps):  # one p, checked by plain comparisons, which NaN fails
@@ -138,6 +138,15 @@ class Spectra:
         if self._endpoints:
             return (self._mu, *self._marginals)
         return tuple(map(_frozen, loo.correlations(qstate.realign(self._tensor))))
+
+    def in_bases(self, basis_a: loo.LOOBasis | None = None, basis_b: loo.LOOBasis | None = None):
+        """The read-only (μ, a, b) of :func:`loo.correlations` in a LOO pair, a side left None being
+        Gell-Mann: :attr:`correlations`, else formed per call (for a mixture, from its endpoints')."""
+        if basis_a is None and basis_b is None:
+            return self.correlations
+        if self._endpoints:
+            return tuple(map(self._mix, self._endpoints[0].in_bases(basis_a, basis_b)))
+        return tuple(map(_frozen, loo.correlations(qstate.realign(self._tensor), basis_a, basis_b)))
 
     @cached_property
     def _mu(self) -> np.ndarray:  # μ alone, so that a mixture mixes only what its scores read
@@ -257,17 +266,32 @@ class Spectra:
         raise ValueError(f"unknown score name {name!r}; known: {', '.join(SCORE_NAMES)}")
 
 
+class InvalidState(ValueError):
+    """Not a state: one ``invalid state: …`` line per invariant of :func:`qstate.validate` violated."""
+
+
 def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
     """The :class:`Spectra` record of one state, or of a (k, d_a, d_b, d_a, d_b)
     stack of tensor views (see :meth:`DensityMatrix.as_tensor`), whose fields
     and scores then have a leading batch axis.
 
-    Only the input is checked here; each decomposition runs on the first read
-    of a field or score that needs it, once over a whole stack (see
-    :class:`Spectra`).  An array is copied read-only, so writing to it later
-    changes no field; a DensityMatrix's data is already read-only.
-    :meth:`Spectra.mixed` gives mixtures' records."""
+    The library's one check that its input is a state: the first state to fail
+    :func:`qstate.validate` (one eigensolve for a whole stack) raises :class:`InvalidState`,
+    and a dtype that is not a number (bool, str, object) ValueError.  Each decomposition
+    runs on the first read of a field or score that needs it, once over a whole stack (see
+    :class:`Spectra`).  An array is copied read-only, so writing to it later changes no
+    field; a DensityMatrix's data is already read-only.  Mixtures: :meth:`Spectra.mixed`."""
     tensor = qstate.tensor_view(rho)
+    if tensor.dtype.kind not in "iufc":  # ints, floats and complex; not bool, str or object
+        raise ValueError(f"state entries must be numbers, got dtype {tensor.dtype}")
     if not isinstance(rho, DensityMatrix):
         tensor = _frozen(tensor.copy())
+    m = tensor.reshape(tensor.shape[:-4] + (math.prod(tensor.shape[-4:-2]),) * 2)  # the state matrices
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    h = np.where(finite[..., None, None], m, 0)  # eigvalsh may not converge on a non-finite state
+    eigenvalues = np.linalg.eigvalsh((h + h.conj().swapaxes(-1, -2)) / 2)
+    for state in np.ndindex(finite.shape):
+        if violations := qstate._violations(m[state], eigenvalues[state] if finite[state] else None):
+            lines = (f"invalid state: {v.invariant} violated, residual {v.residual!r}" for v in violations)
+            raise InvalidState("\n".join(lines))
     return Spectra(*tensor.shape[-4:-2], tensor)

@@ -20,10 +20,10 @@ Tr ρ_A² = |a|² and Tr ρ_B² = |b|².  The values are
 1 - Σ_k σ_k(μ) and 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2, and the
 optimizing bases come from the SVD factors.
 
-:func:`linear_witness_value` and :func:`nonlinear_witness_value` read the
-record in user-supplied bases; the optima are read from the record of
-:func:`loowit.criteria.spectra` by :meth:`~loowit.criteria.Spectra.optimum`,
-and :func:`optimum_bracket` certifies them at their bases.
+Each function of a state reads the record of :func:`loowit.criteria.spectra`,
+which raises ValueError on a non-state (one eigensolve per call): the witness
+values in user-supplied bases, and the optima by ``Spectra.optimum``, which
+:func:`optimum_bracket` certifies at their bases from the same record.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import criteria, qstate
-from .loo import LOOBasis, correlations
+from . import criteria
+from .loo import LOOBasis
 from .qstate import DensityMatrix
 
 
 def linear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
     """1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩ = 1 - Σ_k μ_kk for the given basis pair."""
-    return 1.0 - float(np.trace(correlations(qstate.realign(rho), basis_a, basis_b)[0]))
+    return 1.0 - float(np.trace(criteria.spectra(rho).in_bases(basis_a, basis_b)[0]))
 
 
 def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
@@ -51,16 +51,16 @@ def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOB
     because every :class:`LOOBasis` is complete.  On rectangular states k runs
     over the shorter basis; the purities count the unpaired terms.
     """
-    mu, a, b = correlations(qstate.realign(rho), basis_a, basis_b)
+    mu, a, b = criteria.spectra(rho).in_bases(basis_a, basis_b)
     return 1.0 - float(np.trace(mu - np.outer(a, b))) - float(a @ a + b @ b) / 2.0
 
 
-def optimum_bracket(rho: DensityMatrix, kind: str, analytic: float, basis_a: LOOBasis, basis_b: LOOBasis):
-    """(lower, upper, certified) for ``analytic`` = ‖M‖_tr, M = μ (``"linear"``) or
-    τ (``"nonlinear"``), at the bases that :meth:`~loowit.criteria.Spectra.optimum` gives with it.
+def optimum_bracket(record: criteria.Spectra, kind: str, analytic: float, basis_a: LOOBasis, basis_b: LOOBasis):
+    """(lower, upper, certified) for ``analytic`` = ‖M‖_tr, M = μ (``"linear"``) or τ (``"nonlinear"``)
+    of one state's ``record``, at the bases that its :meth:`~loowit.criteria.Spectra.optimum` gives with it.
 
-    D is M in those bases, by the frame product of :func:`loo.correlations` (no
-    SVD); E is its off-diagonal part and k = min(D.shape).  D = O_A·M·O_Bᵀ for
+    D is M in those bases, by the frame product of :meth:`~loowit.criteria.Spectra.in_bases`
+    (no SVD); E is its off-diagonal part and k = min(D.shape).  D = O_A·M·O_Bᵀ for
     orthogonal O_A, O_B, so by von Neumann's trace inequality and ‖E‖_tr ≤ √k·‖E‖_F,
     lower = Tr D ≤ ‖M‖_tr ≤ Σ|D_ii| + √k·‖E‖_F = upper: both are Σσ(M) at the
     optimum, and a wrong SVD factor or rotation leaves off-diagonal mass.
@@ -76,7 +76,7 @@ def optimum_bracket(rho: DensityMatrix, kind: str, analytic: float, basis_a: LOO
     """
     if kind not in ("linear", "nonlinear"):
         raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
-    mu, a, b = correlations(qstate.realign(rho), basis_a, basis_b)
+    mu, a, b = record.in_bases(basis_a, basis_b)
     d = mu - np.outer(a, b) if kind == "nonlinear" else mu
     k, diagonal = min(d.shape), np.diagonal(d)
     lower = float(diagonal.sum())
@@ -124,10 +124,11 @@ def optimal_nonlinear_min(rho: DensityMatrix) -> NonlinearOptimum:
 def lmax_pure(coefficients) -> float:
     """Nonlinear-witness maximum of a pure state from its Schmidt coefficients.
 
-    ``coefficients`` are the Schmidt coefficients c_i = √μ_i (non-negative,
-    Σ c_i² = 1); the maximum is (Σ_i c_i)².
-    """
-    c = np.asarray(coefficients, dtype=float)
+    ``coefficients``, a 1-D array of ints or floats, are the Schmidt
+    coefficients c_i = √μ_i (non-negative, Σ c_i² = 1); the maximum is (Σ_i c_i)²."""
+    c = np.asarray(coefficients)
+    if c.ndim != 1 or c.dtype.kind not in "iuf":  # ints and floats; not bool, complex, str or object
+        raise ValueError(f"Schmidt coefficients must be a 1-D array of real numbers, got {coefficients!r}")
     if c.size == 0 or (c < 0).any():
         raise ValueError("Schmidt coefficients must be non-negative")
     total = float(c @ c)

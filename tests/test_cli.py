@@ -56,6 +56,22 @@ def one_by_two_file(tmp_path):
     return str(path)
 
 
+def count_decompositions(monkeypatch):
+    """The list that each later call of realign, svd (values-only or not), eigvalsh or eigh appends to."""
+    calls = []
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls.append(name if kwargs.get("compute_uv", True) else "values-only " + name)
+            return function(*args, **kwargs)
+
+        return call
+
+    for module, name in ((qstate, "realign"), (np.linalg, "svd"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 class TestGen:
     def test_bell_file_round_trips(self, tmp_path):
         out = tmp_path / "bell.json"
@@ -249,37 +265,30 @@ class TestAnalysisDocument:
             expected["optimal_bases"][kind] = {"basis_a": encode(result.basis_a), "basis_b": encode(result.basis_b)}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
-    # Gell-Mann records (one qstate.realign each), values-only SVDs and full SVDs per request.
+    # Gell-Mann records (one qstate.realign each), values-only SVDs, full SVDs and
+    # eigensolves per request.  The record's state check takes one eigensolve, and
+    # every score but ppt none.
     REQUEST_DECOMPOSITIONS = {
-        "analyze": (1, 2, 0),
-        "analyze --json": (1, 2, 0),
-        "analyze --json --emit-bases": (1, 2, 2),
+        "analyze": (1, 2, 0, 2),
+        "analyze --json": (1, 2, 0, 2),
+        "analyze --json --emit-bases": (1, 2, 2, 2),
         # The oracle reads each target's value and bases from the record's full SVD
         # of μ or τ, then re-forms it in those bases: one more realign and frame
         # product per target, and no values-only SVD.
-        "oracle": (3, 0, 2),
+        "oracle": (3, 0, 2, 1),
     }
 
     @pytest.mark.parametrize("request_args", list(REQUEST_DECOMPOSITIONS))
     def test_request_builds_one_record(self, monkeypatch, tmp_path, capsys, request_args):
         # The scores, the emitted bases and the oracle all read the record of criteria.spectra.
-        calls = []
-
-        def counted(name, function):
-            def call(*args, **kwargs):
-                calls.append(name if kwargs.get("compute_uv", True) else "values-only " + name)
-                return function(*args, **kwargs)
-
-            return call
-
-        for module, name in ((qstate, "realign"), (np.linalg, "svd")):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         path = tmp_path / "state.json"
         save_state(samplers.random_mixed_state(2, 3, np.random.default_rng(48)), path)
         command, *flags = request_args.split()
+        calls = count_decompositions(monkeypatch)
         assert main([command, "--state", str(path), *flags]) == 0
         capsys.readouterr()
-        counts = tuple(map(calls.count, ("realign", "values-only svd", "svd")))
+        eigensolves = calls.count("eigvalsh") + calls.count("eigh")
+        counts = (*map(calls.count, ("realign", "values-only svd", "svd")), eigensolves)
         assert counts == self.REQUEST_DECOMPOSITIONS[request_args]
 
     @pytest.mark.parametrize("emit_bases", [False, True], ids=["scores", "bases"])
@@ -391,6 +400,21 @@ class TestScanSpec:
 
 
 class TestScan:
+    @pytest.mark.parametrize("family", cli.FAMILY_NAMES)
+    def test_scan_checks_its_endpoints_in_one_eigensolve(self, monkeypatch, tmp_path, capsys, family):
+        # The endpoints' record checks both states with one batched eigensolve; a
+        # realign scan takes no other, and no state file is checked on its own.
+        rng = np.random.default_rng(49)
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for path in paths:
+            save_state(samplers.random_mixed_state(2, 3, rng), path)
+        files = {"noise_mixture": ["--state", str(paths[0])],
+                 "mixture": ["--state", str(paths[0]), "--state2", str(paths[1])]}.get(family, [])
+        calls = count_decompositions(monkeypatch)
+        main(["scan", "--family", family, "--criterion", "realign", "--out", str(tmp_path / "scan.csv"), *files])
+        capsys.readouterr()
+        assert calls.count("eigvalsh") + calls.count("eigh") == 1
+
     def test_upb_noise_nonlinear_threshold(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         code = main(

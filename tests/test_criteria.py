@@ -1,10 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 from loowit import criteria, qstate
 from loowit.criteria import THRESHOLD_FORMS, concurrence_pure, detected, spectra
+from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate
 from loowit.qstate import DensityMatrix, make_state, schmidt
-from loowit.witness import optimal_linear_min, optimal_nonlinear_min
+from loowit.witness import (
+    linear_witness_value,
+    nonlinear_witness_value,
+    optimal_linear_min,
+    optimal_nonlinear_min,
+    optimum_bracket,
+)
 
 import oracles
 import samplers
@@ -97,6 +106,20 @@ class TestToleranceSlack:
     def test_slack_state_is_not_detected(self, d):
         scores = criterion_scores(slack_state(d))
         assert not any(detected(score) for score in scores.values()), scores
+
+    @pytest.mark.parametrize("d", [2, pytest.param(8, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+                                   pytest.param(16, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))])
+    def test_slack_bases_do_not_detect_a_product_state(self, d):
+        # The basis side of the same slack: LOOBasis forgives Tr(G_k G_k) up to
+        # 1 + tol, tol = (1 + d·h)² - 1 + 2d²ε ≈ 2d·1e-10, so the optimal bases of
+        # |00⟩ scaled by √(1 + 0.9·tol) on both sides still build, and both witness
+        # values read -0.9·tol: -3.6e-10 at 2×2, -1.44e-9 at 8×8, -2.88e-9 at 16×16.
+        tol = (1 + d * qstate.HERMITICITY_TOL) ** 2 - 1 + 2 * d**2 * np.finfo(float).eps
+        rho = qstate.pure_state(np.eye(d * d)[0], d, d)
+        for kind, value in (("linear", linear_witness_value), ("nonlinear", nonlinear_witness_value)):
+            _, basis_a, basis_b = spectra(rho).optimum(kind)
+            scaled = [LOOBasis(d, basis.observables * np.sqrt(1 + 0.9 * tol)) for basis in (basis_a, basis_b)]
+            assert not detected(-value(rho, *scaled)), kind
 
 
 class TestSpectra:
@@ -238,7 +261,8 @@ class TestSpectra:
         assert pair.mixed([0.0, 1.0]).purity_a.tolist() == [pair.purity_a[1], pair.purity_a[0]]
         assert pair.mixed([]).score("realign").shape == (0,)
 
-    # Calls each score makes of np.linalg.svd, np.linalg.eigvalsh and loo.correlations.
+    # Calls each score makes of np.linalg.svd, np.linalg.eigvalsh and loo.correlations,
+    # after the one eigvalsh with which spectra checks its state or stack.
     DECOMPOSITIONS = {
         "ppt": (0, 1, 0),
         "realign": (1, 0, 1),
@@ -280,10 +304,13 @@ class TestSpectra:
         assert set(self.DECOMPOSITIONS) == set(criteria.SCORE_NAMES)
         for name, expected in self.DECOMPOSITIONS.items():
             calls.clear()
-            record().score(name)
+            spec = record()
+            assert counts() == (0, 1, 0), name  # one batched check; a mixture checks nothing more
+            calls.clear()
+            spec.score(name)
             assert counts() == expected, name
-        calls.clear()
         spec = record()
+        calls.clear()
         for name in criteria.SCORE_NAMES * 2:
             spec.score(name)
         assert counts() == (2, 1, 1)
@@ -316,6 +343,21 @@ class TestSpectra:
         mixes.clear()
         pair.mixed(ps).score("realign")
         assert mixes == [(2, 9, 9)]
+
+    def test_in_bases(self):
+        # The Gell-Mann pair's record is the kept field; another pair's is formed
+        # per call, for a mixture as the mix of its endpoints'.
+        rng = np.random.default_rng(60)
+        first, second = (samplers.random_mixed_state(2, 3, rng) for _ in range(2))
+        basis_a, basis_b = (rotate(gell_mann_basis(d), samplers.haar_rotation(d * d, rng)) for d in (2, 3))
+        record = spectra(first)
+        assert record.in_bases() is record.correlations
+        expected = samplers.correlation_matrix(first, basis_a, basis_b)
+        np.testing.assert_allclose(record.in_bases(basis_a, basis_b)[0], expected, rtol=0, atol=1e-14)
+        mixed = spectra(np.stack([first.as_tensor(), second.as_tensor()])).mixed(0.3)
+        direct = spectra(qstate.mixture(first, second, 0.3))
+        for got, want in zip(mixed.in_bases(basis_a, basis_b), direct.in_bases(basis_a, basis_b)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_stack_needs_equal_dims(self):
         # The last four axes of a stack must be one (d_a, d_b, d_a, d_b) tensor view.
@@ -537,3 +579,116 @@ class TestKnownAnswers:
             values = bounds(rho)
             for name in ("bound_ppt", "bound_realign", "bound_lmax"):
                 assert values[name] == pytest.approx(expected, abs=tol), (name, fidelity)
+
+
+# Matrices that are not states, each answered by raising: trace 3, a negative
+# eigenvalue, and |00⟩⟨00| held as bools.
+NON_STATES = {
+    "three_quarters_identity": (0.75 * np.eye(4), "invalid state: unit_trace violated, residual 2.0"),
+    "not_psd": (np.diag([1.2, -0.2, 0.0, 0.0]), "invalid state: positive_semidefinite violated, residual 0.2"),
+    "bool_dtype": (np.diag([True, False, False, False]), "state entries must be numbers, got dtype bool"),
+}
+# Every library name that returns a score, bound, witness value, optimum or
+# bracket of a state.
+STATE_ANSWERS = {
+    **{f"score_{name}": lambda rho, name=name: spectra(rho).score(name) for name in criteria.SCORE_NAMES},
+    **{field: lambda rho, field=field: getattr(spectra(rho), field)
+       for field in ("linear_min", "nonlinear_min", "l_max", "linear_at_reference", "nonlinear_at_reference",
+                     "correlations", "tau", "realigned", "covariance", "partial_transpose")},
+    "in_bases": lambda rho: spectra(rho).in_bases(pauli_basis(), pauli_basis()),
+    "mixed": lambda rho: spectra(np.stack([rho, rho])).mixed(0.5).score("ppt"),
+    "optimum_linear": lambda rho: spectra(rho).optimum("linear"),
+    "optimum_nonlinear": lambda rho: spectra(rho).optimum("nonlinear"),
+    "linear_witness_value": lambda rho: linear_witness_value(rho, pauli_basis(), pauli_basis()),
+    "nonlinear_witness_value": lambda rho: nonlinear_witness_value(rho, pauli_basis(), pauli_basis()),
+    "optimal_linear_min": optimal_linear_min,
+    "optimal_nonlinear_min": optimal_nonlinear_min,
+    "optimum_bracket": lambda rho: optimum_bracket(spectra(rho), "linear", 1.0, pauli_basis(), pauli_basis()),
+}
+
+
+class TestStateCheck:
+    """spectra is the one check that its input is a state, and every answer goes through it."""
+
+    @pytest.mark.parametrize("non_state", list(NON_STATES))
+    @pytest.mark.parametrize("answer", list(STATE_ANSWERS))
+    def test_non_state_raises(self, answer, non_state):
+        matrix, message = NON_STATES[non_state]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            STATE_ANSWERS[answer](matrix.reshape(2, 2, 2, 2))
+
+    def test_density_matrix_and_stack_report_the_failing_state(self):
+        # A stack takes one batched check and reports the first state that fails,
+        # with the lines that state would raise alone.
+        bell, (trace_three, message) = make_state("bell").as_tensor(), NON_STATES["three_quarters_identity"]
+        with pytest.raises(criteria.InvalidState, match=f"^{re.escape(message)}$"):
+            spectra(DensityMatrix(2, 2, trace_three))
+        two_faults = np.diag([2.0, -0.5, 0.0, 0.0]).reshape(2, 2, 2, 2)
+        lines = ("invalid state: unit_trace violated, residual 0.5\n"
+                 "invalid state: positive_semidefinite violated, residual 0.5")
+        with pytest.raises(criteria.InvalidState, match=f"^{re.escape(lines)}$"):
+            spectra(np.stack([bell, two_faults, trace_three.reshape(2, 2, 2, 2)]))
+        nan_state = np.where(np.eye(4) > 0, np.nan, 0.0).reshape(2, 2, 2, 2)
+        with pytest.raises(criteria.InvalidState, match="^invalid state: finite violated, residual 4.0$"):
+            spectra(np.stack([bell, nan_state]))
+        opposite_infinities = np.eye(4, dtype=complex) / 4
+        opposite_infinities[0, 1], opposite_infinities[1, 0] = np.inf, -np.inf  # inf + -inf would warn
+        with pytest.raises(criteria.InvalidState, match="^invalid state: finite violated, residual 2.0$"):
+            spectra(opposite_infinities.reshape(2, 2, 2, 2))
+        for dtype in (object, str):
+            with pytest.raises(ValueError, match="state entries must be numbers, got dtype"):
+                spectra(bell.astype(dtype))
+        valid = spectra(np.stack([bell, np.eye(4).reshape(2, 2, 2, 2) / 4]))
+        assert valid.score("ppt") == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+METAMORPHIC_DIMS = [(2, 2), (2, 5), (3, 4), (4, 4), (8, 8), (8, 12), (12, 16), (16, 16)]
+
+
+def metamorphic_tol(rho, scores, computations):
+    """Tolerance for scores that agree in exact arithmetic: each of the
+    ``computations`` (a score of a state, or the rounding with which one state was
+    formed from another) is within :func:`known_answer_tol` of the exact score."""
+    return computations * known_answer_tol(rho.total_dim, max(map(abs, scores)))
+
+
+class TestMetamorphicRelations:
+    """Exact relations between the scores of related states, at every supported size."""
+
+    @staticmethod
+    def state(dims, rank):
+        return samplers.random_mixed_state(*dims, np.random.default_rng([110, *dims, rank or 0]), rank=rank)
+
+    @pytest.mark.parametrize("rank", [1, 2, None], ids=["rank1", "rank2", "full"])
+    @pytest.mark.parametrize("dims", METAMORPHIC_DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_swap_and_local_unitaries_keep_every_score(self, dims, rank):
+        # The A↔B swap permutes entries exactly: ρ^{T_B} = (ρ^{T_A})ᵀ, R ↦ Rᵀ and
+        # the purities trade places.  A local unitary rotates μ and τ orthogonally
+        # and conjugates ρ^{T_A} unitarily.  So every score is equal; the swap
+        # compares two computations, the local unitary three (it rounds the state).
+        rho = self.state(dims, rank)
+        swapped = DensityMatrix(dims[1], dims[0], rho.as_tensor().transpose(1, 0, 3, 2).reshape(rho.data.shape))
+        rng = np.random.default_rng([111, *dims])
+        rotated = samplers.local_unitary_conjugate(rho, samplers.haar_unitary(dims[0], rng),
+                                                   samplers.haar_unitary(dims[1], rng))
+        records = {"state": spectra(rho), "swap": spectra(swapped), "local_unitary": spectra(rotated)}
+        for name in criteria.SCORE_NAMES:
+            base = records["state"].score(name)
+            for relation, computations in (("swap", 2), ("local_unitary", 3)):
+                score = records[relation].score(name)
+                assert score == pytest.approx(base, abs=metamorphic_tol(rho, (base, score), computations)), \
+                    (relation, name)
+
+    @pytest.mark.parametrize("dims", METAMORPHIC_DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_convex_scores_lie_below_their_chord(self, dims):
+        # ppt, realign and linear_opt are a trace norm of an affine map of p, minus 1,
+        # so along p·ρ₁ + (1-p)·ρ₂ each is at most p·s(ρ₁) + (1-p)·s(ρ₂).  Three
+        # scores are compared, and the mix rounds the state once more.
+        first, second = self.state(dims, 1), self.state(dims, 2)
+        ps = np.linspace(0.0, 1.0, 11 if first.total_dim <= 16 else 3)[1:-1]
+        pair = spectra(np.stack([first.as_tensor(), second.as_tensor()]))
+        for name in ("ppt", "realign", "linear_opt"):
+            ends, scores = pair.score(name), pair.mixed(ps).score(name)
+            chord = ps * ends[0] + (1 - ps) * ends[1]
+            tol = metamorphic_tol(first, (*ends, *scores), 4)
+            assert (scores <= chord + tol).all(), (name, (scores - chord).max())

@@ -285,8 +285,9 @@ class TestBasisChecks:
             LOOBasis(d, observables * np.sqrt(1 + 1.1 * tol))
 
     # Inputs that numpy would silently coerce: a float or bool dim (4.0 == 4,
-    # so the shape check passes), and a complex or bool matrix where real
-    # numbers are meant (the imaginary part would be dropped).
+    # so the shape check passes), and a complex, bool or str array where real
+    # numbers are meant (the imaginary part would be dropped, and "0.6" read
+    # as 0.6); lmax_pure also needs a 1-D array.
     @pytest.mark.parametrize(
         "build, message",
         [
@@ -297,9 +298,14 @@ class TestBasisChecks:
             (lambda: OrthogonalRotation(np.eye(4, dtype=bool)), "real numbers"),
             (lambda: oracles.sampled_max_trace(np.eye(3) * (1 + 1j), 10, 0), "real numbers"),
             (lambda: oracles.sampled_max_trace(np.eye(3, dtype=bool), 10, 0), "real numbers"),
+            (lambda: witness.lmax_pure(["0.6", "0.8"]), "real numbers"),
+            (lambda: witness.lmax_pure([True]), "real numbers"),
+            (lambda: witness.lmax_pure(np.array([0.6, 0.8j])), "real numbers"),
+            (lambda: witness.lmax_pure([[0.6, 0.8]]), "1-D array"),
         ],
         ids=["float_dim", "bool_dim", "complex_rotation", "complex_rotate", "bool_rotation",
-             "complex_oracle_matrix", "bool_oracle_matrix"],
+             "complex_oracle_matrix", "bool_oracle_matrix", "str_coefficients", "bool_coefficients",
+             "complex_coefficients", "2d_coefficients"],
     )
     def test_coercible_inputs_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):

@@ -354,7 +354,7 @@ class TestOptimumBracket:
         record = spectra(rho)
         for kind, matrix in (("linear", record.correlations[0]), ("nonlinear", record.tau)):
             analytic, basis_a, basis_b = record.optimum(kind)
-            lower, upper, certified = optimum_bracket(rho, kind, analytic, basis_a, basis_b)
+            lower, upper, certified = optimum_bracket(record, kind, analytic, basis_a, basis_b)
             assert certified, (kind, analytic, lower, upper)
             assert analytic == pytest.approx(trace_norm(matrix), rel=0, abs=1e-12)
 
@@ -368,7 +368,7 @@ class TestOptimumBracket:
         for kind, matrix in (("linear", record.correlations[0]), ("nonlinear", record.tau)):
             u, s, vt = np.linalg.svd(matrix)
             bases = [rotate(gell_mann_basis(dims[0]), u.T), rotate(gell_mann_basis(dims[1]), vt)]
-            assert optimum_bracket(rho, kind, s.sum(), *bases)[2]
+            assert optimum_bracket(record, kind, s.sum(), *bases)[2]
             if change == "swap_u_columns":
                 u = swap_first_two(u, axis=1)
             elif change == "swap_vt_rows":
@@ -378,16 +378,15 @@ class TestOptimumBracket:
                 turn[:2, :2] = [[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]]
                 u = u @ turn
             bases = [rotate(gell_mann_basis(dims[0]), u.T), rotate(gell_mann_basis(dims[1]), vt)]
-            assert not optimum_bracket(rho, kind, s.sum(), *bases)[2]
+            assert not optimum_bracket(record, kind, s.sum(), *bases)[2]
 
     def test_wrong_analytic_value_fails(self):
-        rho = samplers.random_mixed_state(3, 3, np.random.default_rng(8))
-        analytic, basis_a, basis_b = spectra(rho).optimum("linear")
-        assert optimum_bracket(rho, "linear", analytic, basis_a, basis_b)[2]
-        assert not optimum_bracket(rho, "linear", analytic * (1 + 1e-9), basis_a, basis_b)[2]
-        assert not optimum_bracket(rho, "linear", analytic * (1 - 1e-9), basis_a, basis_b)[2]
+        record = spectra(samplers.random_mixed_state(3, 3, np.random.default_rng(8)))
+        analytic, basis_a, basis_b = record.optimum("linear")
+        assert optimum_bracket(record, "linear", analytic, basis_a, basis_b)[2]
+        assert not optimum_bracket(record, "linear", analytic * (1 + 1e-9), basis_a, basis_b)[2]
+        assert not optimum_bracket(record, "linear", analytic * (1 - 1e-9), basis_a, basis_b)[2]
 
     def test_unknown_kind_rejected(self):
-        rho = make_state("bell")
         with pytest.raises(ValueError, match="kind"):
-            optimum_bracket(rho, "mu", 2.0, pauli_basis(), pauli_basis())
+            optimum_bracket(spectra(make_state("bell")), "mu", 2.0, pauli_basis(), pauli_basis())
