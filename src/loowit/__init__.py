@@ -15,7 +15,6 @@ from .loo import (
 from .qstate import (
     DensityMatrix,
     SchmidtDecomposition,
-    Violation,
     make_state,
     mixture,
     partial_trace,
@@ -24,7 +23,6 @@ from .qstate import (
     realign,
     schmidt,
     trace_norm,
-    validate,
     white_noise_mixture,
 )
 from .witness import (
@@ -47,7 +45,6 @@ __all__ = [
     "OrthogonalRotation",
     "SchmidtDecomposition",
     "Spectra",
-    "Violation",
     "concurrence_pure",
     "gell_mann_basis",
     "linear_witness_value",
@@ -69,6 +66,5 @@ __all__ = [
     "spectra",
     "trace_norm",
     "transpose_basis",
-    "validate",
     "white_noise_mixture",
 ]

@@ -254,14 +254,7 @@ _SCAN_REPORTS = {
 
 
 def cmd_scan(args) -> int:
-    spec = ScanSpec(
-        family=args.family,
-        p_start=args.p_start,
-        p_stop=args.p_stop,
-        step=args.step,
-        criterion=args.criterion,
-        bisection_tol=args.tol,
-    )
+    spec = ScanSpec(args.family, args.p_start, args.p_stop, args.step, args.criterion, args.tol)
     result = run_scan(spec, _load_family(args))
     csv_text = scan_csv(result)
     if args.out:

@@ -118,6 +118,12 @@ class Spectra:
             raise ValueError(f"mixing parameter must be a number in [0, 1], got {ps!r}")
         return Spectra(self.dim_a, self.dim_b, _endpoints=(self, p.astype(float)))
 
+    def _one_state(self, reader: str) -> Spectra:
+        """This record, which ``reader`` needs to be of one state: a stack, or a mixture at several p, raises."""
+        if self._batch_shape:
+            raise ValueError(f"{reader} needs the record of one state, got a batch of shape {self._batch_shape}")
+        return self
+
     @property
     def _batch_shape(self) -> tuple[int, ...]:  # () for one state, else a stack's or ps's shape
         return self._tensor.shape[:-4] if self._endpoints is None else np.shape(self._endpoints[1])
@@ -231,8 +237,7 @@ class Spectra:
         A stack, or a mixture at several p, has no one optimum and raises."""
         if kind not in ("linear", "nonlinear"):
             raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
-        if self._batch_shape:
-            raise ValueError(f"optimum needs the record of one state, got a batch of shape {self._batch_shape}")
+        self._one_state("optimum")
         u, s, vt = np.linalg.svd(self.tau if kind == "nonlinear" else self.correlations[0])
         # The matrix is u Σ vt, so rotating by uᵀ / vt diagonalizes the paired expectations.
         basis_a, basis_b = loo.gell_mann_basis(self.dim_a), loo.gell_mann_basis(self.dim_b)
@@ -267,7 +272,7 @@ class Spectra:
 
 
 class InvalidState(ValueError):
-    """Not a state: one ``invalid state: …`` line per invariant of :func:`qstate.validate` violated."""
+    """Not a state: one ``invalid state: …`` line per invariant of :func:`qstate._violations` violated."""
 
 
 def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
@@ -276,22 +281,15 @@ def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
     and scores then have a leading batch axis.
 
     The library's one check that its input is a state: the first state to fail
-    :func:`qstate.validate` (one eigensolve for a whole stack) raises :class:`InvalidState`,
-    and a dtype that is not a number (bool, str, object) ValueError.  Each decomposition
+    :func:`qstate._violations` (one eigensolve for a whole stack) raises :class:`InvalidState`,
+    and entries that are not numbers (bool, str, object) ValueError.  Each decomposition
     runs on the first read of a field or score that needs it, once over a whole stack (see
     :class:`Spectra`).  An array is copied read-only, so writing to it later changes no
     field; a DensityMatrix's data is already read-only.  Mixtures: :meth:`Spectra.mixed`."""
     tensor = qstate.tensor_view(rho)
-    if tensor.dtype.kind not in "iufc":  # ints, floats and complex; not bool, str or object
-        raise ValueError(f"state entries must be numbers, got dtype {tensor.dtype}")
     if not isinstance(rho, DensityMatrix):
         tensor = _frozen(tensor.copy())
-    m = tensor.reshape(tensor.shape[:-4] + (math.prod(tensor.shape[-4:-2]),) * 2)  # the state matrices
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    h = np.where(finite[..., None, None], m, 0)  # eigvalsh may not converge on a non-finite state
-    eigenvalues = np.linalg.eigvalsh((h + h.conj().swapaxes(-1, -2)) / 2)
-    for state in np.ndindex(finite.shape):
-        if violations := qstate._violations(m[state], eigenvalues[state] if finite[state] else None):
-            lines = (f"invalid state: {v.invariant} violated, residual {v.residual!r}" for v in violations)
-            raise InvalidState("\n".join(lines))
+    n = tensor.shape[-4] * tensor.shape[-3]
+    if violations := qstate._violations(tensor.reshape(-1, n, n)):
+        raise InvalidState("\n".join(f"invalid state: {name} violated, residual {r!r}" for name, r in violations))
     return Spectra(*tensor.shape[-4:-2], tensor)

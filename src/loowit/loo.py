@@ -148,9 +148,7 @@ def rotate(basis: LOOBasis, rotation) -> LOOBasis:
         rotation = OrthogonalRotation(rotation)
     o = rotation.matrix
     if o.shape[0] != len(basis):
-        raise ValueError(
-            f"rotation size {o.shape[0]} does not match basis size {len(basis)}"
-        )
+        raise ValueError(f"rotation size {o.shape[0]} does not match basis size {len(basis)}")
     obs = basis.observables
     return LOOBasis(basis.dim, (o @ obs.reshape(len(basis), -1)).reshape(obs.shape))
 

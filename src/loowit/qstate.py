@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +39,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """A bipartite state: complex (dim_a·dim_b)² matrix plus subsystem dims.
 
-    The constructor enforces structure only (shape and positive integer
-    dims, Python or NumPy, not bool); the physical invariants are checked by
-    :func:`validate`.
+    The constructor enforces structure only (entries that are numbers, shape
+    and positive integer dims, Python or NumPy, not bool); the physical
+    invariants are checked by :func:`loowit.criteria.spectra`.
     """
 
     dim_a: int
@@ -53,13 +52,10 @@ class DensityMatrix:
         dim_a, dim_b = _checked_dims(self.dim_a, self.dim_b)
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "dim_b", dim_b)
-        data = np.array(self.data, dtype=complex)
+        data = np.array(_numbers(self.data), dtype=complex)
         n = self.dim_a * self.dim_b
         if data.shape != (n, n):
-            raise ValueError(
-                f"state matrix must be {n}x{n} for dims "
-                f"({self.dim_a}, {self.dim_b}), got {data.shape}"
-            )
+            raise ValueError(f"state matrix must be {n}x{n} for dims ({self.dim_a}, {self.dim_b}), got {data.shape}")
         object.__setattr__(self, "data", _frozen(data))
 
     @property
@@ -71,6 +67,13 @@ class DensityMatrix:
         return self.data.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
 
 
+def _numbers(data) -> np.ndarray:
+    """``data`` as an array, whose entries must be ints, floats or complex: not bool, str or object."""
+    if (array := np.asarray(data)).dtype.kind not in "iufc":
+        raise ValueError(f"state entries must be numbers, got dtype {array.dtype}")
+    return array
+
+
 def _checked_dims(*dims) -> tuple[int, ...]:
     """Subsystem dims as Python ints; each must be a positive integer, Python or NumPy, not bool."""
     if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in dims):
@@ -78,43 +81,33 @@ def _checked_dims(*dims) -> tuple[int, ...]:
     return tuple(map(int, dims))
 
 
-class Violation(NamedTuple):
-    """One failed state invariant together with its measured residual."""
-
-    invariant: str
-    residual: float
+# The invariants of a state in the order of their lines, and each one's largest allowed residual.
+_INVARIANTS = ("finite", "hermitian", "unit_trace", "positive_semidefinite")
+_LIMITS = np.array([[0.0], [HERMITICITY_TOL], [UNIT_TRACE_TOL], [PSD_TOL]])
 
 
-def validate(rho: DensityMatrix) -> list[Violation]:
-    """Check the three density-matrix invariants.
-
-    Returns an empty list iff ``rho`` is Hermitian (within 1e-10), has unit
-    trace (within 1e-10) and is positive semidefinite (smallest eigenvalue
-    ≥ -1e-9).  A matrix with NaN or infinite entries yields only a
-    ``finite`` violation whose residual counts those entries, since none of
-    the three can be measured on it.  Structural problems (wrong shape) are
-    rejected by the DensityMatrix constructor instead.
-    """
-    m = rho.data
-    return _violations(m, np.linalg.eigvalsh((m + m.conj().T) / 2) if np.isfinite(m).all() else None)
-
-
-def _violations(m: np.ndarray, eigenvalues: np.ndarray | None) -> list[Violation]:
-    """:func:`validate`'s checks of ``m``, given the eigenvalues of (m + m†)/2,
-    or None for a non-finite ``m``, which gets only the ``finite`` violation."""
+def _violations(m: np.ndarray, eigenvalues: np.ndarray | None = None) -> list[tuple[str, float]]:
+    """The (invariant, residual) pairs of the first of the matrices ``m`` (one, or a stack on leading
+    axes) that is not a state, or [].  A state is Hermitian and of unit trace within 1e-10, and
+    positive semidefinite: λ_min ≥ -1e-9 for the ``eigenvalues`` λ of (m + m†)/2, which one batched
+    eigensolve computes when None.  A matrix with NaN or infinite entries gets only a ``finite``
+    violation, counting them, as none of the three can be measured on it."""
+    m = m.reshape(-1, *m.shape[-2:])
+    nonfinite = np.count_nonzero(~np.isfinite(m), axis=(1, 2))
+    finite = nonfinite == 0
+    h = np.where(finite[:, None, None], m, 0)  # eigvalsh may not converge on a non-finite matrix
+    adjoint = h.conj().swapaxes(1, 2)
     if eigenvalues is None:
-        return [Violation("finite", float(np.count_nonzero(~np.isfinite(m))))]
-    out: list[Violation] = []
-    herm = float(np.abs(m - m.conj().T).max())
-    if herm > HERMITICITY_TOL:
-        out.append(Violation("hermitian", herm))
-    tr = abs(complex(np.trace(m)) - 1.0)
-    if tr > UNIT_TRACE_TOL:
-        out.append(Violation("unit_trace", float(tr)))
-    min_eig = float(eigenvalues.min())
-    if min_eig < -PSD_TOL:
-        out.append(Violation("positive_semidefinite", -min_eig))
-    return out
+        eigenvalues = np.linalg.eigvalsh((h + adjoint) / 2) if finite.any() else np.zeros(m.shape[:2])
+    trace = np.trace(h, axis1=1, axis2=2) - 1.0  # |trace| by hypot, to the bit Python's abs of a complex
+    residuals = np.stack([nonfinite, np.abs(h - adjoint).max(axis=(1, 2)),  # a row per invariant
+                          np.hypot(trace.real, trace.imag), -eigenvalues.reshape(m.shape[:2]).min(axis=1)])
+    fails = residuals > _LIMITS
+    fails[1:] &= finite
+    if not fails.any():
+        return []
+    first = fails.any(axis=0).argmax()
+    return [(name, float(r)) for name, r, f in zip(_INVARIANTS, residuals[:, first], fails[:, first]) if f]
 
 
 def _subsystem_axes(subsystem: str) -> tuple[int, int]:
@@ -128,8 +121,9 @@ def _subsystem_axes(subsystem: str) -> tuple[int, int]:
 def tensor_view(rho) -> np.ndarray:
     """The (dim_a, dim_b, dim_a, dim_b) tensor view of a DensityMatrix (see
     :meth:`DensityMatrix.as_tensor`), or an array of such views stacked on
-    leading axes, returned as given.  Every reduction below takes either."""
-    tensor = rho.as_tensor() if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    leading axes, returned as given; its entries must be numbers (see
+    :func:`_numbers`).  Every reduction below takes either."""
+    tensor = rho.as_tensor() if isinstance(rho, DensityMatrix) else _numbers(rho)
     if tensor.ndim < 4 or tensor.shape[-4:-2] != tensor.shape[-2:]:
         raise ValueError(f"need a stack of (d_a, d_b, d_a, d_b) tensor views, got shape {tensor.shape}")
     return tensor
@@ -203,11 +197,11 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
     """Coerce a pure-state input to a normalized vector plus dims.
 
     Accepts a state vector, a DensityMatrix (dims left None or equal to its
-    own), or a raw projector matrix (then dims are required).  Given dims must
-    be positive integers, as :class:`DensityMatrix` requires.  A matrix must
-    pass :func:`validate` and have purity Tr ρ² ≥ 1 - 1e-8, read as Σ λ² off
-    the one eigensolve whose eigenvalues λ the PSD check reads and whose
-    dominant eigenvector is returned.  Returns (psi, dim_a, dim_b).
+    own), or a raw projector matrix (then dims are required).  Entries must be
+    numbers and given dims positive integers, as :class:`DensityMatrix`
+    requires.  A matrix must pass :func:`_violations` and have purity
+    Tr ρ² ≥ 1 - 1e-8, both read off one eigensolve (Tr ρ² = Σ λ²), whose
+    dominant eigenvector is the returned psi.  Returns (psi, dim_a, dim_b).
     """
     if isinstance(state, DensityMatrix):
         own = (state.dim_a, state.dim_b)
@@ -215,15 +209,13 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
             raise ValueError(f"state of dims {own} does not match dims ({dim_a}, {dim_b})")
         rho = state
     else:
-        arr = np.asarray(state, dtype=complex)
+        arr = np.asarray(_numbers(state), dtype=complex)
         if dim_a is None or dim_b is None:
             raise ValueError("dim_a and dim_b are required for a bare state vector or a raw matrix")
         dim_a, dim_b = _checked_dims(dim_a, dim_b)
         if arr.ndim == 1:
             if dim_a * dim_b != arr.size:
-                raise ValueError(
-                    f"vector of length {arr.size} does not match dims ({dim_a}, {dim_b})"
-                )
+                raise ValueError(f"vector of length {arr.size} does not match dims ({dim_a}, {dim_b})")
             norm = float(np.linalg.norm(arr))
             if not abs(norm - 1.0) <= STATE_NORM_TOL:  # NaN fails too
                 raise ValueError(f"state vector is not normalized: norm = {norm!r}")
@@ -233,9 +225,8 @@ def pure_state_vector(state, dim_a: int | None = None, dim_b: int | None = None)
         rho = DensityMatrix(dim_a, dim_b, arr)
     mat = rho.data
     eigenvalues, vectors = np.linalg.eigh((mat + mat.conj().T) / 2) if np.isfinite(mat).all() else (None, None)
-    violations = _violations(mat, eigenvalues)
-    if violations:
-        raise ValueError("not a pure state: " + ", ".join(f"{v.invariant} residual {v.residual!r}" for v in violations))
+    if violations := _violations(mat, eigenvalues):
+        raise ValueError("not a pure state: " + ", ".join(f"{name} residual {r!r}" for name, r in violations))
     p = float(eigenvalues @ eigenvalues)
     if not p >= 1.0 - PURITY_TOL:
         raise ValueError(f"not a pure state: Tr rho^2 = {p!r}")
@@ -258,7 +249,7 @@ def schmidt(psi, dim_a: int | None = None, dim_b: int | None = None) -> SchmidtD
 
 def pure_state(psi, dim_a: int, dim_b: int) -> DensityMatrix:
     """Projector |ψ⟩⟨ψ| as a DensityMatrix (ψ normalized within 1e-10)."""
-    vec, da, db = pure_state_vector(np.asarray(psi, dtype=complex), dim_a, dim_b)
+    vec, da, db = pure_state_vector(_numbers(psi), dim_a, dim_b)
     return DensityMatrix(da, db, np.outer(vec, vec.conj()))
 
 

@@ -40,7 +40,8 @@ from .qstate import DensityMatrix
 
 def linear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
     """1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩ = 1 - Σ_k μ_kk for the given basis pair."""
-    return 1.0 - float(np.trace(criteria.spectra(rho).in_bases(basis_a, basis_b)[0]))
+    mu, _, _ = criteria.spectra(rho)._one_state("linear_witness_value").in_bases(basis_a, basis_b)
+    return 1.0 - float(np.trace(mu))
 
 
 def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOBasis) -> float:
@@ -51,7 +52,7 @@ def nonlinear_witness_value(rho: DensityMatrix, basis_a: LOOBasis, basis_b: LOOB
     because every :class:`LOOBasis` is complete.  On rectangular states k runs
     over the shorter basis; the purities count the unpaired terms.
     """
-    mu, a, b = criteria.spectra(rho).in_bases(basis_a, basis_b)
+    mu, a, b = criteria.spectra(rho)._one_state("nonlinear_witness_value").in_bases(basis_a, basis_b)
     return 1.0 - float(np.trace(mu - np.outer(a, b))) - float(a @ a + b @ b) / 2.0
 
 
@@ -76,7 +77,7 @@ def optimum_bracket(record: criteria.Spectra, kind: str, analytic: float, basis_
     """
     if kind not in ("linear", "nonlinear"):
         raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
-    mu, a, b = record.in_bases(basis_a, basis_b)
+    mu, a, b = record._one_state("optimum_bracket").in_bases(basis_a, basis_b)
     d = mu - np.outer(a, b) if kind == "nonlinear" else mu
     k, diagonal = min(d.shape), np.diagonal(d)
     lower = float(diagonal.sum())

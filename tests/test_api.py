@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "OrthogonalRotation",
     "SchmidtDecomposition",
     "Spectra",
-    "Violation",
     "concurrence_pure",
     "gell_mann_basis",
     "linear_witness_value",
@@ -42,7 +41,6 @@ PUBLIC_NAMES = [
     "spectra",
     "trace_norm",
     "transpose_basis",
-    "validate",
     "white_noise_mixture",
 ]
 
@@ -70,9 +68,10 @@ def test_public_surface():
 
 # Only tests called these; the tests' own copies live in tests/samplers.py
 # (the two matrices) and tests/oracles.py (the brute-force references and the
-# Monte-Carlo sampler, whose report class is gone).
+# Monte-Carlo sampler, whose report class is gone).  validate and its
+# Violation were a second state check beside criteria.spectra.
 REMOVED_NAMES = {"correlation_matrix", "covariance_matrix", "recompute_witness_direct", "max_concurrence",
-                 "OracleReport", "sampled_max_trace"}
+                 "OracleReport", "sampled_max_trace", "validate", "Violation"}
 TESTS = Path(__file__).resolve().parent
 
 

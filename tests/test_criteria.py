@@ -17,6 +17,7 @@ from loowit.witness import (
 
 import oracles
 import samplers
+from counting import count_calls
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
 BOUND_NAMES = ("bound_ppt", "bound_realign", "bound_lmax", "bound_combined")
@@ -78,7 +79,7 @@ class TestVerdicts:
 
 def slack_state(d, twin=False):
     """|00⟩⟨00| + ε·Σ|ij⟩⟨ji| over i ≠ j with i, j ≥ 1, ε = 0.99e-9: its
-    smallest eigenvalue, -ε, is inside validate's PSD tolerance.  The twin is
+    smallest eigenvalue, -ε, is inside the state check's PSD tolerance.  The twin is
     (ρ + ε·I)/Tr, a PPT state within the same slack."""
     eps, n = 0.99e-9, d * d
     m = np.zeros((n, n), dtype=complex)
@@ -97,7 +98,7 @@ class TestToleranceSlack:
 
     @pytest.mark.parametrize("d", [4, 8, 16])
     def test_slack_state_is_valid_and_its_twin_undetected(self, d):
-        assert qstate.validate(slack_state(d)) == []
+        spectra(slack_state(d))  # raises on a non-state
         scores = criterion_scores(slack_state(d, twin=True))
         assert not any(detected(score) for score in scores.values()), scores
 
@@ -189,6 +190,20 @@ class TestSpectra:
             sigma_sum, _, _ = spec.optimum(kind)
             assert sigma_sum == pytest.approx(spec.realigned.sum() if kind == "linear" else spec.covariance.sum())
 
+    def test_one_state_answers_need_one_state(self):
+        # On a stack optimum_bracket used to return (0.5, 2.08, False), and the
+        # witness values failed with numpy's TypeError or a broadcast error.
+        pauli, stack = pauli_basis(), np.stack([make_state("bell").as_tensor()] * 2)
+        pair = spectra(stack)
+        answers = [("linear_witness_value", lambda: linear_witness_value(stack, pauli, pauli)),
+                   ("nonlinear_witness_value", lambda: nonlinear_witness_value(stack, pauli, pauli))]
+        answers += [("optimum_bracket", lambda r=record, k=kind: optimum_bracket(r, k, 1.0, pauli, pauli))
+                    for record in (pair, pair.mixed([0.2, 0.5])) for kind in ("linear", "nonlinear")]
+        for name, answer in answers:
+            message = rf"^{name} needs the record of one state, got a batch of shape \(2,\)$"
+            with pytest.raises(ValueError, match=message):
+                answer()
+
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 4)], ids=lambda d: f"{d[0]}x{d[1]}")
     def test_stack_matches_each_state(self, dims):
         rng = np.random.default_rng([61, *dims])
@@ -277,18 +292,8 @@ class TestSpectra:
     @pytest.mark.parametrize("form", ["state", "stack", "mixed", "mixed_at_one_p"],
                              ids=["state", "stack", "mixed", "mixed_at_one_p"])
     def test_each_score_takes_only_its_decompositions(self, monkeypatch, form):
-        calls = []
-
-        def counted(kind, function):
-            def call(*args, **kwargs):
-                calls.append(kind)
-                return function(*args, **kwargs)
-
-            return call
-
         kinds = ("svd", "eigvalsh", "correlations")
-        for module, name in zip((criteria.np.linalg, criteria.np.linalg, criteria.loo), kinds):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        calls = count_calls(monkeypatch, zip((criteria.np.linalg, criteria.np.linalg, criteria.loo), kinds))
         rho = make_state("upb_noise", 0.95)
         pair = np.stack([rho.as_tensor(), make_state("upb_noise", 0.0).as_tensor()])
         state = {"state": rho, "stack": np.stack([rho.as_tensor()] * 3), "mixed": pair, "mixed_at_one_p": pair}[form]
@@ -573,7 +578,7 @@ class TestKnownAnswers:
         # Rungta and Caves, PRA 67, 012307 (2003): C = √(2/(d(d-1)))·(dF - 1) for F > 1/d.
         for fidelity in ((1 / d + 1) / 2, 0.9, 1.0):
             rho = isotropic_state(d, fidelity)
-            assert qstate.validate(rho) == []
+            spectra(rho)  # raises on a non-state
             expected = np.sqrt(2 / (d * (d - 1))) * (d * fidelity - 1)
             tol = known_answer_tol(rho.total_dim, expected)
             values = bounds(rho)
@@ -635,11 +640,19 @@ class TestStateCheck:
         opposite_infinities[0, 1], opposite_infinities[1, 0] = np.inf, -np.inf  # inf + -inf would warn
         with pytest.raises(criteria.InvalidState, match="^invalid state: finite violated, residual 2.0$"):
             spectra(opposite_infinities.reshape(2, 2, 2, 2))
-        for dtype in (object, str):
+        # Entries that are not numbers raise wherever a state enters: a DensityMatrix
+        # of bools used to build and score, and a str vector to parse as numbers.
+        bools = np.diag([True, False, False, False])
+        non_numbers = (lambda: spectra(bell.astype(object)), lambda: spectra(bell.astype(str)),
+                       lambda: DensityMatrix(2, 2, bools), lambda: qstate.realign(bools.reshape(2, 2, 2, 2)),
+                       lambda: concurrence_pure(bools, 2, 2),
+                       lambda: qstate.pure_state(np.array(["1", "0", "0", "0"]), 2, 2))
+        for call in non_numbers:
             with pytest.raises(ValueError, match="state entries must be numbers, got dtype"):
-                spectra(bell.astype(dtype))
+                call()
         valid = spectra(np.stack([bell, np.eye(4).reshape(2, 2, 2, 2) / 4]))
         assert valid.score("ppt") == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert spectra(np.zeros((0, 2, 2, 2, 2))).score("ppt").shape == (0,)  # an empty stack holds no non-state
 
 
 METAMORPHIC_DIMS = [(2, 2), (2, 5), (3, 4), (4, 4), (8, 8), (8, 12), (12, 16), (16, 16)]
