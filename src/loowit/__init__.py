@@ -26,13 +26,9 @@ from .qstate import (
     white_noise_mixture,
 )
 from .witness import (
-    LinearOptimum,
-    NonlinearOptimum,
     linear_witness_value,
     lmax_pure,
     nonlinear_witness_value,
-    optimal_linear_min,
-    optimal_nonlinear_min,
 )
 
 __version__ = "0.1.0"
@@ -40,8 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityMatrix",
     "LOOBasis",
-    "LinearOptimum",
-    "NonlinearOptimum",
     "OrthogonalRotation",
     "SchmidtDecomposition",
     "Spectra",
@@ -53,8 +47,6 @@ __all__ = [
     "make_state",
     "mixture",
     "nonlinear_witness_value",
-    "optimal_linear_min",
-    "optimal_nonlinear_min",
     "partial_trace",
     "partial_transpose",
     "pauli_basis",

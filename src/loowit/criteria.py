@@ -64,14 +64,9 @@ def concurrence_pure(psi, dim_a: int | None = None, dim_b: int | None = None) ->
     return math.sqrt(2.0 * max(0.0, 1.0 - float(np.sum(coefficients**4))))
 
 
-def _unbatched(a):
-    """A Python scalar for a 0-d result (one state), the array itself for a stack."""
-    return a.item() if np.ndim(a) == 0 else a
-
-
 def _stored(value: np.ndarray) -> float | np.ndarray:
-    """A field's value from its fresh float result: the array made read-only, not
-    copied, or a Python float for one state."""
+    """A field's or score's value from its fresh float result: the array made
+    read-only, not copied, or a Python float for one state."""
     return value.item() if value.ndim == 0 else _frozen(value)
 
 
@@ -219,12 +214,12 @@ class Spectra:
     @property
     def linear_min(self) -> float | np.ndarray:
         """Linear witness minimum over all LOO pairs, 1 - ‖R(ρ)‖_tr."""
-        return _unbatched(1.0 - self.realigned.sum(axis=-1))
+        return _stored(1.0 - self.realigned.sum(axis=-1))
 
     @property
     def l_max(self) -> float | np.ndarray:
         """ℒ_max = ‖R(ρ - ρ_A⊗ρ_B)‖_tr + (Tr ρ_A² + Tr ρ_B²)/2."""
-        return _unbatched(self.covariance.sum(axis=-1) + (self.purity_a + self.purity_b) / 2.0)
+        return _stored(self.covariance.sum(axis=-1) + (self.purity_a + self.purity_b) / 2.0)
 
     @property
     def nonlinear_min(self) -> float | np.ndarray:
@@ -263,7 +258,7 @@ class Spectra:
                 return factor * score if detected(score) else 0.0
             return np.where(detected(score), factor * score, 0.0)
         if name == "ppt":
-            return _unbatched(np.abs(self.partial_transpose).sum(axis=-1) - 1.0)
+            return _stored(np.abs(self.partial_transpose).sum(axis=-1) - 1.0)
         if name == "nonlinear_opt":
             return -self.nonlinear_min
         if name in ("realign", "linear_opt"):

@@ -247,9 +247,10 @@ def schmidt(psi, dim_a: int | None = None, dim_b: int | None = None) -> SchmidtD
     return SchmidtDecomposition(s[:r], u[:, :r].T, vh[:r, :])
 
 
-def pure_state(psi, dim_a: int, dim_b: int) -> DensityMatrix:
-    """Projector |ψ⟩⟨ψ| as a DensityMatrix (ψ normalized within 1e-10)."""
-    vec, da, db = pure_state_vector(_numbers(psi), dim_a, dim_b)
+def pure_state(psi, dim_a: int | None = None, dim_b: int | None = None) -> DensityMatrix:
+    """Projector |ψ⟩⟨ψ| as a DensityMatrix, from any input of :func:`pure_state_vector`
+    (a vector normalized within 1e-10, a DensityMatrix or a projector matrix)."""
+    vec, da, db = pure_state_vector(psi, dim_a, dim_b)
     return DensityMatrix(da, db, np.outer(vec, vec.conj()))
 
 

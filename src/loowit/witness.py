@@ -1,5 +1,5 @@
 """Linear and nonlinear entanglement witnesses built from local orthogonal
-observables, and their closed-form optima.
+observables, and the certificate of their closed-form optima.
 
 For LOO bases {G_k^A}, {G_k^B} the two witness values are
 
@@ -20,16 +20,16 @@ Tr ρ_A² = |a|² and Tr ρ_B² = |b|².  The values are
 1 - Σ_k σ_k(μ) and 1 - Σ_k σ_k(τ) - (Tr ρ_A² + Tr ρ_B²)/2, and the
 optimizing bases come from the SVD factors.
 
-Each function of a state reads the record of :func:`loowit.criteria.spectra`,
-which raises ValueError on a non-state (one eigensolve per call): the witness
-values in user-supplied bases, and the optima by ``Spectra.optimum``, which
-:func:`optimum_bracket` certifies at their bases from the same record.
+The optima are the record of :func:`loowit.criteria.spectra`: its ``linear_min``,
+``nonlinear_min`` and ``l_max``, and the bases of ``Spectra.optimum``, which
+:func:`optimum_bracket` certifies from the same record.  Each witness value in
+user-supplied bases reads that record too, which raises ValueError on a
+non-state (one eigensolve per call).
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,42 +84,6 @@ def optimum_bracket(record: criteria.Spectra, kind: str, analytic: float, basis_
     upper = float(np.abs(diagonal).sum() + math.sqrt(k) * np.linalg.norm(d[~np.eye(*d.shape, dtype=bool)]))
     allowance = 24 * math.sqrt(k) * sum(d.shape) * math.ulp(1.0)  # ulp(1.0) = ε
     return lower, upper, upper - lower <= allowance and lower - allowance <= analytic <= upper + allowance
-
-
-class LinearOptimum(NamedTuple):
-    value: float
-    basis_a: LOOBasis
-    basis_b: LOOBasis
-
-
-class NonlinearOptimum(NamedTuple):
-    value: float
-    l_max: float
-    basis_a: LOOBasis
-    basis_b: LOOBasis
-
-
-def optimal_linear_min(rho: DensityMatrix) -> LinearOptimum:
-    """Minimum of the linear witness over all LOO pairs: 1 - Σ_k σ_k(μ).
-
-    Also returns the minimizing bases; re-evaluating linear_witness_value at
-    them reproduces the minimum.  Rectangular states are handled by the
-    rectangular μ directly (the shorter side keeps its d² observables).
-    """
-    sigma_sum, opt_a, opt_b = criteria.spectra(rho).optimum("linear")
-    return LinearOptimum(1.0 - sigma_sum, opt_a, opt_b)
-
-
-def optimal_nonlinear_min(rho: DensityMatrix) -> NonlinearOptimum:
-    """Minimum of the nonlinear witness over all LOO pairs.
-
-    Equals 1 - Σ_k σ_k(τ) - (|a|² + |b|²)/2, τ = μ - a·bᵀ (purities |a|², |b|²);
-    the returned l_max is the complementary maximum, 1 - value.
-    """
-    record = criteria.spectra(rho)
-    sigma_sum, opt_a, opt_b = record.optimum("nonlinear")
-    l_max = sigma_sum + (record.purity_a + record.purity_b) / 2.0
-    return NonlinearOptimum(1.0 - l_max, l_max, opt_a, opt_b)
 
 
 def lmax_pure(coefficients) -> float:

@@ -16,8 +16,6 @@ from loowit.witness import (
     linear_witness_value,
     lmax_pure,
     nonlinear_witness_value,
-    optimal_linear_min,
-    optimal_nonlinear_min,
 )
 
 import samplers
@@ -65,8 +63,8 @@ def test_criterion_1_bell_witness_values():
         "nonlinear pauli/pauli": nonlinear_witness_value(bell, pauli, pauli),
         "linear pauli/flipped": linear_witness_value(bell, pauli, flipped),
         "nonlinear pauli/flipped": nonlinear_witness_value(bell, pauli, flipped),
-        "optimal linear min": optimal_linear_min(bell).value,
-        "optimal nonlinear min": optimal_nonlinear_min(bell).value,
+        "optimal linear min": spectra(bell).linear_min,
+        "optimal nonlinear min": spectra(bell).nonlinear_min,
     }
     expected = {
         "linear pauli/pauli": 0.0,
@@ -159,7 +157,7 @@ def test_criterion_3_upb_family_thresholds():
         )
     adapted_threshold = bisect_detection(
         lambda p: nonlinear_witness_value(
-            family(p), *optimal_linear_min(family(p))[1:]
+            family(p), *spectra(family(p)).optimum("linear")[1:]
         )
         < 0,
         0.8,
@@ -247,23 +245,24 @@ def test_criterion_6_property_suite():
         basis_a, basis_b = gell_mann_basis(da), gell_mann_basis(db)
         for _ in range(PROPERTY_STATES_PER_DIM):
             rho = samplers.random_mixed_state(da, db, rng)
-            linear = optimal_linear_min(rho)
-            nonlinear = optimal_nonlinear_min(rho)
+            record = spectra(rho)
+            _, linear_a, linear_b = record.optimum("linear")
+            _, nonlinear_a, nonlinear_b = record.optimum("nonlinear")
             mu = correlation_matrix(rho, basis_a, basis_b)
             tau = covariance_matrix(rho, basis_a, basis_b)
 
             # (a) local-unitary invariance of both optima
-            rotated = samplers.local_unitary_conjugate(
+            rotated = spectra(samplers.local_unitary_conjugate(
                 rho, samplers.haar_unitary(da, rng), samplers.haar_unitary(db, rng)
-            )
-            update("a", abs(optimal_linear_min(rotated).value - linear.value), 1e-8)
-            update("a", abs(optimal_nonlinear_min(rotated).value - nonlinear.value), 1e-8)
+            ))
+            update("a", abs(rotated.linear_min - record.linear_min), 1e-8)
+            update("a", abs(rotated.nonlinear_min - record.nonlinear_min), 1e-8)
 
             # (b) singular-value sum of mu equals the realignment trace norm
             update("b", abs(trace_norm(mu) - trace_norm(realign(rho))), 1e-8)
 
             # (c) the nonlinear optimum never exceeds the linear optimum
-            update("c", nonlinear.value - linear.value, 1e-9)
+            update("c", record.nonlinear_min - record.linear_min, 1e-9)
 
             # (d) zero-padding the rectangular tau leaves the singular values
             if (da, db) == (2, 3):
@@ -279,14 +278,14 @@ def test_criterion_6_property_suite():
             # (g) re-evaluating at the returned optimal bases reproduces the minima
             update(
                 "g",
-                abs(linear_witness_value(rho, linear.basis_a, linear.basis_b) - linear.value),
+                abs(linear_witness_value(rho, linear_a, linear_b) - record.linear_min),
                 1e-9,
             )
             update(
                 "g",
                 abs(
-                    nonlinear_witness_value(rho, nonlinear.basis_a, nonlinear.basis_b)
-                    - nonlinear.value
+                    nonlinear_witness_value(rho, nonlinear_a, nonlinear_b)
+                    - record.nonlinear_min
                 ),
                 1e-9,
             )
@@ -295,7 +294,7 @@ def test_criterion_6_property_suite():
         for _ in range(PROPERTY_STATES_PER_DIM):
             rho = samplers.random_pure_state(da, db, rng)
             expected = lmax_pure(qstate.schmidt(rho).coefficients)
-            update("f", abs(optimal_nonlinear_min(rho).l_max - expected), 1e-8)
+            update("f", abs(spectra(rho).l_max - expected), 1e-8)
 
     elapsed = time.perf_counter() - start
     labels = {

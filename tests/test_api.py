@@ -15,8 +15,6 @@ import samplers
 PUBLIC_NAMES = [
     "DensityMatrix",
     "LOOBasis",
-    "LinearOptimum",
-    "NonlinearOptimum",
     "OrthogonalRotation",
     "SchmidtDecomposition",
     "Spectra",
@@ -28,8 +26,6 @@ PUBLIC_NAMES = [
     "make_state",
     "mixture",
     "nonlinear_witness_value",
-    "optimal_linear_min",
-    "optimal_nonlinear_min",
     "partial_trace",
     "partial_transpose",
     "pauli_basis",
@@ -69,9 +65,11 @@ def test_public_surface():
 # Only tests called these; the tests' own copies live in tests/samplers.py
 # (the two matrices) and tests/oracles.py (the brute-force references and the
 # Monte-Carlo sampler, whose report class is gone).  validate and its
-# Violation were a second state check beside criteria.spectra.
+# Violation were a second state check beside criteria.spectra.  The optimal_*
+# wrappers and their result types recomputed what spectra(ρ) and its optimum give.
 REMOVED_NAMES = {"correlation_matrix", "covariance_matrix", "recompute_witness_direct", "max_concurrence",
-                 "OracleReport", "sampled_max_trace", "validate", "Violation"}
+                 "OracleReport", "sampled_max_trace", "validate", "Violation",
+                 "LinearOptimum", "NonlinearOptimum", "optimal_linear_min", "optimal_nonlinear_min"}
 TESTS = Path(__file__).resolve().parent
 
 

@@ -14,12 +14,7 @@ from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
 from loowit.codec import load_state, save_state
 from loowit.loo import LOOBasis, gell_mann_basis, transpose_basis
 from loowit.qstate import make_state, trace_norm
-from loowit.witness import (
-    linear_witness_value,
-    nonlinear_witness_value,
-    optimal_linear_min,
-    optimal_nonlinear_min,
-)
+from loowit.witness import linear_witness_value, nonlinear_witness_value
 
 import oracles
 import samplers
@@ -252,9 +247,10 @@ class TestAnalysisDocument:
         assert main(["analyze", "--state", str(path), "--json", "--emit-bases"]) == 0
         expected = cli._analysis_document(rho, emit_bases=False)
         expected["optimal_bases"] = {}
-        for kind, optimum in (("linear", optimal_linear_min), ("nonlinear", optimal_nonlinear_min)):
-            result = optimum(rho)
-            expected["optimal_bases"][kind] = {"basis_a": encode(result.basis_a), "basis_b": encode(result.basis_b)}
+        record = criteria.spectra(rho)
+        for kind in ("linear", "nonlinear"):
+            _, basis_a, basis_b = record.optimum(kind)
+            expected["optimal_bases"][kind] = {"basis_a": encode(basis_a), "basis_b": encode(basis_b)}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     # Gell-Mann records (one qstate.realign each), values-only SVDs, full SVDs and

@@ -10,8 +10,6 @@ from loowit.qstate import DensityMatrix, make_state, schmidt
 from loowit.witness import (
     linear_witness_value,
     nonlinear_witness_value,
-    optimal_linear_min,
-    optimal_nonlinear_min,
     optimum_bracket,
 )
 
@@ -131,12 +129,14 @@ class TestSpectra:
     def test_matches_optimal_witnesses(self, dims, rank):
         rng = np.random.default_rng([59, *dims, rank or 0])
         rho = samplers.random_mixed_state(*dims, rng, rank=rank)
+        # The values-only SVDs against the Σσ of the full SVDs that give the optimal bases.
         spec = spectra(rho)
-        nonlinear = optimal_nonlinear_min(rho)
+        linear_sum, nonlinear_sum = (spec.optimum(kind)[0] for kind in ("linear", "nonlinear"))
+        l_max = nonlinear_sum + (spec.purity_a + spec.purity_b) / 2.0
         linear_score = spec.score("linear_opt")
-        assert linear_score == pytest.approx(-optimal_linear_min(rho).value, abs=1e-12)
-        assert spec.score("nonlinear_opt") == pytest.approx(-nonlinear.value, abs=1e-12)
-        assert spec.l_max == pytest.approx(nonlinear.l_max, abs=1e-12)
+        assert linear_score == pytest.approx(linear_sum - 1.0, abs=1e-12)
+        assert spec.score("nonlinear_opt") == pytest.approx(l_max - 1.0, abs=1e-12)
+        assert spec.l_max == pytest.approx(l_max, abs=1e-12)
         assert spec.score("realign") == linear_score
 
     def test_score_answers_every_name(self):
@@ -159,18 +159,22 @@ class TestSpectra:
         np.testing.assert_array_equal(criteria.detected(np.array([-1.0, margin, 1.0])), [False, False, True])
 
     def test_spectra_are_read_only(self):
-        # The record (μ, a, b) and τ too, of a state and of a mixture.
+        # The record (μ, a, b) and τ too, of a state and of a mixture, and a stack's
+        # linear_min, l_max and ppt score, which used to come back writable.
         bell = make_state("bell")
-        for spec in (spectra(bell), spectra(np.stack([bell.as_tensor()] * 2)).mixed(0.5)):
+        stack = spectra(np.stack([bell.as_tensor()] * 2))
+        for spec in (spectra(bell), stack.mixed(0.5)):
             for array in (spec.realigned, *spec.correlations, spec.tau):
                 with pytest.raises(ValueError):
                     array[0] = 0.0
+        for array in (stack.linear_min, stack.l_max, stack.score("ppt")):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_optimum_reads_the_record(self):
         spec = spectra(make_state("upb"))
-        sigma_sum, basis_a, basis_b = spec.optimum("nonlinear")
+        sigma_sum, _, _ = spec.optimum("nonlinear")
         assert sigma_sum == pytest.approx(spec.covariance.sum(), rel=0, abs=1e-12)
-        np.testing.assert_array_equal(basis_a.observables, optimal_nonlinear_min(make_state("upb")).basis_a.observables)
         with pytest.raises(ValueError, match="kind must be 'linear' or 'nonlinear'"):
             spec.optimum("covariance")
 
@@ -606,8 +610,6 @@ STATE_ANSWERS = {
     "optimum_nonlinear": lambda rho: spectra(rho).optimum("nonlinear"),
     "linear_witness_value": lambda rho: linear_witness_value(rho, pauli_basis(), pauli_basis()),
     "nonlinear_witness_value": lambda rho: nonlinear_witness_value(rho, pauli_basis(), pauli_basis()),
-    "optimal_linear_min": optimal_linear_min,
-    "optimal_nonlinear_min": optimal_nonlinear_min,
     "optimum_bracket": lambda rho: optimum_bracket(spectra(rho), "linear", 1.0, pauli_basis(), pauli_basis()),
 }
 

@@ -14,7 +14,6 @@ from loowit.loo import (
     transpose_basis,
 )
 from loowit.qstate import make_state
-from loowit.witness import optimal_linear_min
 
 import oracles
 import samplers
@@ -200,13 +199,14 @@ class TestOperatorSchmidt:
         rng = np.random.default_rng(27)
         for dims in ((2, 2), (3, 3), (2, 3)):
             rho = samplers.random_mixed_state(*dims, rng)
-            sigma = spectra(rho).realigned
-            opt = optimal_linear_min(rho)
+            record = spectra(rho)
+            sigma = record.realigned
+            _, basis_a, basis_b = record.optimum("linear")
             rebuilt = sum(
-                s * np.kron(ga, gb) for s, ga, gb in zip(sigma, opt.basis_a, opt.basis_b)
+                s * np.kron(ga, gb) for s, ga, gb in zip(sigma, basis_a, basis_b)
             )
             assert np.abs(rebuilt - rho.data).max() < 1e-8
-            for basis in (opt.basis_a, opt.basis_b):
+            for basis in (basis_a, basis_b):
                 assert hermiticity_residual(basis) < 1e-9
                 assert orthonormality_residual(basis) < 1e-9
             assert np.all(sigma >= 0)

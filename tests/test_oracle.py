@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loowit import witness
+from loowit.criteria import spectra
 from loowit.loo import gell_mann_basis, pauli_basis, rotate
 from loowit.qstate import make_state, trace_norm
 
@@ -93,9 +94,10 @@ class TestRecomputeWitnessDirect:
     def test_agrees_at_optimal_bases_rectangular(self):
         # exercises the zero-padding path: the A basis has 4 elements, B has 9
         rho = samplers.random_mixed_state(2, 3, np.random.default_rng(9))
-        result = witness.optimal_nonlinear_min(rho)
-        direct = recompute_witness_direct(rho, result.basis_a, result.basis_b, "nonlinear")
-        assert direct == pytest.approx(result.value, abs=1e-10)
+        record = spectra(rho)
+        _, basis_a, basis_b = record.optimum("nonlinear")
+        direct = recompute_witness_direct(rho, basis_a, basis_b, "nonlinear")
+        assert direct == pytest.approx(record.nonlinear_min, abs=1e-10)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

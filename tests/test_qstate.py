@@ -277,6 +277,20 @@ class TestSchmidt:
         dec = schmidt(make_state("bell"), *dims)
         np.testing.assert_allclose(dec.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-10)
 
+    def test_pure_state_takes_a_density_matrix(self):
+        # It used to wrap its input in the number rule first, which a DensityMatrix fails.
+        bell, projector = make_state("bell"), np.outer(bell_vector(), bell_vector().conj())
+        for dims in ((), (2, 2), (2, None)):
+            rho = pure_state(bell, *dims)
+            assert (rho.dim_a, rho.dim_b) == (2, 2)
+            np.testing.assert_allclose(rho.data, projector, rtol=0, atol=1e-12)
+        for dims in ((4, 1), (3, None)):
+            with pytest.raises(ValueError, match=r"state of dims \(2, 2\) does not match dims"):
+                pure_state(bell, *dims)
+        for vector in (np.array(["1", "0", "0", "0"]), np.array([True, False, False, False])):
+            with pytest.raises(ValueError, match=f"^state entries must be numbers, got dtype {vector.dtype}$"):
+                pure_state(vector, 2, 2)
+
     def test_rejects_mixed_projector(self):
         with pytest.raises(ValueError, match="pure"):
             schmidt(DensityMatrix(2, 2, np.eye(4) / 4))

@@ -11,8 +11,6 @@ from loowit.witness import (
     linear_witness_value,
     lmax_pure,
     nonlinear_witness_value,
-    optimal_linear_min,
-    optimal_nonlinear_min,
     optimum_bracket,
 )
 
@@ -113,24 +111,24 @@ class TestLinearWitness:
 
 class TestOptimalLinear:
     def test_bell_minimum(self):
-        result = optimal_linear_min(make_state("bell"))
-        assert result.value == pytest.approx(-1.0, abs=1e-12)
+        assert spectra(make_state("bell")).linear_min == pytest.approx(-1.0, abs=1e-12)
 
     def test_maximally_mixed_minimum(self):
         rho = DensityMatrix(2, 2, np.eye(4) / 4)
-        assert optimal_linear_min(rho).value == pytest.approx(0.5, abs=1e-12)
+        assert spectra(rho).linear_min == pytest.approx(0.5, abs=1e-12)
 
     def test_noisy_singlet_detection_region(self):
-        assert optimal_linear_min(make_state("noisy_singlet", 0.28)).value > 0
-        assert optimal_linear_min(make_state("noisy_singlet", 0.31)).value < 0
+        assert spectra(make_state("noisy_singlet", 0.28)).linear_min > 0
+        assert spectra(make_state("noisy_singlet", 0.31)).linear_min < 0
 
     def test_reevaluation_at_optimal_bases(self):
         rng = np.random.default_rng(34)
         for da, db in DIMS:
             rho = samplers.random_mixed_state(da, db, rng)
-            result = optimal_linear_min(rho)
-            again = linear_witness_value(rho, result.basis_a, result.basis_b)
-            assert again == pytest.approx(result.value, abs=1e-9)
+            record = spectra(rho)
+            _, basis_a, basis_b = record.optimum("linear")
+            again = linear_witness_value(rho, basis_a, basis_b)
+            assert again == pytest.approx(record.linear_min, abs=1e-9)
 
 
 class TestCovarianceMatrix:
@@ -203,30 +201,30 @@ class TestNonlinearWitness:
 
 class TestOptimalNonlinear:
     def test_bell_minimum_and_lmax(self):
-        result = optimal_nonlinear_min(make_state("bell"))
-        assert result.value == pytest.approx(-1.0, abs=1e-12)
-        assert result.l_max == pytest.approx(2.0, abs=1e-12)
+        record = spectra(make_state("bell"))
+        assert record.nonlinear_min == pytest.approx(-1.0, abs=1e-12)
+        assert record.l_max == pytest.approx(2.0, abs=1e-12)
 
     def test_pure_product_states_give_zero(self):
         rng = np.random.default_rng(36)
         for da, db in DIMS:
             rho = samplers.random_product_state(da, db, rng)
-            result = optimal_nonlinear_min(rho)
-            assert result.value == pytest.approx(0.0, abs=1e-10)
+            assert spectra(rho).nonlinear_min == pytest.approx(0.0, abs=1e-10)
 
     def test_upb_noise_detection_region(self):
         upb = make_state("upb")
-        detected = optimal_nonlinear_min(qstate.white_noise_mixture(upb, 0.89)).value
-        missed = optimal_nonlinear_min(qstate.white_noise_mixture(upb, 0.87)).value
+        detected = spectra(qstate.white_noise_mixture(upb, 0.89)).nonlinear_min
+        missed = spectra(qstate.white_noise_mixture(upb, 0.87)).nonlinear_min
         assert detected < 0 < missed
 
     def test_reevaluation_at_optimal_bases(self):
         rng = np.random.default_rng(37)
         for da, db in DIMS:
             rho = samplers.random_mixed_state(da, db, rng)
-            result = optimal_nonlinear_min(rho)
-            again = nonlinear_witness_value(rho, result.basis_a, result.basis_b)
-            assert again == pytest.approx(result.value, abs=1e-9)
+            record = spectra(rho)
+            _, basis_a, basis_b = record.optimum("nonlinear")
+            again = nonlinear_witness_value(rho, basis_a, basis_b)
+            assert again == pytest.approx(record.nonlinear_min, abs=1e-9)
 
 
 class TestLmaxPure:
@@ -268,13 +266,12 @@ class TestInvariantsAndProperties:
         rng = np.random.default_rng(38)
         for da, db in DIMS:
             rho = samplers.random_mixed_state(da, db, rng)
-            lin = optimal_linear_min(rho).value
-            non = optimal_nonlinear_min(rho).value
+            record = spectra(rho)
             for _ in range(3):
                 ua, ub = samplers.haar_unitary(da, rng), samplers.haar_unitary(db, rng)
-                rotated = samplers.local_unitary_conjugate(rho, ua, ub)
-                assert optimal_linear_min(rotated).value == pytest.approx(lin, abs=1e-8)
-                assert optimal_nonlinear_min(rotated).value == pytest.approx(non, abs=1e-8)
+                rotated = spectra(samplers.local_unitary_conjugate(rho, ua, ub))
+                assert rotated.linear_min == pytest.approx(record.linear_min, abs=1e-8)
+                assert rotated.nonlinear_min == pytest.approx(record.nonlinear_min, abs=1e-8)
 
     def test_singular_value_sums_independent_of_starting_bases(self):
         rng = np.random.default_rng(39)
@@ -323,7 +320,7 @@ class TestInvariantsAndProperties:
             for _ in range(5):
                 rho = samplers.random_pure_state(da, db, rng)
                 dec = qstate.schmidt(rho)
-                assert optimal_nonlinear_min(rho).l_max == pytest.approx(
+                assert spectra(rho).l_max == pytest.approx(
                     lmax_pure(dec.coefficients), abs=1e-8
                 )
 
@@ -332,9 +329,8 @@ class TestInvariantsAndProperties:
         for da, db in DIMS:
             for _ in range(10):
                 rho = samplers.random_mixed_state(da, db, rng)
-                non = optimal_nonlinear_min(rho).value
-                lin = optimal_linear_min(rho).value
-                assert non <= lin + 1e-9
+                record = spectra(rho)
+                assert record.nonlinear_min <= record.linear_min + 1e-9
 
 
 def swap_first_two(m: np.ndarray, axis: int) -> np.ndarray:
