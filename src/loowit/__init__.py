@@ -3,7 +3,14 @@ observables, with the PPT/realignment criteria and I-concurrence lower bounds
 they induce for bipartite states."""
 
 from .codec import load_state, save_state
-from .criteria import Spectra, concurrence_pure, spectra
+from .criteria import (
+    Spectra,
+    concurrence_pure,
+    linear_witness_value,
+    lmax_pure,
+    nonlinear_witness_value,
+    spectra,
+)
 from .loo import (
     LOOBasis,
     OrthogonalRotation,
@@ -24,11 +31,6 @@ from .qstate import (
     schmidt,
     trace_norm,
     white_noise_mixture,
-)
-from .witness import (
-    linear_witness_value,
-    lmax_pure,
-    nonlinear_witness_value,
 )
 
 __version__ = "0.1.0"

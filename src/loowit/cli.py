@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codec, criteria, qstate, witness
+from . import codec, criteria, qstate
 from .qstate import DensityMatrix
 
 FAMILY_NAMES = ("upb_noise", "noisy_singlet", "noise_mixture", "mixture")
@@ -162,13 +162,12 @@ def _load_family(args) -> tuple[DensityMatrix, DensityMatrix]:
             raise ValueError("family 'noise_mixture' requires --state")
         base = load_state_file(args.state)
         return base, qstate.white_noise_mixture(base, 0.0)
-    if name == "mixture":
-        if not (args.state and args.state2):
-            raise ValueError("family 'mixture' requires --state and --state2")
-        first, second = load_state_file(args.state), load_state_file(args.state2)
-        qstate._check_equal_dims(first, second)
-        return first, second
-    raise ValueError(f"unknown family {name!r}")
+    # The family is "mixture": argparse's choices and ScanSpec reject any other name first.
+    if not (args.state and args.state2):
+        raise ValueError("family 'mixture' requires --state and --state2")
+    first, second = load_state_file(args.state), load_state_file(args.state2)
+    qstate._check_equal_dims(first, second)
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ def cmd_oracle(args) -> int:
     code = 0
     for target, kind in (("mu", "linear"), ("tau", "nonlinear")):
         analytic, basis_a, basis_b = record.optimum(kind)
-        lower, upper, certified = witness.optimum_bracket(record, kind, analytic, basis_a, basis_b)
+        lower, upper, certified = criteria.optimum_bracket(record, kind, analytic, basis_a, basis_b)
         print(f"target {target}: analytic={analytic!r} lower={lower!r} upper={upper!r} "
               + ("certified" if certified else "FAILED"))
         code = code if certified else 3

@@ -1,4 +1,19 @@
-"""Entanglement criterion scores and I-concurrence lower bounds, read by name.
+"""The two LOO witnesses, entanglement criterion scores and I-concurrence
+lower bounds, read by name.
+
+For LOO bases {G_k^A}, {G_k^B} the two witness values are
+
+    linear:     1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩
+    nonlinear:  1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩ - (1/2) Σ_k ⟨G_k^A⊗I - I⊗G_k^B⟩²
+
+Both are non-negative on every separable state for every basis choice, so a
+negative value certifies entanglement.  In the pair's record (μ, a, b) of
+``loo.correlations`` (μ_lm = ⟨G_l^A⊗G_m^B⟩; a, b the local expectation
+vectors, whose |a|², |b|² are the purities Tr ρ_A², Tr ρ_B²) they are
+1 - Σ_k μ_kk and 1 - Σ_k τ_kk - (Tr ρ_A² + Tr ρ_B²)/2, where
+τ = μ - a·bᵀ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ (R: realignment; F: the frame of
+``loo.frame``).  Their minima over all LOO pairs put Σ_k σ_k in place of
+Σ_k M_kk (the covariance form of Zhang et al., PRA 77, 060301(R) (2008)).
 
 Each criterion is scored so that a positive value certifies entanglement:
 PPT and realignment use trace norms minus one, the two witness criteria use
@@ -7,14 +22,14 @@ local unitaries.  :meth:`Spectra.score` answers every name of
 :data:`SCORE_NAMES`, criterion or I-concurrence bound, and :func:`detected`
 is the one rule that turns a score into a detection.
 
-Every score is arithmetic on σ(μ), σ(τ) and eig(ρ^{T_A}), where (μ, a, b) is
-the Gell-Mann record of ``loo.correlations``, τ = μ - a·bᵀ,
-σ(μ) = σ(R(ρ)) and σ(τ) = σ(R(ρ - ρ_A⊗ρ_B)) (R: realignment).  The record
-of :func:`spectra` takes each decomposition when a score first reads it, and
-at most once, so a scan of one criterion takes only that criterion's
-decomposition.  A scan scores each point from p-mixes of its endpoints' record
-(:meth:`Spectra.mixed`).  The witness minima use the covariance form of Zhang
-et al., PRA 77, 060301(R) (2008); :meth:`Spectra.optimum` gives their bases.
+Every score is arithmetic on σ(μ), σ(τ) and eig(ρ^{T_A}) of the Gell-Mann
+record.  The record of :func:`spectra` takes each decomposition when a score
+first reads it, and at most once, so a scan of one criterion takes only that
+criterion's decomposition.  A scan scores each point from p-mixes of its
+endpoints' record (:meth:`Spectra.mixed`).  :meth:`Spectra.optimum` gives the
+optimal bases and :func:`optimum_bracket` certifies them;
+:func:`linear_witness_value` and :func:`nonlinear_witness_value` read the
+values in a user's pair.
 """
 
 from __future__ import annotations
@@ -68,6 +83,17 @@ def _stored(value: np.ndarray) -> float | np.ndarray:
     """A field's or score's value from its fresh float result: the array made
     read-only, not copied, or a Python float for one state."""
     return value.item() if value.ndim == 0 else _frozen(value)
+
+
+def _covariance(mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """τ = μ - a·bᵀ of a record (μ, a, b), or of each record of a stack."""
+    return mu - a[..., :, None] * b[..., None, :]
+
+
+def _witness_value(diagonal_sum, purities=0.0):
+    """1 - Σ_k M_kk - (Tr ρ_A² + Tr ρ_B²)/2 from Σ_k M_kk and the purities' sum:
+    the linear value (M = μ, no purities) or the nonlinear one (M = τ)."""
+    return 1.0 - diagonal_sum - purities / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,6 +175,14 @@ class Spectra:
             return tuple(map(self._mix, self._endpoints[0].in_bases(basis_a, basis_b)))
         return tuple(map(_frozen, loo.correlations(qstate.realign(self._tensor), basis_a, basis_b)))
 
+    def _witness_matrix(self, kind: str, reader: str, basis_a=None, basis_b=None) -> np.ndarray:
+        """M of one state's witness of ``kind`` in a LOO pair, as :meth:`in_bases`: μ for
+        ``"linear"``, τ for ``"nonlinear"``.  Another kind, or a batch, raises (``reader`` names the caller)."""
+        if kind not in ("linear", "nonlinear"):
+            raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
+        mu, a, b = self._one_state(reader).in_bases(basis_a, basis_b)
+        return _covariance(mu, a, b) if kind == "nonlinear" else mu
+
     @cached_property
     def _mu(self) -> np.ndarray:  # μ alone, so that a mixture mixes only what its scores read
         return self._mix(self._endpoints[0]._mu) if self._endpoints else self.correlations[0]
@@ -166,8 +200,7 @@ class Spectra:
     @cached_property
     def tau(self) -> np.ndarray:
         """The covariance matrix τ = μ - a·bᵀ = F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ, read-only."""
-        a, b = self._marginals
-        return _frozen(self._mu - a[..., :, None] * b[..., None, :])
+        return _frozen(_covariance(self._mu, *self._marginals))
 
     def _at_reference(self, matrix: np.ndarray) -> np.ndarray:
         """Σ_m s_m·M_mm: the reference B basis is transposed, G_mᵀ = s_m·G_m."""
@@ -203,13 +236,13 @@ class Spectra:
     @cached_property
     def linear_at_reference(self) -> float | np.ndarray:
         """The linear witness value at the reference pair, 1 - Σ_m s_m·μ_mm."""
-        return _stored(1.0 - self._at_reference(self._mu))
+        return _stored(_witness_value(self._at_reference(self._mu)))
 
     @cached_property
     def nonlinear_at_reference(self) -> float | np.ndarray:
         """The nonlinear witness value at the reference pair,
         1 - Σ_m s_m·τ_mm - (Tr ρ_A² + Tr ρ_B²)/2."""
-        return _stored(1.0 - self._at_reference(self.tau) - (self.purity_a + self.purity_b) / 2)
+        return _stored(_witness_value(self._at_reference(self.tau), self.purity_a + self.purity_b))
 
     @property
     def linear_min(self) -> float | np.ndarray:
@@ -224,16 +257,14 @@ class Spectra:
     @property
     def nonlinear_min(self) -> float | np.ndarray:
         """Nonlinear witness minimum over all LOO pairs, 1 - ℒ_max."""
-        return 1.0 - self.l_max
+        l_max = self.l_max
+        return 1.0 - l_max if isinstance(l_max, float) else _stored(1.0 - l_max)
 
     def optimum(self, kind: str) -> tuple[float, loo.LOOBasis, loo.LOOBasis]:
         """Σ_k σ_k of μ (``"linear"``) or τ (``"nonlinear"``) of one state, and the Gell-Mann
         bases rotated to diagonalize it; the only SVD here that computes factors.
         A stack, or a mixture at several p, has no one optimum and raises."""
-        if kind not in ("linear", "nonlinear"):
-            raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
-        self._one_state("optimum")
-        u, s, vt = np.linalg.svd(self.tau if kind == "nonlinear" else self.correlations[0])
+        u, s, vt = np.linalg.svd(self._witness_matrix(kind, "optimum"))
         # The matrix is u Σ vt, so rotating by uᵀ / vt diagonalizes the paired expectations.
         basis_a, basis_b = loo.gell_mann_basis(self.dim_a), loo.gell_mann_basis(self.dim_b)
         return float(s.sum()), loo.rotate(basis_a, u.T), loo.rotate(basis_b, vt)
@@ -248,7 +279,7 @@ class Spectra:
         # and np.maximum: a bound is never NaN or -0.
         if name == "bound_combined":
             bounds = [self.score(bound) for bound in _BOUND_SOURCES]
-            return max(bounds) if isinstance(bounds[0], float) else np.maximum.reduce(bounds)
+            return max(bounds) if isinstance(bounds[0], float) else _stored(np.maximum.reduce(bounds))
         if name in _BOUND_SOURCES:
             m = min(self.dim_a, self.dim_b)
             if m < 2:
@@ -256,14 +287,16 @@ class Spectra:
             score, factor = self.score(_BOUND_SOURCES[name]), math.sqrt(2.0 / (m * (m - 1)))
             if isinstance(score, float):
                 return factor * score if detected(score) else 0.0
-            return np.where(detected(score), factor * score, 0.0)
+            return _stored(np.where(detected(score), factor * score, 0.0))
         if name == "ppt":
             return _stored(np.abs(self.partial_transpose).sum(axis=-1) - 1.0)
         if name == "nonlinear_opt":
-            return -self.nonlinear_min
-        if name in ("realign", "linear_opt"):
-            return -self.linear_min
-        raise ValueError(f"unknown score name {name!r}; known: {', '.join(SCORE_NAMES)}")
+            value = -self.nonlinear_min
+        elif name in ("realign", "linear_opt"):
+            value = -self.linear_min
+        else:
+            raise ValueError(f"unknown score name {name!r}; known: {', '.join(SCORE_NAMES)}")
+        return value if isinstance(value, float) else _stored(value)
 
 
 class InvalidState(ValueError):
@@ -288,3 +321,65 @@ def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
     if violations := qstate._violations(tensor.reshape(-1, n, n)):
         raise InvalidState("\n".join(f"invalid state: {name} violated, residual {r!r}" for name, r in violations))
     return Spectra(*tensor.shape[-4:-2], tensor)
+
+
+def linear_witness_value(rho: DensityMatrix, basis_a: loo.LOOBasis, basis_b: loo.LOOBasis) -> float:
+    """1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩ = 1 - Σ_k μ_kk for the given basis pair.  It reads the
+    record of :func:`spectra`, which raises ValueError on a non-state (one eigensolve)."""
+    mu, _, _ = spectra(rho)._one_state("linear_witness_value").in_bases(basis_a, basis_b)
+    return _witness_value(float(np.trace(mu)))
+
+
+def nonlinear_witness_value(rho: DensityMatrix, basis_a: loo.LOOBasis, basis_b: loo.LOOBasis) -> float:
+    """Nonlinear witness value 1 - Σ_k τ_kk - (Tr ρ_A² + Tr ρ_B²)/2, with the
+    purities read as |a|², |b|² from the same record as τ = μ - a·bᵀ.
+
+    It uses Σ_k ⟨G_k^A ⊗ I⟩² = Tr ρ_A², and likewise for B, which holds
+    because every :class:`~loowit.loo.LOOBasis` is complete.  On rectangular states k runs
+    over the shorter basis; the purities count the unpaired terms.
+    """
+    mu, a, b = spectra(rho)._one_state("nonlinear_witness_value").in_bases(basis_a, basis_b)
+    return _witness_value(float(np.trace(_covariance(mu, a, b))), float(a @ a) + float(b @ b))
+
+
+def optimum_bracket(record: Spectra, kind: str, analytic: float, basis_a: loo.LOOBasis, basis_b: loo.LOOBasis):
+    """(lower, upper, certified) for ``analytic`` = ‖M‖_tr, M = μ (``"linear"``) or τ (``"nonlinear"``)
+    of one state's ``record``, at the bases that its :meth:`~Spectra.optimum` gives with it.
+
+    D is M in those bases, by the frame product of :meth:`~Spectra.in_bases`
+    (no SVD); E is its off-diagonal part and k = min(D.shape).  D = O_A·M·O_Bᵀ for
+    orthogonal O_A, O_B, so by von Neumann's trace inequality and ‖E‖_tr ≤ √k·‖E‖_F,
+    lower = Tr D ≤ ‖M‖_tr ≤ Σ|D_ii| + √k·‖E‖_F = upper: both are Σσ(M) at the
+    optimum, and a wrong SVD factor or rotation leaves off-diagonal mass.
+
+    Certified: upper - lower ≤ A and lower - A ≤ analytic ≤ upper + A, where
+    A = 24·√k·n·ε, n = d_A² + d_B², ε the float64 epsilon.  In the first-order
+    rounding model a backward-stable stage of size ≤ n (a frame or rotation
+    product, an SVD) moves its matrix by ≤ n·ε·‖·‖_F, and ‖M‖_F ≤ ‖R(ρ)‖_F +
+    ‖R(ρ_A⊗ρ_B)‖_F ≤ 2.  Four stages (frame product to M, SVD, basis rotations,
+    frame product to D) put D within δ = 8·n·ε of the SVD's Σ; so Tr D, Σ|D_ii|
+    and √k·‖E‖_F each move by ≤ √k·δ, the width is ≤ 3·√k·δ = A and each end
+    lies within A of ``analytic``.
+    """
+    d = record._witness_matrix(kind, "optimum_bracket", basis_a, basis_b)
+    k, diagonal = min(d.shape), np.diagonal(d)
+    lower = float(diagonal.sum())
+    upper = float(np.abs(diagonal).sum() + math.sqrt(k) * np.linalg.norm(d[~np.eye(*d.shape, dtype=bool)]))
+    allowance = 24 * math.sqrt(k) * sum(d.shape) * math.ulp(1.0)  # ulp(1.0) = ε
+    return lower, upper, upper - lower <= allowance and lower - allowance <= analytic <= upper + allowance
+
+
+def lmax_pure(coefficients) -> float:
+    """Nonlinear-witness maximum of a pure state from its Schmidt coefficients.
+
+    ``coefficients``, a 1-D array of ints or floats, are the Schmidt
+    coefficients c_i = √μ_i (non-negative, Σ c_i² = 1); the maximum is (Σ_i c_i)²."""
+    c = np.asarray(coefficients)
+    if c.ndim != 1 or c.dtype.kind not in "iuf":  # ints and floats; not bool, complex, str or object
+        raise ValueError(f"Schmidt coefficients must be a 1-D array of real numbers, got {coefficients!r}")
+    if c.size == 0 or (c < 0).any():
+        raise ValueError("Schmidt coefficients must be non-negative")
+    total = float(c @ c)
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"squared coefficients must sum to 1, got {total!r}")
+    return float(c.sum()) ** 2

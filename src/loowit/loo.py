@@ -3,8 +3,8 @@ subsystem, trace-orthonormal under Tr(G_k G_l) = δ_kl, together with the
 orthogonal rotations connecting any two such bases and the frame products
 that turn a realigned operator into its matrix of joint expectations.
 :func:`correlations` builds the one record (μ, a, b) of a LOO pair, the
-Gell-Mann pair by default, that the scores, reference values, optimal bases
-and user-basis witness values read.  A :class:`LOOBasis` is checked Hermitian
+Gell-Mann pair by default, from which :mod:`loowit.criteria` reads the scores,
+reference values, optimal bases and user-basis witness values.  A :class:`LOOBasis` is checked Hermitian
 once, when it is built.
 
 No SVD is taken here.  The operator-Schmidt form ρ = Σ_k σ_k G_k^A ⊗ G_k^B

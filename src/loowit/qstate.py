@@ -8,8 +8,8 @@ read-only, so values are safe to share across threads.  The reductions
 (:func:`partial_trace`, :func:`partial_transpose`, :func:`realign`) take a
 DensityMatrix or a stack of tensor views through :func:`tensor_view` and act
 per state on a stack.  ``loo.correlations`` turns :func:`realign` into the one
-record (μ, a, b) that the scores, optima and witness values read, whose
-|a|², |b|² are the subsystem purities.  :func:`trace_norm` takes
+record (μ, a, b) from which ``criteria`` reads every score, optimum and
+witness value, and whose |a|², |b|² are the subsystem purities.  :func:`trace_norm` takes
 a values-only SVD and :func:`schmidt` factors a pure state's d_a×d_b
 coefficient matrix.  State files are read and written by :mod:`loowit.codec`.
 """

@@ -9,14 +9,9 @@ import numpy as np
 
 from loowit import criteria, qstate
 from loowit.cli import ScanSpec, run_scan
-from loowit.criteria import spectra
+from loowit.criteria import linear_witness_value, lmax_pure, nonlinear_witness_value, spectra
 from loowit.loo import gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.qstate import make_state, realign, trace_norm, white_noise_mixture
-from loowit.witness import (
-    linear_witness_value,
-    lmax_pure,
-    nonlinear_witness_value,
-)
 
 import samplers
 from oracles import sampled_max_trace

@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -70,6 +71,8 @@ def test_public_surface():
 REMOVED_NAMES = {"correlation_matrix", "covariance_matrix", "recompute_witness_direct", "max_concurrence",
                  "OracleReport", "sampled_max_trace", "validate", "Violation",
                  "LinearOptimum", "NonlinearOptimum", "optimal_linear_min", "optimal_nonlinear_min"}
+# witness held the user-basis values, the bracket and lmax_pure, now in criteria.
+REMOVED_MODULES = {"witness"}
 TESTS = Path(__file__).resolve().parent
 
 
@@ -84,6 +87,10 @@ def test_removed_names_are_unreachable():
         reached = [name for name, value in vars(module).items()
                    if REMOVED_NAMES & {name, getattr(value, "__name__", None)}]
         assert reached == [], module.__name__
+
+
+def test_removed_modules_are_gone():
+    assert [name for name in REMOVED_MODULES if importlib.util.find_spec(f"loowit.{name}") is not None] == []
 
 
 def test_library_imports_nothing_from_tests():

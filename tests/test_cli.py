@@ -12,9 +12,9 @@ import pytest
 from loowit import cli, codec, criteria, loo, qstate
 from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
 from loowit.codec import load_state, save_state
+from loowit.criteria import linear_witness_value, nonlinear_witness_value
 from loowit.loo import LOOBasis, gell_mann_basis, transpose_basis
 from loowit.qstate import make_state, trace_norm
-from loowit.witness import linear_witness_value, nonlinear_witness_value
 
 import oracles
 import samplers
@@ -368,10 +368,12 @@ class TestScanSpec:
         with pytest.raises(ValueError, match="must be ints or floats"):
             ScanSpec(**{"family": "noisy_singlet", "p_start": 0.0, "p_stop": 1.0, field: value})
 
+    # argparse reads a separate "-inf" as an option, so a negative value is written --flag=VALUE.
     @pytest.mark.parametrize("flag, value, named", [("--tol", "nan", "bisection_tol"), ("--tol", "inf", "bisection_tol"),
-                                                    ("--step", "inf", "step")])
+                                                    ("--step", "inf", "step"), ("--tol=-inf", None, "bisection_tol")])
     def test_non_finite_flag_fails(self, flag, value, named, capsys):
-        assert main(["scan", "--family", "noisy_singlet", "--criterion", "ppt", flag, value]) == 1
+        flags = [flag] if value is None else [flag, value]
+        assert main(["scan", "--family", "noisy_singlet", "--criterion", "ppt", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert named in captured.err
@@ -792,6 +794,14 @@ class TestInputValidation:
                 "--state2", identity_file]
         assert main(argv) == 1
         assert "invalid state: unit_trace violated, residual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--state", "--state2"])
+    def test_scan_mixture_needs_both_state_files(self, bell_file, tmp_path, capsys, flag):
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--family", "mixture", "--criterion", "realign", flag, bell_file, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: family 'mixture' requires --state and --state2\n"
+        assert not out.exists()
 
     def test_oracle_rejects_invalid_state(self, identity_file, capsys):
         assert main(["oracle", "--state", identity_file]) == 1

@@ -51,6 +51,13 @@ class TestWriteJson:
         codec.write_json(doc, out)
         assert out.getvalue() == json.dumps(with_pairs(doc), indent=2) + "\n"
 
+    def test_value_that_is_not_an_array_raises_before_writing(self):
+        # json's default hook sees only what json cannot encode: here a set.
+        out = io.StringIO()
+        with pytest.raises(TypeError, match="^cannot write set as JSON$"):
+            codec.write_json({"n": 1, "basis": {0.5}}, out)
+        assert out.getvalue() == ""
+
     def test_written_arrays_are_freed_on_return(self):
         # json's indented encoder keeps its default hook in a reference cycle;
         # an array it saw must not wait for a garbage collection to be freed.

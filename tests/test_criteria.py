@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from loowit import criteria, qstate
-from loowit.criteria import THRESHOLD_FORMS, concurrence_pure, detected, spectra
-from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate
-from loowit.qstate import DensityMatrix, make_state, schmidt
-from loowit.witness import (
+from loowit.criteria import (
+    THRESHOLD_FORMS,
+    concurrence_pure,
+    detected,
     linear_witness_value,
     nonlinear_witness_value,
     optimum_bracket,
+    spectra,
 )
+from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate
+from loowit.qstate import DensityMatrix, make_state, schmidt
 
 import oracles
 import samplers
@@ -159,17 +162,19 @@ class TestSpectra:
         np.testing.assert_array_equal(criteria.detected(np.array([-1.0, margin, 1.0])), [False, False, True])
 
     def test_spectra_are_read_only(self):
-        # The record (μ, a, b) and τ too, of a state and of a mixture, and a stack's
-        # linear_min, l_max and ppt score, which used to come back writable.
+        # The record (μ, a, b) and τ too, of a state and of a mixture, and every
+        # minimum, score and bound of a stack and of a mixture at two p: the
+        # negated scores, nonlinear_min and the bounds used to come back writable.
         bell = make_state("bell")
         stack = spectra(np.stack([bell.as_tensor()] * 2))
         for spec in (spectra(bell), stack.mixed(0.5)):
             for array in (spec.realigned, *spec.correlations, spec.tau):
                 with pytest.raises(ValueError):
                     array[0] = 0.0
-        for array in (stack.linear_min, stack.l_max, stack.score("ppt")):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        for batch in (stack, spectra(np.stack([make_state("upb").as_tensor()] * 2)).mixed([0.2, 0.7])):
+            answers = {"linear_min": batch.linear_min, "l_max": batch.l_max, "nonlinear_min": batch.nonlinear_min,
+                       **{name: batch.score(name) for name in criteria.SCORE_NAMES}}
+            assert [name for name, array in answers.items() if array.flags.writeable] == []
 
     def test_optimum_reads_the_record(self):
         spec = spectra(make_state("upb"))

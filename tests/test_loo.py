@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loowit import loo, qstate, witness
+from loowit import criteria, loo, qstate
 from loowit.criteria import spectra
 from loowit.loo import (
     LOOBasis,
@@ -243,7 +243,7 @@ class TestBasisChecks:
     @pytest.mark.parametrize("side", ["A", "B"])
     @pytest.mark.parametrize(
         "value", [samplers.correlation_matrix, samplers.covariance_matrix,
-                  witness.linear_witness_value, witness.nonlinear_witness_value]
+                  criteria.linear_witness_value, criteria.nonlinear_witness_value]
     )
     def test_nan_basis_rejected(self, side, value):
         # The NaN basis raises when it is built, before any value reads it.
@@ -265,7 +265,7 @@ class TestBasisChecks:
         observables[0, 0, 1] += 0.9e-10
         assert hermiticity_residual(LOOBasis(3, observables)) == pytest.approx(0.9e-10, rel=1e-6)
 
-    @pytest.mark.parametrize("value", [witness.linear_witness_value, witness.nonlinear_witness_value])
+    @pytest.mark.parametrize("value", [criteria.linear_witness_value, criteria.nonlinear_witness_value])
     def test_orthonormality_checked_when_built(self, value):
         # Twice the Pauli basis is Hermitian but has Tr(G_k G_l) = 2·δ_kl; both
         # witness values used to read -3.0 on |00⟩, a false detection.
@@ -298,10 +298,10 @@ class TestBasisChecks:
             (lambda: OrthogonalRotation(np.eye(4, dtype=bool)), "real numbers"),
             (lambda: oracles.sampled_max_trace(np.eye(3) * (1 + 1j), 10, 0), "real numbers"),
             (lambda: oracles.sampled_max_trace(np.eye(3, dtype=bool), 10, 0), "real numbers"),
-            (lambda: witness.lmax_pure(["0.6", "0.8"]), "real numbers"),
-            (lambda: witness.lmax_pure([True]), "real numbers"),
-            (lambda: witness.lmax_pure(np.array([0.6, 0.8j])), "real numbers"),
-            (lambda: witness.lmax_pure([[0.6, 0.8]]), "1-D array"),
+            (lambda: criteria.lmax_pure(["0.6", "0.8"]), "real numbers"),
+            (lambda: criteria.lmax_pure([True]), "real numbers"),
+            (lambda: criteria.lmax_pure(np.array([0.6, 0.8j])), "real numbers"),
+            (lambda: criteria.lmax_pure([[0.6, 0.8]]), "1-D array"),
         ],
         ids=["float_dim", "bool_dim", "complex_rotation", "complex_rotate", "bool_rotation",
              "complex_oracle_matrix", "bool_oracle_matrix", "str_coefficients", "bool_coefficients",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loowit import witness
+from loowit import criteria
 from loowit.criteria import spectra
 from loowit.loo import gell_mann_basis, pauli_basis, rotate
 from loowit.qstate import make_state, trace_norm
@@ -85,10 +85,10 @@ class TestRecomputeWitnessDirect:
             lin_direct = recompute_witness_direct(rho, basis_a, basis_b, "linear")
             non_direct = recompute_witness_direct(rho, basis_a, basis_b, "nonlinear")
             assert lin_direct == pytest.approx(
-                witness.linear_witness_value(rho, basis_a, basis_b), abs=1e-10
+                criteria.linear_witness_value(rho, basis_a, basis_b), abs=1e-10
             )
             assert non_direct == pytest.approx(
-                witness.nonlinear_witness_value(rho, basis_a, basis_b), abs=1e-10
+                criteria.nonlinear_witness_value(rho, basis_a, basis_b), abs=1e-10
             )
 
     def test_agrees_at_optimal_bases_rectangular(self):

@@ -291,6 +291,17 @@ class TestSchmidt:
             with pytest.raises(ValueError, match=f"^state entries must be numbers, got dtype {vector.dtype}$"):
                 pure_state(vector, 2, 2)
 
+    @pytest.mark.parametrize("dims", [(None, None), (2, None), (None, 2)])
+    def test_bare_input_needs_both_dims(self, dims):
+        # Only a DensityMatrix carries its own dims; a vector or raw matrix does not.
+        for state in (bell_vector(), np.outer(bell_vector(), bell_vector().conj())):
+            with pytest.raises(ValueError, match="^dim_a and dim_b are required for a bare state vector or a raw matrix$"):
+                qstate.pure_state_vector(state, *dims)
+
+    def test_vector_length_must_match_dims(self):
+        with pytest.raises(ValueError, match=r"^vector of length 4 does not match dims \(2, 3\)$"):
+            qstate.pure_state_vector(bell_vector(), 2, 3)
+
     def test_rejects_mixed_projector(self):
         with pytest.raises(ValueError, match="pure"):
             schmidt(DensityMatrix(2, 2, np.eye(4) / 4))

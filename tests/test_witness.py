@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loowit import qstate
-from loowit.criteria import spectra
-from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate, transpose_basis
-from loowit.qstate import DensityMatrix, make_state, realign, trace_norm
-from loowit.witness import (
+from loowit.criteria import (
     linear_witness_value,
     lmax_pure,
     nonlinear_witness_value,
     optimum_bracket,
+    spectra,
 )
+from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate, transpose_basis
+from loowit.qstate import DensityMatrix, make_state, realign, trace_norm
 
 import oracles
 import samplers
