@@ -6,9 +6,7 @@ from .codec import load_state, save_state
 from .criteria import (
     Spectra,
     concurrence_pure,
-    linear_witness_value,
     lmax_pure,
-    nonlinear_witness_value,
     spectra,
 )
 from .loo import (
@@ -43,12 +41,10 @@ __all__ = [
     "Spectra",
     "concurrence_pure",
     "gell_mann_basis",
-    "linear_witness_value",
     "lmax_pure",
     "load_state",
     "make_state",
     "mixture",
-    "nonlinear_witness_value",
     "partial_trace",
     "partial_transpose",
     "pauli_basis",

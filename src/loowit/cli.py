@@ -139,7 +139,8 @@ def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> 
             hi, score_hi = mid, score
         else:
             lo, score_lo = mid, score
-    return ScanResult(spec, rows, "ok", (lo + hi) / 2, spec.bisection_tol)
+    # With bisection_tol >= step no step ran, and the bracket is one grid cell.
+    return ScanResult(spec, rows, "ok", (lo + hi) / 2, min(spec.bisection_tol, spec.step))
 
 
 def scan_csv(result: ScanResult) -> str:

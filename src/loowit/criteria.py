@@ -28,8 +28,7 @@ first reads it, and at most once, so a scan of one criterion takes only that
 criterion's decomposition.  A scan scores each point from p-mixes of its
 endpoints' record (:meth:`Spectra.mixed`).  :meth:`Spectra.optimum` gives the
 optimal bases and :func:`optimum_bracket` certifies them;
-:func:`linear_witness_value` and :func:`nonlinear_witness_value` read the
-values in a user's pair.
+:meth:`Spectra.witness_value` reads either value in a user's pair.
 """
 
 from __future__ import annotations
@@ -135,6 +134,9 @@ class Spectra:
             return Spectra(self.dim_a, self.dim_b, _endpoints=(self, float(ps)))
         p = np.asarray(ps)
         real = p.dtype.kind in "iuf"  # ints and floats; not bool, complex, str or object
+        # np.asarray turns a bool beside a number into 0 or 1; only those entries can have been one.
+        if real and not isinstance(ps, np.ndarray) and (suspects := (p == 0) | (p == 1)).any():
+            real = not any(np.asarray(v).dtype == bool for v in np.asarray(ps, dtype=object)[suspects])
         if not (real and p.min(initial=0) >= 0 and p.max(initial=1) <= 1):  # NaN fails too; [] passes
             raise ValueError(f"mixing parameter must be a number in [0, 1], got {ps!r}")
         return Spectra(self.dim_a, self.dim_b, _endpoints=(self, p.astype(float)))
@@ -175,13 +177,27 @@ class Spectra:
             return tuple(map(self._mix, self._endpoints[0].in_bases(basis_a, basis_b)))
         return tuple(map(_frozen, loo.correlations(qstate.realign(self._tensor), basis_a, basis_b)))
 
-    def _witness_matrix(self, kind: str, reader: str, basis_a=None, basis_b=None) -> np.ndarray:
-        """M of one state's witness of ``kind`` in a LOO pair, as :meth:`in_bases`: μ for
-        ``"linear"``, τ for ``"nonlinear"``.  Another kind, or a batch, raises (``reader`` names the caller)."""
+    def _witness_matrix(self, kind: str, reader: str, basis_a=None, basis_b=None) -> tuple[np.ndarray, float]:
+        """M of one state's witness of ``kind`` in a LOO pair, as :meth:`in_bases`, and the purities
+        its value subtracts: (μ, 0.0) for ``"linear"``, (τ, |a|² + |b|²) for ``"nonlinear"``, read
+        from the pair's own (μ, a, b).  Another kind, or a batch, raises (``reader`` names the caller)."""
         if kind not in ("linear", "nonlinear"):
             raise ValueError(f"kind must be 'linear' or 'nonlinear', got {kind!r}")
         mu, a, b = self._one_state(reader).in_bases(basis_a, basis_b)
-        return _covariance(mu, a, b) if kind == "nonlinear" else mu
+        return (_covariance(mu, a, b), float(a @ a) + float(b @ b)) if kind == "nonlinear" else (mu, 0.0)
+
+    def witness_value(self, kind: str, basis_a: loo.LOOBasis, basis_b: loo.LOOBasis) -> float:
+        """One state's witness value of ``kind`` in a LOO pair: 1 - Σ_k μ_kk for ``"linear"``,
+        1 - Σ_k τ_kk - (Tr ρ_A² + Tr ρ_B²)/2 for ``"nonlinear"``, with the purities read as
+        |a|², |b|² from the same (μ, a, b) as τ = μ - a·bᵀ.
+
+        The nonlinear value uses Σ_k ⟨G_k^A ⊗ I⟩² = Tr ρ_A², and likewise for B, which holds
+        because every :class:`~loowit.loo.LOOBasis` is complete.  On rectangular states k runs
+        over the shorter basis; the purities count the unpaired terms.  Any number of pairs
+        are read from one record, with no state check beyond the one of :func:`spectra`.
+        A stack, or a mixture at several p, raises."""
+        matrix, purities = self._witness_matrix(kind, "witness_value", basis_a, basis_b)
+        return _witness_value(float(np.trace(matrix)), purities)
 
     @cached_property
     def _mu(self) -> np.ndarray:  # μ alone, so that a mixture mixes only what its scores read
@@ -264,7 +280,7 @@ class Spectra:
         """Σ_k σ_k of μ (``"linear"``) or τ (``"nonlinear"``) of one state, and the Gell-Mann
         bases rotated to diagonalize it; the only SVD here that computes factors.
         A stack, or a mixture at several p, has no one optimum and raises."""
-        u, s, vt = np.linalg.svd(self._witness_matrix(kind, "optimum"))
+        u, s, vt = np.linalg.svd(self._witness_matrix(kind, "optimum")[0])
         # The matrix is u Σ vt, so rotating by uᵀ / vt diagonalizes the paired expectations.
         basis_a, basis_b = loo.gell_mann_basis(self.dim_a), loo.gell_mann_basis(self.dim_b)
         return float(s.sum()), loo.rotate(basis_a, u.T), loo.rotate(basis_b, vt)
@@ -323,25 +339,6 @@ def spectra(rho: DensityMatrix | np.ndarray) -> Spectra:
     return Spectra(*tensor.shape[-4:-2], tensor)
 
 
-def linear_witness_value(rho: DensityMatrix, basis_a: loo.LOOBasis, basis_b: loo.LOOBasis) -> float:
-    """1 - Σ_k ⟨G_k^A ⊗ G_k^B⟩ = 1 - Σ_k μ_kk for the given basis pair.  It reads the
-    record of :func:`spectra`, which raises ValueError on a non-state (one eigensolve)."""
-    mu, _, _ = spectra(rho)._one_state("linear_witness_value").in_bases(basis_a, basis_b)
-    return _witness_value(float(np.trace(mu)))
-
-
-def nonlinear_witness_value(rho: DensityMatrix, basis_a: loo.LOOBasis, basis_b: loo.LOOBasis) -> float:
-    """Nonlinear witness value 1 - Σ_k τ_kk - (Tr ρ_A² + Tr ρ_B²)/2, with the
-    purities read as |a|², |b|² from the same record as τ = μ - a·bᵀ.
-
-    It uses Σ_k ⟨G_k^A ⊗ I⟩² = Tr ρ_A², and likewise for B, which holds
-    because every :class:`~loowit.loo.LOOBasis` is complete.  On rectangular states k runs
-    over the shorter basis; the purities count the unpaired terms.
-    """
-    mu, a, b = spectra(rho)._one_state("nonlinear_witness_value").in_bases(basis_a, basis_b)
-    return _witness_value(float(np.trace(_covariance(mu, a, b))), float(a @ a) + float(b @ b))
-
-
 def optimum_bracket(record: Spectra, kind: str, analytic: float, basis_a: loo.LOOBasis, basis_b: loo.LOOBasis):
     """(lower, upper, certified) for ``analytic`` = ‖M‖_tr, M = μ (``"linear"``) or τ (``"nonlinear"``)
     of one state's ``record``, at the bases that its :meth:`~Spectra.optimum` gives with it.
@@ -361,7 +358,7 @@ def optimum_bracket(record: Spectra, kind: str, analytic: float, basis_a: loo.LO
     and √k·‖E‖_F each move by ≤ √k·δ, the width is ≤ 3·√k·δ = A and each end
     lies within A of ``analytic``.
     """
-    d = record._witness_matrix(kind, "optimum_bracket", basis_a, basis_b)
+    d, _ = record._witness_matrix(kind, "optimum_bracket", basis_a, basis_b)
     k, diagonal = min(d.shape), np.diagonal(d)
     lower = float(diagonal.sum())
     upper = float(np.abs(diagonal).sum() + math.sqrt(k) * np.linalg.norm(d[~np.eye(*d.shape, dtype=bool)]))

@@ -5,7 +5,7 @@ that turn a realigned operator into its matrix of joint expectations.
 :func:`correlations` builds the one record (μ, a, b) of a LOO pair, the
 Gell-Mann pair by default, from which :mod:`loowit.criteria` reads the scores,
 reference values, optimal bases and user-basis witness values.  A :class:`LOOBasis` is checked Hermitian
-once, when it is built.
+and orthonormal once, when it is built.
 
 No SVD is taken here.  The operator-Schmidt form ρ = Σ_k σ_k G_k^A ⊗ G_k^B
 has σ = ``criteria.spectra(ρ).realigned`` and the bases of

@@ -9,7 +9,7 @@ import numpy as np
 
 from loowit import criteria, qstate
 from loowit.cli import ScanSpec, run_scan
-from loowit.criteria import linear_witness_value, lmax_pure, nonlinear_witness_value, spectra
+from loowit.criteria import lmax_pure, spectra
 from loowit.loo import gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.qstate import make_state, realign, trace_norm, white_noise_mixture
 
@@ -53,13 +53,14 @@ def test_criterion_1_bell_witness_values():
     bell = make_state("bell")
     pauli = pauli_basis()
     flipped = rotate(pauli, np.diag([1.0, -1.0, 1.0, 1.0]))
+    record = spectra(bell)
     values = {
-        "linear pauli/pauli": linear_witness_value(bell, pauli, pauli),
-        "nonlinear pauli/pauli": nonlinear_witness_value(bell, pauli, pauli),
-        "linear pauli/flipped": linear_witness_value(bell, pauli, flipped),
-        "nonlinear pauli/flipped": nonlinear_witness_value(bell, pauli, flipped),
-        "optimal linear min": spectra(bell).linear_min,
-        "optimal nonlinear min": spectra(bell).nonlinear_min,
+        "linear pauli/pauli": record.witness_value("linear", pauli, pauli),
+        "nonlinear pauli/pauli": record.witness_value("nonlinear", pauli, pauli),
+        "linear pauli/flipped": record.witness_value("linear", pauli, flipped),
+        "nonlinear pauli/flipped": record.witness_value("nonlinear", pauli, flipped),
+        "optimal linear min": record.linear_min,
+        "optimal nonlinear min": record.nonlinear_min,
     }
     expected = {
         "linear pauli/pauli": 0.0,
@@ -83,7 +84,7 @@ def test_criterion_2_noisy_singlet_thresholds():
     standard = pauli_basis()
 
     fixed_threshold = bisect_detection(
-        lambda p: linear_witness_value(make_state("noisy_singlet", p), negated, standard) < 0,
+        lambda p: spectra(make_state("noisy_singlet", p)).witness_value("linear", negated, standard) < 0,
         0.0,
         1.0,
     )
@@ -133,11 +134,11 @@ def test_criterion_3_upb_family_thresholds():
     basis_a = gell_mann_basis(3)
     basis_b = transpose_basis(basis_a)
     fixed_values = {
-        p: nonlinear_witness_value(family(p), basis_a, basis_b)
+        p: spectra(family(p)).witness_value("nonlinear", basis_a, basis_b)
         for p in np.linspace(0.0, 1.0, 21)
     }
     fixed_threshold = bisect_detection(
-        lambda p: nonlinear_witness_value(family(p), basis_a, basis_b) < 0, 0.0, 1.0
+        lambda p: spectra(family(p)).witness_value("nonlinear", basis_a, basis_b) < 0, 0.0, 1.0
     )
     if fixed_threshold is None:
         report(
@@ -150,11 +151,13 @@ def test_criterion_3_upb_family_thresholds():
             f"criterion 3: fixed standard/transposed-basis nonlinear threshold "
             f"{fixed_threshold:.4f} vs reference 0.8885"
         )
+
+    def adapted_value(p):
+        record = spectra(family(p))
+        return record.witness_value("nonlinear", *record.optimum("linear")[1:])
+
     adapted_threshold = bisect_detection(
-        lambda p: nonlinear_witness_value(
-            family(p), *spectra(family(p)).optimum("linear")[1:]
-        )
-        < 0,
+        lambda p: adapted_value(p) < 0,
         0.8,
         0.95,
     )
@@ -273,13 +276,13 @@ def test_criterion_6_property_suite():
             # (g) re-evaluating at the returned optimal bases reproduces the minima
             update(
                 "g",
-                abs(linear_witness_value(rho, linear_a, linear_b) - record.linear_min),
+                abs(record.witness_value("linear", linear_a, linear_b) - record.linear_min),
                 1e-9,
             )
             update(
                 "g",
                 abs(
-                    nonlinear_witness_value(rho, nonlinear_a, nonlinear_b)
+                    record.witness_value("nonlinear", nonlinear_a, nonlinear_b)
                     - record.nonlinear_min
                 ),
                 1e-9,

@@ -21,12 +21,10 @@ PUBLIC_NAMES = [
     "Spectra",
     "concurrence_pure",
     "gell_mann_basis",
-    "linear_witness_value",
     "lmax_pure",
     "load_state",
     "make_state",
     "mixture",
-    "nonlinear_witness_value",
     "partial_trace",
     "partial_transpose",
     "pauli_basis",
@@ -67,10 +65,12 @@ def test_public_surface():
 # (the two matrices) and tests/oracles.py (the brute-force references and the
 # Monte-Carlo sampler, whose report class is gone).  validate and its
 # Violation were a second state check beside criteria.spectra.  The optimal_*
-# wrappers and their result types recomputed what spectra(ρ) and its optimum give.
+# wrappers and their result types recomputed what spectra(ρ) and its optimum give,
+# and the two user-pair values what Spectra.witness_value reads from a record.
 REMOVED_NAMES = {"correlation_matrix", "covariance_matrix", "recompute_witness_direct", "max_concurrence",
                  "OracleReport", "sampled_max_trace", "validate", "Violation",
-                 "LinearOptimum", "NonlinearOptimum", "optimal_linear_min", "optimal_nonlinear_min"}
+                 "LinearOptimum", "NonlinearOptimum", "optimal_linear_min", "optimal_nonlinear_min",
+                 "linear_witness_value", "nonlinear_witness_value"}
 # witness held the user-basis values, the bracket and lmax_pure, now in criteria.
 REMOVED_MODULES = {"witness"}
 TESTS = Path(__file__).resolve().parent

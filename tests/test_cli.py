@@ -12,7 +12,6 @@ import pytest
 from loowit import cli, codec, criteria, loo, qstate
 from loowit.cli import ScanSpec, main, run_scan, scan_csv, scan_score
 from loowit.codec import load_state, save_state
-from loowit.criteria import linear_witness_value, nonlinear_witness_value
 from loowit.loo import LOOBasis, gell_mann_basis, transpose_basis
 from loowit.qstate import make_state, trace_norm
 
@@ -155,7 +154,7 @@ class TestAnalyze:
         bases = doc["optimal_bases"]["nonlinear"]
         basis_a = basis_from_document(bases["basis_a"])
         basis_b = basis_from_document(bases["basis_b"])
-        value = nonlinear_witness_value(make_state("bell"), basis_a, basis_b)
+        value = criteria.spectra(make_state("bell")).witness_value("nonlinear", basis_a, basis_b)
         assert value == pytest.approx(doc["nonlinear"]["min"], abs=1e-9)
 
     def test_emit_bases_needs_json(self, bell_file, capsys):
@@ -226,15 +225,12 @@ class TestAnalysisDocument:
     def test_optimal_bases_match_requested_kind(self):
         # The document holds each basis as its observables array; only the writer turns it into pairs.
         rho = make_state("noisy_singlet", 0.8)
-        doc = cli._analysis_document(rho, emit_bases=True)
-        for kind, witness_value in (
-            ("linear", linear_witness_value),
-            ("nonlinear", nonlinear_witness_value),
-        ):
+        doc, record = cli._analysis_document(rho, emit_bases=True), criteria.spectra(rho)
+        for kind in ("linear", "nonlinear"):
             bases = doc["optimal_bases"][kind]
             basis_a = LOOBasis(rho.dim_a, bases["basis_a"])
             basis_b = LOOBasis(rho.dim_b, bases["basis_b"])
-            value = witness_value(rho, basis_a, basis_b)
+            value = record.witness_value(kind, basis_a, basis_b)
             assert value == pytest.approx(doc[kind]["min"], abs=1e-9)
 
     def test_bases_match_per_entry_encoder(self, tmp_path, capsys):
@@ -483,7 +479,8 @@ class TestScan:
             assert result.status == "ok", name
             assert abs(result.threshold - 1 / (d + 1)) <= result.tolerance, name
 
-    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    # At tol = 1 >= step no bisection step runs, and the bracket is one grid cell.
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1.0])
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (3, 4)])
     def test_ppt_threshold_matches_closed_form(self, dims, tol):
         # On p·A + (1-p)·I/n, λ_min(ρ(p)^{T_A}) = p·λ_min(A^{T_A}) + (1-p)/n,
@@ -494,6 +491,7 @@ class TestScan:
         spec = ScanSpec("noise_mixture", 0.0, 1.0, criterion="ppt", bisection_tol=tol)
         result = run_scan(spec, (pure, qstate.white_noise_mixture(pure, 0.0)))
         assert result.status == "ok"
+        assert result.tolerance <= spec.step
         assert abs(result.threshold - p_star) <= result.tolerance
 
     def test_no_threshold_exit_code(self, tmp_path, capsys):

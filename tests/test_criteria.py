@@ -8,8 +8,6 @@ from loowit.criteria import (
     THRESHOLD_FORMS,
     concurrence_pure,
     detected,
-    linear_witness_value,
-    nonlinear_witness_value,
     optimum_bracket,
     spectra,
 )
@@ -118,10 +116,11 @@ class TestToleranceSlack:
         # values read -0.9·tol: -3.6e-10 at 2×2, -1.44e-9 at 8×8, -2.88e-9 at 16×16.
         tol = (1 + d * qstate.HERMITICITY_TOL) ** 2 - 1 + 2 * d**2 * np.finfo(float).eps
         rho = qstate.pure_state(np.eye(d * d)[0], d, d)
-        for kind, value in (("linear", linear_witness_value), ("nonlinear", nonlinear_witness_value)):
-            _, basis_a, basis_b = spectra(rho).optimum(kind)
+        record = spectra(rho)
+        for kind in ("linear", "nonlinear"):
+            _, basis_a, basis_b = record.optimum(kind)
             scaled = [LOOBasis(d, basis.observables * np.sqrt(1 + 0.9 * tol)) for basis in (basis_a, basis_b)]
-            assert not detected(-value(rho, *scaled)), kind
+            assert not detected(-record.witness_value(kind, *scaled)), kind
 
 
 class TestSpectra:
@@ -204,14 +203,38 @@ class TestSpectra:
         # witness values failed with numpy's TypeError or a broadcast error.
         pauli, stack = pauli_basis(), np.stack([make_state("bell").as_tensor()] * 2)
         pair = spectra(stack)
-        answers = [("linear_witness_value", lambda: linear_witness_value(stack, pauli, pauli)),
-                   ("nonlinear_witness_value", lambda: nonlinear_witness_value(stack, pauli, pauli))]
-        answers += [("optimum_bracket", lambda r=record, k=kind: optimum_bracket(r, k, 1.0, pauli, pauli))
-                    for record in (pair, pair.mixed([0.2, 0.5])) for kind in ("linear", "nonlinear")]
+        answers = []
+        for record in (pair, pair.mixed([0.2, 0.5])):
+            for kind in ("linear", "nonlinear"):
+                answers += [("witness_value", lambda r=record, k=kind: r.witness_value(k, pauli, pauli)),
+                            ("optimum_bracket", lambda r=record, k=kind: optimum_bracket(r, k, 1.0, pauli, pauli))]
         for name, answer in answers:
             message = rf"^{name} needs the record of one state, got a batch of shape \(2,\)$"
             with pytest.raises(ValueError, match=message):
                 answer()
+
+    def test_witness_values_of_many_pairs_take_one_state_check(self, monkeypatch):
+        # A value per pair used to build its own record, and so repeat the state
+        # check's eigensolve on every call.
+        calls = count_calls(monkeypatch, [(criteria.np.linalg, "eigvalsh")])
+        pauli = pauli_basis()
+        flipped = rotate(pauli, np.diag([1.0, -1.0, 1.0, 1.0]))
+        record = spectra(make_state("bell"))
+        values = [record.witness_value(kind, pauli, basis_b)
+                  for kind, basis_b in (("linear", pauli), ("nonlinear", pauli), ("linear", flipped))]
+        assert calls == ["eigvalsh"]
+        np.testing.assert_allclose(values, [0.0, 0.0, -1.0], rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="^kind must be 'linear' or 'nonlinear', got 'mu'$"):
+            record.witness_value("mu", pauli, pauli)
+        # A mixture at one p is one state, read from its endpoints' pairs.
+        rng = np.random.default_rng(63)
+        rho, sigma = samplers.random_mixed_state(2, 3, rng), samplers.random_mixed_state(2, 3, rng)
+        mixed = spectra(np.stack([rho.as_tensor(), sigma.as_tensor()])).mixed(0.3)
+        direct = spectra(qstate.mixture(rho, sigma, 0.3))
+        basis_a, basis_b = gell_mann_basis(2), rotate(gell_mann_basis(3), samplers.haar_rotation(9, rng))
+        for kind in ("linear", "nonlinear"):
+            assert mixed.witness_value(kind, basis_a, basis_b) == pytest.approx(
+                direct.witness_value(kind, basis_a, basis_b), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 4)], ids=lambda d: f"{d[0]}x{d[1]}")
     def test_stack_matches_each_state(self, dims):
@@ -275,9 +298,14 @@ class TestSpectra:
                                     *(pytest.param(p, id=f"scalar_{label}") for p, label in (
                                         (-0.2, "negative"), (1.5, "above_one"), (float("nan"), "float_nan"),
                                         (np.float64("nan"), "float64_nan"), (0.5 + 0j, "complex"),
-                                        ("0.5", "str"), (None, "None")))])
+                                        ("0.5", "str"), (None, "None"))),
+                                    # np.asarray turns a bool beside a float into 1.0
+                                    pytest.param([0.5, True], id="bool_beside_float"),
+                                    pytest.param((0.5, np.bool_(True)), id="numpy_bool_beside_float"),
+                                    pytest.param([[0.5], [np.array(True)]], id="bool_array_beside_float")])
     def test_mixed_needs_each_p_in_the_unit_interval(self, ps):
-        # p = -0.2 or 1.5 used to give the scores of a non-state, and NaN a LinAlgError.
+        # p = -0.2 or 1.5 used to give the scores of a non-state, NaN a LinAlgError,
+        # and a bool beside a float the scores at p = 1.
         bell = make_state("bell")
         pair = spectra(np.stack([bell.as_tensor(), qstate.white_noise_mixture(bell, 0.0).as_tensor()]))
         with pytest.raises(ValueError, match=r"mixing parameter must be a number in \[0, 1\]"):
@@ -613,8 +641,8 @@ STATE_ANSWERS = {
     "mixed": lambda rho: spectra(np.stack([rho, rho])).mixed(0.5).score("ppt"),
     "optimum_linear": lambda rho: spectra(rho).optimum("linear"),
     "optimum_nonlinear": lambda rho: spectra(rho).optimum("nonlinear"),
-    "linear_witness_value": lambda rho: linear_witness_value(rho, pauli_basis(), pauli_basis()),
-    "nonlinear_witness_value": lambda rho: nonlinear_witness_value(rho, pauli_basis(), pauli_basis()),
+    **{f"{kind}_witness_value": lambda rho, kind=kind: spectra(rho).witness_value(kind, pauli_basis(), pauli_basis())
+       for kind in ("linear", "nonlinear")},
     "optimum_bracket": lambda rho: optimum_bracket(spectra(rho), "linear", 1.0, pauli_basis(), pauli_basis()),
 }
 

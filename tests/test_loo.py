@@ -21,6 +21,9 @@ import samplers
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+# Each witness value at a basis pair, by its test id.
+WITNESS_VALUES = {f"{kind}_witness_value": lambda rho, basis_a, basis_b, kind=kind:
+                  spectra(rho).witness_value(kind, basis_a, basis_b) for kind in ("linear", "nonlinear")}
 
 
 class TestGellMann:
@@ -242,8 +245,8 @@ class TestLOOBasisStructure:
 class TestBasisChecks:
     @pytest.mark.parametrize("side", ["A", "B"])
     @pytest.mark.parametrize(
-        "value", [samplers.correlation_matrix, samplers.covariance_matrix,
-                  criteria.linear_witness_value, criteria.nonlinear_witness_value]
+        "value", [samplers.correlation_matrix, samplers.covariance_matrix, *WITNESS_VALUES.values()],
+        ids=["correlation_matrix", "covariance_matrix", *WITNESS_VALUES],
     )
     def test_nan_basis_rejected(self, side, value):
         # The NaN basis raises when it is built, before any value reads it.
@@ -265,7 +268,7 @@ class TestBasisChecks:
         observables[0, 0, 1] += 0.9e-10
         assert hermiticity_residual(LOOBasis(3, observables)) == pytest.approx(0.9e-10, rel=1e-6)
 
-    @pytest.mark.parametrize("value", [criteria.linear_witness_value, criteria.nonlinear_witness_value])
+    @pytest.mark.parametrize("value", list(WITNESS_VALUES.values()), ids=list(WITNESS_VALUES))
     def test_orthonormality_checked_when_built(self, value):
         # Twice the Pauli basis is Hermitian but has Tr(G_k G_l) = 2·δ_kl; both
         # witness values used to read -3.0 on |00⟩, a false detection.

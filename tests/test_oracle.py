@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from loowit import criteria
 from loowit.criteria import spectra
 from loowit.loo import gell_mann_basis, pauli_basis, rotate
 from loowit.qstate import make_state, trace_norm
@@ -82,14 +81,10 @@ class TestRecomputeWitnessDirect:
             rho = samplers.random_mixed_state(da, db, rng)
             basis_a = rotate(gell_mann_basis(da), samplers.haar_rotation(da * da, rng))
             basis_b = rotate(gell_mann_basis(db), samplers.haar_rotation(db * db, rng))
-            lin_direct = recompute_witness_direct(rho, basis_a, basis_b, "linear")
-            non_direct = recompute_witness_direct(rho, basis_a, basis_b, "nonlinear")
-            assert lin_direct == pytest.approx(
-                criteria.linear_witness_value(rho, basis_a, basis_b), abs=1e-10
-            )
-            assert non_direct == pytest.approx(
-                criteria.nonlinear_witness_value(rho, basis_a, basis_b), abs=1e-10
-            )
+            record = spectra(rho)
+            for kind in ("linear", "nonlinear"):
+                direct = recompute_witness_direct(rho, basis_a, basis_b, kind)
+                assert direct == pytest.approx(record.witness_value(kind, basis_a, basis_b), abs=1e-10)
 
     def test_agrees_at_optimal_bases_rectangular(self):
         # exercises the zero-padding path: the A basis has 4 elements, B has 9

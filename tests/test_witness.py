@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loowit import qstate
-from loowit.criteria import (
-    linear_witness_value,
-    lmax_pure,
-    nonlinear_witness_value,
-    optimum_bracket,
-    spectra,
-)
+from loowit.criteria import lmax_pure, optimum_bracket, spectra
 from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.qstate import DensityMatrix, make_state, realign, trace_norm
 
@@ -19,7 +13,13 @@ import samplers
 from samplers import correlation_matrix, covariance_matrix
 
 DIMS = [(2, 2), (2, 3), (3, 3), (3, 2)]
-BASIS_FUNCTIONS = [correlation_matrix, covariance_matrix, linear_witness_value, nonlinear_witness_value]
+# Every function of a state and a basis pair, by its test id.
+BASIS_FUNCTIONS = {
+    "correlation_matrix": correlation_matrix,
+    "covariance_matrix": covariance_matrix,
+    "linear_witness_value": lambda rho, basis_a, basis_b: spectra(rho).witness_value("linear", basis_a, basis_b),
+    "nonlinear_witness_value": lambda rho, basis_a, basis_b: spectra(rho).witness_value("nonlinear", basis_a, basis_b),
+}
 
 
 def flipped_pauli():
@@ -58,12 +58,12 @@ class TestCorrelationMatrix:
             rebuilt = rebuilt.reshape(da * db, da * db)
             assert np.abs(rebuilt - rho.data).max() < 1e-8
 
-    @pytest.mark.parametrize("function", BASIS_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("function", list(BASIS_FUNCTIONS.values()), ids=list(BASIS_FUNCTIONS))
     def test_dimension_mismatch_rejected(self, function):
         with pytest.raises(ValueError, match="do not match"):
             function(make_state("upb"), pauli_basis(), gell_mann_basis(3))
 
-    @pytest.mark.parametrize("function", BASIS_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("function", list(BASIS_FUNCTIONS.values()), ids=list(BASIS_FUNCTIONS))
     def test_non_hermitian_basis_rejected(self, function):
         # iG_0 is anti-Hermitian, so the real parts the witness values keep
         # are not its expectations.
@@ -72,7 +72,7 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError, match=r"basis is not Hermitian: max \|G_k - G_k\^dagger\| = 1.41"):
             function(make_state("upb_noise", 0.9), LOOBasis(3, observables), gell_mann_basis(3))
 
-    @pytest.mark.parametrize("function", BASIS_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("function", list(BASIS_FUNCTIONS.values()), ids=list(BASIS_FUNCTIONS))
     @pytest.mark.parametrize("d", [2, 4, 16])
     def test_state_hermitian_within_tolerance_is_answered(self, function, d):
         # A state that spectra accepts, off Hermitian by 0.98e-10 in every
@@ -89,11 +89,11 @@ class TestCorrelationMatrix:
 
 class TestLinearWitness:
     def test_bell_pauli_pauli_is_zero(self):
-        value = linear_witness_value(make_state("bell"), pauli_basis(), pauli_basis())
+        value = spectra(make_state("bell")).witness_value("linear", pauli_basis(), pauli_basis())
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_pauli_flipped_is_minus_one(self):
-        value = linear_witness_value(make_state("bell"), pauli_basis(), flipped_pauli())
+        value = spectra(make_state("bell")).witness_value("linear", pauli_basis(), flipped_pauli())
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_noisy_singlet_fixed_bases_closed_form(self):
@@ -102,10 +102,10 @@ class TestLinearWitness:
         basis_a = rotate(pauli_basis(), np.diag([-1.0, -1.0, -1.0, 1.0]))
         basis_b = pauli_basis()
         for p in np.linspace(0.0, 1.0, 11):
-            value = linear_witness_value(make_state("noisy_singlet", p), basis_a, basis_b)
+            value = spectra(make_state("noisy_singlet", p)).witness_value("linear", basis_a, basis_b)
             assert value == pytest.approx(2 / 3 - 5 * p / 3, abs=1e-12)
-        below = linear_witness_value(make_state("noisy_singlet", 0.39), basis_a, basis_b)
-        above = linear_witness_value(make_state("noisy_singlet", 0.41), basis_a, basis_b)
+        below = spectra(make_state("noisy_singlet", 0.39)).witness_value("linear", basis_a, basis_b)
+        above = spectra(make_state("noisy_singlet", 0.41)).witness_value("linear", basis_a, basis_b)
         assert below > 0 > above
 
 
@@ -127,7 +127,7 @@ class TestOptimalLinear:
             rho = samplers.random_mixed_state(da, db, rng)
             record = spectra(rho)
             _, basis_a, basis_b = record.optimum("linear")
-            again = linear_witness_value(rho, basis_a, basis_b)
+            again = record.witness_value("linear", basis_a, basis_b)
             assert again == pytest.approx(record.linear_min, abs=1e-9)
 
 
@@ -173,11 +173,11 @@ class TestCovarianceMatrix:
 
 class TestNonlinearWitness:
     def test_bell_pauli_pauli_is_zero(self):
-        value = nonlinear_witness_value(make_state("bell"), pauli_basis(), pauli_basis())
+        value = spectra(make_state("bell")).witness_value("nonlinear", pauli_basis(), pauli_basis())
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_pauli_flipped_is_minus_one(self):
-        value = nonlinear_witness_value(make_state("bell"), pauli_basis(), flipped_pauli())
+        value = spectra(make_state("bell")).witness_value("nonlinear", pauli_basis(), flipped_pauli())
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_pure_product_with_standard_bases(self):
@@ -186,7 +186,8 @@ class TestNonlinearWitness:
         rho = qstate.pure_state(ket00, 2, 2)
         basis_a = gell_mann_basis(2)
         basis_b = gell_mann_basis(2)
-        assert nonlinear_witness_value(rho, basis_a, basis_b) == pytest.approx(0.0, abs=1e-12)
+        value = spectra(rho).witness_value("nonlinear", basis_a, basis_b)
+        assert value == pytest.approx(0.0, abs=1e-12)
         # direct evaluation of the defining expression
         direct = 1.0
         for ga, gb in zip(basis_a, basis_b):
@@ -196,7 +197,7 @@ class TestNonlinearWitness:
                 - np.trace(rho.data @ np.kron(np.eye(2), gb)).real
             )
             direct -= 0.5 * diff**2
-        assert nonlinear_witness_value(rho, basis_a, basis_b) == pytest.approx(direct, abs=1e-12)
+        assert value == pytest.approx(direct, abs=1e-12)
 
 
 class TestOptimalNonlinear:
@@ -223,7 +224,7 @@ class TestOptimalNonlinear:
             rho = samplers.random_mixed_state(da, db, rng)
             record = spectra(rho)
             _, basis_a, basis_b = record.optimum("nonlinear")
-            again = nonlinear_witness_value(rho, basis_a, basis_b)
+            again = record.witness_value("nonlinear", basis_a, basis_b)
             assert again == pytest.approx(record.nonlinear_min, abs=1e-9)
 
 
