@@ -25,7 +25,7 @@ import re
 
 import numpy as np
 
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, _checked_dims, _numbers
 
 
 def complex_to_pairs(a: np.ndarray) -> list:
@@ -140,28 +140,21 @@ def state_from_document(doc) -> DensityMatrix:
     dims = doc["dims"]
     if not (isinstance(dims, (list, tuple)) and len(dims) == 2):
         raise ValueError(f"dims must be a pair [d_a, d_b], got {dims!r}")
-    if not all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in dims):
-        raise ValueError(f"dims must be positive integers, got {dims!r}")
-    da, db = dims
+    da, db = _checked_dims(*dims, rule="dims must be positive integers")
     n = da * db
     matrix = doc["matrix"]
     if not isinstance(matrix, list) or len(matrix) != n:
         raise ValueError(f"matrix must have {n} rows for dims {dims!r}")
-    pairs = np.array(matrix)  # ragged input: ValueError, or dtype object on numpy < 1.24
-    rho = _state_from_pairs(da, db, pairs)
-    # np.array turns a boolean beside a number into 0 or 1; only those entries can be one.
-    suspects = np.unravel_index(np.flatnonzero((pairs == 0) | (pairs == 1)), pairs.shape)
-    for i, j, c in zip(*(index.tolist() for index in suspects)):
-        if type(matrix[i][j][c]) is bool:
-            raise ValueError(f"boolean at matrix entry [{i}][{j}][{c}]; entries must be numbers")
-    return rho
+    return _state_from_pairs(da, db, matrix)  # ragged input: ValueError, or dtype object on numpy < 1.24
 
 
-def _state_from_pairs(da: int, db: int, pairs: np.ndarray) -> DensityMatrix:
-    """The state of an (n, n, 2) array of finite [re, im] numbers, n = da·db."""
+def _state_from_pairs(da: int, db: int, matrix) -> DensityMatrix:
+    """The state of an (n, n, 2) array, or nested lists, of finite [re, im] numbers, n = da·db."""
     n = da * db
-    if pairs.shape != (n, n, 2) or pairs.dtype.kind not in "iuf":
-        raise ValueError(f"matrix must be {n}x{n} [real, imag] pairs of numbers")
+    rule = f"matrix must be {n}x{n} [real, imag] pairs of numbers"
+    pairs = _numbers(matrix, rule, "iuf")
+    if pairs.shape != (n, n, 2):
+        raise ValueError(rule)
     if not np.isfinite(pairs).all():
         raise ValueError("non-finite value in matrix")
     # A view, not re + 1j*im, which would turn a -0.0 real part into +0.0.

@@ -125,21 +125,11 @@ class Spectra:
         in ρ, are p-mixes of this record's, each made on its first read: exactly
         the endpoints' at p = 1 and 0, else equal up to rounding, and to the bit
         the same for a scalar p as for that p in a sequence.
-        A p that is not a real number (an int or float), is NaN or is outside [0, 1]
-        raises, as in :func:`qstate.mixture`.  No state is checked again: a mixture of states is a state."""
+        A p that is not a real number (an int or float), is NaN or is outside [0, 1] raises
+        (:func:`qstate._mixing_parameter`).  No state is checked again: a mixture of states is a state."""
         if self._batch_shape != (2,):
             raise ValueError("mixtures need the record of a stack of two states")
-        if qstate._is_real_number(ps):  # one p, checked by plain comparisons, which NaN fails
-            qstate._check_unit_interval(ps)
-            return Spectra(self.dim_a, self.dim_b, _endpoints=(self, float(ps)))
-        p = np.asarray(ps)
-        real = p.dtype.kind in "iuf"  # ints and floats; not bool, complex, str or object
-        # np.asarray turns a bool beside a number into 0 or 1; only those entries can have been one.
-        if real and not isinstance(ps, np.ndarray) and (suspects := (p == 0) | (p == 1)).any():
-            real = not any(np.asarray(v).dtype == bool for v in np.asarray(ps, dtype=object)[suspects])
-        if not (real and p.min(initial=0) >= 0 and p.max(initial=1) <= 1):  # NaN fails too; [] passes
-            raise ValueError(f"mixing parameter must be a number in [0, 1], got {ps!r}")
-        return Spectra(self.dim_a, self.dim_b, _endpoints=(self, p.astype(float)))
+        return Spectra(self.dim_a, self.dim_b, _endpoints=(self, qstate._mixing_parameter(ps, many=True)))
 
     def _one_state(self, reader: str) -> Spectra:
         """This record, which ``reader`` needs to be of one state: a stack, or a mixture at several p, raises."""
@@ -371,11 +361,10 @@ def lmax_pure(coefficients) -> float:
 
     ``coefficients``, a 1-D array of ints or floats, are the Schmidt
     coefficients c_i = √μ_i (non-negative, Σ c_i² = 1); the maximum is (Σ_i c_i)²."""
-    c = np.asarray(coefficients)
-    if c.ndim != 1 or c.dtype.kind not in "iuf":  # ints and floats; not bool, complex, str or object
-        raise ValueError(f"Schmidt coefficients must be a 1-D array of real numbers, got {coefficients!r}")
-    if c.size == 0 or (c < 0).any():
-        raise ValueError("Schmidt coefficients must be non-negative")
+    rule = "Schmidt coefficients must be a non-empty 1-D array of non-negative real numbers"
+    c = qstate._numbers(coefficients, rule, "iuf")
+    if c.ndim != 1 or c.size == 0 or (c < 0).any():
+        raise ValueError(f"{rule}, got {coefficients!r}")
     total = float(c @ c)
     if not abs(total - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"squared coefficients must sum to 1, got {total!r}")

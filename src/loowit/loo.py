@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .qstate import HERMITICITY_TOL, _checked_dims, _frozen
+from .qstate import HERMITICITY_TOL, _checked_dims, _frozen, _numbers
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -29,10 +29,10 @@ ORTHOGONALITY_TOL = 1e-10
 @dataclass(frozen=True, eq=False)
 class LOOBasis:
     """Ordered set of dim² Hermitian dim×dim observables, stacked on axis 0.
-    Built only with a positive integer dim (Python or NumPy, not bool), the
-    right shape, every G_k Hermitian within h = 1e-10 (NaN fails), and trace-orthonormal,
-    hence complete, within (1 + dim·h)² - 1 + 2·dim²·ε: what entry errors up to h
-    do to Tr(G_k G_l), plus the Gram's rounding (ε: float64 machine epsilon)."""
+    Built only with a positive integer dim (Python or NumPy, not bool), entries that are numbers
+    (:func:`qstate._numbers`), the right shape, every G_k Hermitian within h = 1e-10 (NaN fails),
+    and trace-orthonormal, hence complete, within (1 + dim·h)² - 1 + 2·dim²·ε: what entry errors
+    up to h do to Tr(G_k G_l), plus the Gram's rounding (ε: float64 machine epsilon)."""
 
     dim: int
     observables: np.ndarray
@@ -40,7 +40,7 @@ class LOOBasis:
     def __post_init__(self) -> None:
         (dim,) = _checked_dims(self.dim)
         object.__setattr__(self, "dim", dim)
-        obs = np.array(self.observables, dtype=complex)
+        obs = np.array(_numbers(self.observables, "observables must be numbers"), dtype=complex)
         expected = (dim**2, dim, dim)
         if obs.shape != expected:
             raise ValueError(f"observables must have shape {expected}, got {obs.shape}")
@@ -84,10 +84,7 @@ class OrthogonalRotation:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix)
-        if m.dtype.kind not in "iuf":  # ints and floats; not bool, complex, str or object
-            raise ValueError(f"rotation must be a matrix of real numbers, got dtype {m.dtype}")
-        m = m.astype(float, copy=False)
+        m = np.array(_numbers(self.matrix, "rotation must be a matrix of real numbers", "iuf"), dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"rotation must be a square matrix, got shape {m.shape}")
         residual = float(np.abs(m @ m.T - np.eye(m.shape[0])).max())
@@ -104,6 +101,7 @@ def gell_mann_basis(d: int) -> LOOBasis:
     block is lexicographic in (m, n).  Note the diagonal block keeps plain
     projectors rather than traceless combinations.
     """
+    (d,) = _checked_dims(d)
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     return _gell_mann(d)

@@ -67,17 +67,27 @@ class DensityMatrix:
         return self.data.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
 
 
-def _numbers(data) -> np.ndarray:
-    """``data`` as an array, whose entries must be ints, floats or complex: not bool, str or object."""
-    if (array := np.asarray(data)).dtype.kind not in "iufc":
-        raise ValueError(f"state entries must be numbers, got dtype {array.dtype}")
+def _numbers(data, rule: str = "state entries must be numbers", kinds: str = "iufc") -> np.ndarray:
+    """``data`` as an array of the NumPy ``kinds``, by default ints, floats or complex (never bool, str or
+    object), else ValueError ``f"{rule}, got dtype …"``.  np.asarray reads a bool beside numbers as 0 or 1, so
+    in input that is not an array each entry equal to 0 or 1 is looked up: ``…, got dtype bool at [i][j]…``."""
+    array = np.asarray(data)
+    if array.dtype.kind not in kinds:
+        raise ValueError(f"{rule}, got dtype {array.dtype}")
+    if not isinstance(data, np.ndarray):
+        for index in np.argwhere((array == 0) | (array == 1)).tolist():
+            entry = data
+            for i in index:
+                entry = entry[i]
+            if getattr(entry, "dtype", type(entry)) == bool:  # a Python or NumPy bool, or a 0-d bool array
+                raise ValueError(f"{rule}, got dtype bool at " + "".join(f"[{i}]" for i in index))
     return array
 
 
-def _checked_dims(*dims) -> tuple[int, ...]:
+def _checked_dims(*dims, rule: str = "subsystem dimensions must be positive integers") -> tuple[int, ...]:
     """Subsystem dims as Python ints; each must be a positive integer, Python or NumPy, not bool."""
     if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive integers, got {dims!r}")
+        raise ValueError(f"{rule}, got {dims!r}")
     return tuple(map(int, dims))
 
 
@@ -181,9 +191,11 @@ class SchmidtDecomposition:
     basis_b: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", _frozen(np.array(self.coefficients, dtype=float)))
-        object.__setattr__(self, "basis_a", _frozen(np.array(self.basis_a, dtype=complex)))
-        object.__setattr__(self, "basis_b", _frozen(np.array(self.basis_b, dtype=complex)))
+        coefficients = _numbers(self.coefficients, "Schmidt coefficients must be real numbers", "iuf")
+        object.__setattr__(self, "coefficients", _frozen(np.array(coefficients, dtype=float)))
+        for name in ("basis_a", "basis_b"):
+            vectors = _numbers(getattr(self, name), "Schmidt vectors must be numbers")
+            object.__setattr__(self, name, _frozen(np.array(vectors, dtype=complex)))
 
     def reconstruct(self) -> np.ndarray:
         """The state vector Σ_k c_k |a_k⟩ ⊗ |b_k⟩."""
@@ -298,14 +310,14 @@ def _upb() -> DensityMatrix:
 
 def white_noise_mixture(rho: DensityMatrix, p: float) -> DensityMatrix:
     """p·ρ + (1-p)·I/n, the one-parameter white-noise family around ρ."""
-    _check_unit_interval(p)
+    p = _mixing_parameter(p)
     n = rho.total_dim
     return DensityMatrix(rho.dim_a, rho.dim_b, p * rho.data + (1 - p) * np.eye(n) / n)
 
 
 def mixture(rho_1: DensityMatrix, rho_2: DensityMatrix, p: float) -> DensityMatrix:
     """Convex mixture p·ρ₁ + (1-p)·ρ₂ of two states with equal dims."""
-    _check_unit_interval(p)
+    p = _mixing_parameter(p)
     _check_equal_dims(rho_1, rho_2)
     return DensityMatrix(rho_1.dim_a, rho_1.dim_b, p * rho_1.data + (1 - p) * rho_2.data)
 
@@ -315,10 +327,17 @@ def _is_real_number(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
-def _check_unit_interval(p: float) -> None:
-    """p must be a real number (:func:`_is_real_number`) in [0, 1]."""
-    if not (_is_real_number(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"mixing parameter must be a number in [0, 1], got {p!r}")
+def _mixing_parameter(p, many: bool = False) -> float | np.ndarray:
+    """One real p (:func:`_is_real_number`) in [0, 1] as a float, by plain comparisons (NaN fails); with
+    ``many``, any other p as a float array of real numbers (:func:`_numbers`) in [0, 1].  Else ValueError."""
+    rule = "mixing parameter must be a number in [0, 1]"
+    if _is_real_number(p) and 0.0 <= p <= 1.0:
+        return float(p)
+    if many and not _is_real_number(p):
+        ps = _numbers(p, rule, "iuf")
+        if ps.min(initial=0) >= 0 and ps.max(initial=1) <= 1:  # NaN fails too; [] passes
+            return ps.astype(float)
+    raise ValueError(f"{rule}, got {p!r}")
 
 
 def _check_equal_dims(rho_1: DensityMatrix, rho_2: DensityMatrix) -> None:

@@ -681,7 +681,12 @@ class TestStateCheck:
         non_numbers = (lambda: spectra(bell.astype(object)), lambda: spectra(bell.astype(str)),
                        lambda: DensityMatrix(2, 2, bools), lambda: qstate.realign(bools.reshape(2, 2, 2, 2)),
                        lambda: concurrence_pure(bools, 2, 2),
-                       lambda: qstate.pure_state(np.array(["1", "0", "0", "0"]), 2, 2))
+                       lambda: qstate.pure_state(np.array(["1", "0", "0", "0"]), 2, 2),
+                       # np.asarray turns a bool beside numbers into 0 or 1.
+                       lambda: DensityMatrix(1, 2, [[True, 0.0], [0.0, 0.0]]),
+                       lambda: spectra([[[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                                        [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]),
+                       lambda: concurrence_pure([True, 0.0, 0.0, 0.0], 2, 2))
         for call in non_numbers:
             with pytest.raises(ValueError, match="state entries must be numbers, got dtype"):
                 call()

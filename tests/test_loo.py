@@ -305,10 +305,22 @@ class TestBasisChecks:
             (lambda: criteria.lmax_pure([True]), "real numbers"),
             (lambda: criteria.lmax_pure(np.array([0.6, 0.8j])), "real numbers"),
             (lambda: criteria.lmax_pure([[0.6, 0.8]]), "1-D array"),
+            # np.asarray turns a bool beside numbers into 0 or 1, and np.array(..., complex) parses "1".
+            (lambda: OrthogonalRotation([[True, 0.0], [0.0, 1.0]]), r"real numbers, got dtype bool at \[0\]\[0\]"),
+            (lambda: rotate(pauli_basis(), [[True, 0.0, 0.0, 0.0]] + np.eye(4).tolist()[1:]), "real numbers"),
+            (lambda: criteria.lmax_pure([True, 0.0]), "real numbers"),
+            (lambda: LOOBasis(1, [[["1"]]]), "observables must be numbers"),
+            (lambda: LOOBasis(1, np.ones((1, 1, 1), bool)), "observables must be numbers"),
+            (lambda: gell_mann_basis("3"), "positive integers"),
+            (lambda: gell_mann_basis(2.0), "positive integers"),
+            (lambda: gell_mann_basis(np.float64(3)), "positive integers"),
+            (lambda: gell_mann_basis(None), "positive integers"),
         ],
         ids=["float_dim", "bool_dim", "complex_rotation", "complex_rotate", "bool_rotation",
              "complex_oracle_matrix", "bool_oracle_matrix", "str_coefficients", "bool_coefficients",
-             "complex_coefficients", "2d_coefficients"],
+             "complex_coefficients", "2d_coefficients", "bool_beside_float_rotation", "bool_beside_float_rotate",
+             "bool_beside_float_coefficients", "str_observables", "bool_observables", "str_gell_mann_dim",
+             "float_gell_mann_dim", "numpy_float_gell_mann_dim", "none_gell_mann_dim"],
     )
     def test_coercible_inputs_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
