@@ -35,7 +35,7 @@ def complex_to_pairs(a: np.ndarray) -> list:
 
 # Floats per chunk of write_pairs_json: 16 observables of a 16x16 basis, 28 of
 # a 12x12 one, though a chunk may end inside an observable or a pair.  Writing a
-# basis peaks at ~1.4 MB of allocations at this size, in proportion to it; the
+# basis peaks at ~1.1 MB of allocations at this size, in proportion to it; the
 # write time was flat from 2048 to 16384 floats.
 PAIRS_SLICE_FLOATS = 8192
 
@@ -48,13 +48,14 @@ def write_pairs_json(a: np.ndarray, level: int, out) -> None:
     is never held.  Every entry of ``a`` must be finite (json spells NaN and
     Infinity where repr says nan and inf) and every axis non-empty.
 
-    Each distinct magnitude of a chunk is formatted once by float.__repr__,
-    as json formats floats, and given a ``-`` only if it occurs negative; a
-    Hermitian observable repeats every off-diagonal magnitude, so about half
-    the floats of a basis reuse a text.  The brackets and indentation after
-    each float follow from how many lists end there, counted over the whole
-    array, so a chunk may end inside a pair or an observable.  A chunk's
-    texts and separators are gathered from object arrays and joined once.
+    Each distinct magnitude of a chunk is formatted once, by repr of a Python
+    float (float.__repr__, as json formats floats); a Hermitian observable
+    repeats every off-diagonal magnitude, so about half the floats of a basis
+    reuse a text.  A float's sign ends the text before it: the opening
+    brackets, or the separator after the previous float, whose brackets and
+    indentation follow from how many lists end there, counted over the whole
+    array, so a chunk may end inside a pair or an observable.  A chunk's texts
+    and separators are gathered from object arrays and joined once.
     """
     pairs = np.ascontiguousarray(a, dtype=complex).view(float).reshape(np.shape(a) + (2,))
     flat, depth = pairs.ravel(), pairs.ndim
@@ -66,29 +67,27 @@ def write_pairs_json(a: np.ndarray, level: int, out) -> None:
     def closed(k):  # the k innermost lists closed, the deepest first
         return "".join(newline[t] + "]" for t in range(depth - 1, depth - k - 1, -1))
 
-    between = np.array([closed(k) + "," + newline[depth - k] + opened(k) for k in range(depth)] + [closed(depth)],
-                       dtype=object)
+    # between[2k + s]: the separator after a float at which k lists end, then a "-" if s.
+    ends = [closed(k) + "," + newline[depth - k] + opened(k) for k in range(depth)] + [closed(depth)]
+    between = np.array([end + sign for end in ends for sign in ("", "-")], dtype=object)
 
     # One chunk's floats, each followed by its separator; a function, so that a
     # chunk's texts are freed before the next chunk is rendered.
     def chunk_text(start):
         chunk = flat[start : start + PAIRS_SLICE_FLOATS]
         magnitudes, code = np.unique(np.abs(chunk), return_inverse=True)
-        negative = np.signbit(chunk)
-        signed, inverse = np.unique(code[negative], return_inverse=True)
-        code[negative] = magnitudes.size + inverse
-        texts = list(map(float.__repr__, magnitudes.tolist()))
-        texts += ["-" + texts[k] for k in signed.tolist()]
-        # closing[i]: how many lists end right after float start + i, its [re, im] pair first.
-        closing = np.zeros(chunk.size, dtype=np.intp)
+        # after[i]: twice how many lists end right after float start + i, its [re, im]
+        # pair first, plus 1 if the float after it (the last float has none) is negative.
+        after = np.zeros(chunk.size, dtype=np.intp)
         for size in np.cumprod(pairs.shape[::-1]).tolist():
-            closing[(size - 1 - start) % size :: size] += 1
+            after[(size - 1 - start) % size :: size] += 2
+        after[: flat.size - start - 1] += np.signbit(flat[start + 1 : start + chunk.size + 1])
         pieces = np.empty(2 * chunk.size, dtype=object)
-        pieces[0::2] = np.array(texts, dtype=object)[code]
-        pieces[1::2] = between[closing]
+        pieces[0::2] = np.array(list(map(repr, magnitudes.tolist())), dtype=object)[code]
+        pieces[1::2] = between[after]
         return "".join(pieces.tolist())
 
-    out.write(opened(depth))
+    out.write(opened(depth) + "-" * int(np.signbit(flat[0])))
     for start in range(0, flat.size, PAIRS_SLICE_FLOATS):
         out.write(chunk_text(start))
 

@@ -360,12 +360,6 @@ def lmax_pure(coefficients) -> float:
     """Nonlinear-witness maximum of a pure state from its Schmidt coefficients.
 
     ``coefficients``, a 1-D array of ints or floats, are the Schmidt
-    coefficients c_i = √μ_i (non-negative, Σ c_i² = 1); the maximum is (Σ_i c_i)²."""
-    rule = "Schmidt coefficients must be a non-empty 1-D array of non-negative real numbers"
-    c = qstate._numbers(coefficients, rule, "iuf")
-    if c.ndim != 1 or c.size == 0 or (c < 0).any():
-        raise ValueError(f"{rule}, got {coefficients!r}")
-    total = float(c @ c)
-    if not abs(total - 1.0) <= 1e-9:  # NaN fails too
-        raise ValueError(f"squared coefficients must sum to 1, got {total!r}")
-    return float(c.sum()) ** 2
+    coefficients c_i = √μ_i (non-negative, Σ c_i² = 1, checked by
+    :func:`qstate._schmidt_coefficients`); the maximum is (Σ_i c_i)²."""
+    return float(qstate._schmidt_coefficients(coefficients).sum()) ** 2

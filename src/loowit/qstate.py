@@ -178,12 +178,31 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
+def _schmidt_coefficients(coefficients) -> np.ndarray:
+    """``coefficients`` as floats: a non-empty 1-D array of non-negative real numbers whose squares sum
+    to 1 within 1e-9, else ValueError.  Those of :func:`schmidt` sum to |ψ|², which is 1 within about
+    2e-10, as the norm of the vector it factors is checked within 1e-10."""
+    rule = "Schmidt coefficients must be a non-empty 1-D array of non-negative real numbers"
+    c = np.array(_numbers(coefficients, rule, "iuf"), dtype=float)
+    if c.ndim != 1 or c.size == 0 or (c < 0).any():
+        raise ValueError(f"{rule}, got {coefficients!r}")
+    total = float(c @ c)
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"squared coefficients must sum to 1, got {total!r}")
+    return c
+
+
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """ψ = Σ_k c_k |a_k⟩|b_k⟩ with c non-increasing, Σ c² = 1.
 
     ``basis_a`` / ``basis_b`` hold the orthonormal vectors as rows, one row
-    per coefficient (min(dim_a, dim_b) of them, zeros included).
+    per coefficient (:func:`schmidt` gives min(dim_a, dim_b), zeros included).
+    The constructor checks all of this, else ValueError naming the broken
+    invariant: the coefficients by :func:`_schmidt_coefficients`, then their
+    order, exactly, as LAPACK sorts singular values; each basis 2-D, and
+    orthonormal within 1e-10, where LAPACK's singular vectors are so to a
+    few n·ε (measured below 3e-15 for square factors of up to n = 256).
     """
 
     coefficients: np.ndarray
@@ -191,11 +210,18 @@ class SchmidtDecomposition:
     basis_b: np.ndarray
 
     def __post_init__(self) -> None:
-        coefficients = _numbers(self.coefficients, "Schmidt coefficients must be real numbers", "iuf")
-        object.__setattr__(self, "coefficients", _frozen(np.array(coefficients, dtype=float)))
+        coefficients = _schmidt_coefficients(self.coefficients)
+        if (np.diff(coefficients) > 0).any():
+            raise ValueError(f"Schmidt coefficients must be non-increasing, got {self.coefficients!r}")
+        object.__setattr__(self, "coefficients", _frozen(coefficients))
         for name in ("basis_a", "basis_b"):
-            vectors = _numbers(getattr(self, name), "Schmidt vectors must be numbers")
-            object.__setattr__(self, name, _frozen(np.array(vectors, dtype=complex)))
+            vectors = np.array(_numbers(getattr(self, name), "Schmidt vectors must be numbers"), dtype=complex)
+            if vectors.ndim != 2 or len(vectors) != coefficients.size:
+                raise ValueError(f"{name} must be 2-D with one row per coefficient, got shape {vectors.shape}")
+            residual = float(np.abs(vectors @ vectors.conj().T - np.eye(len(vectors))).max())
+            if not residual <= 1e-10:  # NaN fails too
+                raise ValueError(f"{name} rows must be orthonormal: max |<v_k|v_l> - delta_kl| = {residual!r}")
+            object.__setattr__(self, name, _frozen(vectors))
 
     def reconstruct(self) -> np.ndarray:
         """The state vector Σ_k c_k |a_k⟩ ⊗ |b_k⟩."""

@@ -267,6 +267,41 @@ class TestSchmidt:
         with pytest.raises(ValueError, match="norm"):
             schmidt(np.array([1.0, 1.0, 0.0, 0.0]), 2, 2)
 
+    # One broken invariant each, and the example that used to build: its
+    # coefficients fail first.  The message names what is broken.
+    @pytest.mark.parametrize(
+        "coefficients, basis_a, basis_b, message",
+        [
+            ([2.0, 5.0], np.ones((2, 2)), np.zeros((3, 2)), "^squared coefficients must sum to 1, got 29.0$"),
+            ([0.8, 0.6j], np.eye(2), np.eye(2), "^Schmidt coefficients must be .* real numbers, got dtype complex"),
+            ([[0.8, 0.6]], np.eye(2), np.eye(2), "^Schmidt coefficients must be a non-empty 1-D array"),
+            ([], np.zeros((0, 2)), np.zeros((0, 2)), "^Schmidt coefficients must be a non-empty 1-D array"),
+            ([0.8, -0.6], np.eye(2), np.eye(2), "^Schmidt coefficients must be .* non-negative"),
+            ([0.6, 0.8], np.eye(2), np.eye(2), r"^Schmidt coefficients must be non-increasing, got \[0.6, 0.8\]$"),
+            ([0.8, 0.6], np.eye(2)[0], np.eye(2), r"^basis_a must be 2-D with one row per coefficient, .* \(2,\)$"),
+            ([0.8, 0.6], np.eye(2), np.eye(3), r"^basis_b must be 2-D with one row per coefficient, .* \(3, 3\)$"),
+            ([0.8, 0.6], [[1, 0], [1, 0]], np.eye(2), r"^basis_a rows must be orthonormal: .* = 1\.0$"),
+            ([0.8, 0.6], np.eye(2), np.sqrt(1 + 2e-10) * np.eye(2), "^basis_b rows must be orthonormal"),
+            ([0.8, 0.6], np.eye(2), [[np.nan, 0], [0, 1]], "^basis_b rows must be orthonormal: .* = nan$"),
+        ],
+        ids=["found_example", "complex_coefficients", "2d_coefficients", "no_coefficients", "negative_coefficient",
+             "increasing_coefficients", "1d_basis_a", "extra_row_basis_b", "parallel_rows_basis_a",
+             "row_norm_beyond_tolerance_basis_b", "nan_basis_b"],
+    )
+    def test_decomposition_checks_its_invariants(self, coefficients, basis_a, basis_b, message):
+        with pytest.raises(ValueError, match=message):
+            qstate.SchmidtDecomposition(coefficients, basis_a, basis_b)
+
+    @pytest.mark.parametrize("dims", [(1, 4), (2, 16), (12, 5), (16, 16)])
+    def test_every_output_of_schmidt_meets_the_invariants(self, dims):
+        # schmidt builds its result through the checked constructor; rows
+        # within the 1e-10 orthonormality tolerance are accepted too.
+        psi = samplers.haar_state_vector(dims[0] * dims[1], np.random.default_rng(sum(dims)))
+        dec = schmidt(psi, *dims)
+        assert dec.basis_a.shape == (min(dims), dims[0]) and dec.basis_b.shape == (min(dims), dims[1])
+        again = qstate.SchmidtDecomposition(dec.coefficients, dec.basis_a, np.sqrt(1 + 5e-11) * dec.basis_b)
+        assert np.array_equal(again.coefficients, dec.coefficients)
+
     @pytest.mark.parametrize("dims", [(4, 1), (3, 3), (3, None), (None, 1)])
     def test_density_matrix_must_match_given_dims(self, dims):
         with pytest.raises(ValueError, match=r"state of dims \(2, 2\) does not match dims"):
@@ -836,21 +871,26 @@ class TestPairsJson:
     # At the default chunk size of 8192 floats the last three shapes span
     # several chunks, with a remainder; in (3, 4100) one entry of the leading
     # axis is more than a chunk.  Chunks of 1, 3 and 7 floats end inside
-    # [re, im] pairs and inside observables.
+    # [re, im] pairs and inside observables.  A float's sign is written before
+    # it, so signed_ends pins the first float's (-0.0, after the opening
+    # brackets) and the last closing, after which no sign is written.
     @pytest.mark.parametrize(
-        "shape, chunk",
-        [pytest.param(shape, 8192, id=f"shape{i}") for i, shape in enumerate(SHAPES)]
-        + [pytest.param(shape, chunk, id=f"shape{i}-chunk{chunk}")
-           for i, shape in enumerate(SHAPES[:3]) for chunk in (1, 3, 7)],
+        "shape, chunk, signed_ends",
+        [pytest.param(shape, 8192, False, id=f"shape{i}") for i, shape in enumerate(SHAPES)]
+        + [pytest.param(shape, chunk, False, id=f"shape{i}-chunk{chunk}")
+           for i, shape in enumerate(SHAPES[:3]) for chunk in (1, 3, 7)]
+        + [pytest.param((3, 3), chunk, True, id=f"signed_ends-chunk{chunk}") for chunk in (1, 3, 7, 8192)],
     )
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
-    def test_matches_indented_json_of_pairs(self, shape, chunk, level, monkeypatch):
+    def test_matches_indented_json_of_pairs(self, shape, chunk, signed_ends, level, monkeypatch):
         monkeypatch.setattr(codec, "PAIRS_SLICE_FLOATS", chunk)
         rng = np.random.default_rng(16)
         size = int(np.prod(shape))
         # Every value appears in both parts, the real parts with random signs.
         real = np.resize(self.VALUES, size) * rng.choice([1.0, -1.0], size)
         imag = np.resize(self.VALUES[::-1], size)
+        if signed_ends:
+            real[0], imag[-1] = -0.0, -0.25
         a = np.empty(shape, dtype=complex)
         a.real, a.imag = real.reshape(shape), imag.reshape(shape)
         expected = json.dumps(codec.complex_to_pairs(a), indent=2).replace("\n", "\n" + "  " * level)
