@@ -23,7 +23,9 @@ local unitaries.  :meth:`Spectra.score` answers every name of
 is the one rule that turns a score into a detection.
 
 Every score is arithmetic on σ(μ), σ(τ) and eig(ρ^{T_A}) of the Gell-Mann
-record.  The record of :func:`spectra` takes each decomposition when a score
+record, which ``loo.correlations`` builds by an index gather (each Gell-Mann
+frame row has at most two nonzeros); the dense frame product serves every
+other basis.  The record of :func:`spectra` takes each decomposition when a score
 first reads it, and at most once, so a scan of one criterion takes only that
 criterion's decomposition.  A scan scores each point from p-mixes of its
 endpoints' record (:meth:`Spectra.mixed`).  :meth:`Spectra.optimum` gives the
@@ -209,9 +211,9 @@ class Spectra:
         return _frozen(_covariance(self._mu, *self._marginals))
 
     def _at_reference(self, matrix: np.ndarray) -> np.ndarray:
-        """Σ_m s_m·M_mm: the reference B basis is transposed, G_mᵀ = s_m·G_m."""
-        obs_b = loo._gell_mann(self.dim_b).observables[: min(matrix.shape[-2:])]
-        signs = np.einsum("mij,mij->m", obs_b, obs_b).real  # s_m = Tr(G_m G_mᵀ)
+        """Σ_m s_m·M_mm: the reference B basis is transposed, G_mᵀ = s_m·G_m, with the
+        exact signs of the Gell-Mann block layout (-1 on the antisymmetric block)."""
+        signs = loo._gell_mann_gather(self.dim_b).signs[: min(matrix.shape[-2:])]
         return np.diagonal(matrix, axis1=-2, axis2=-1) @ signs
 
     @cached_property
@@ -346,7 +348,9 @@ def optimum_bracket(record: Spectra, kind: str, analytic: float, basis_a: loo.LO
     ‖R(ρ_A⊗ρ_B)‖_F ≤ 2.  Four stages (frame product to M, SVD, basis rotations,
     frame product to D) put D within δ = 8·n·ε of the SVD's Σ; so Tr D, Σ|D_ii|
     and √k·‖E‖_F each move by ≤ √k·δ, the width is ≤ 3·√k·δ = A and each end
-    lies within A of ``analytic``.
+    lies within A of ``analytic``.  The Gell-Mann record's M is formed by a
+    gather of at most two terms per side instead of the first frame product;
+    it moves M by no more than that stage, so A is unchanged.
     """
     d, _ = record._witness_matrix(kind, "optimum_bracket", basis_a, basis_b)
     k, diagonal = min(d.shape), np.diagonal(d)

@@ -4,8 +4,10 @@ orthogonal rotations connecting any two such bases and the frame products
 that turn a realigned operator into its matrix of joint expectations.
 :func:`correlations` builds the one record (μ, a, b) of a LOO pair, the
 Gell-Mann pair by default, from which :mod:`loowit.criteria` reads the scores,
-reference values, optimal bases and user-basis witness values.  A :class:`LOOBasis` is checked Hermitian
-and orthonormal once, when it is built.
+reference values, optimal bases and user-basis witness values.  A Gell-Mann
+frame row has at most two nonzeros, so the cached Gell-Mann basis is applied
+by an index gather; the dense frame product serves every other basis.  A
+:class:`LOOBasis` is checked Hermitian and orthonormal once, when it is built.
 
 No SVD is taken here.  The operator-Schmidt form ρ = Σ_k σ_k G_k^A ⊗ G_k^B
 has σ = ``criteria.spectra(ρ).realigned`` and the bases of
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -109,17 +111,42 @@ def gell_mann_basis(d: int) -> LOOBasis:
 
 @functools.lru_cache(maxsize=8)  # a state or a scan needs two dims
 def _gell_mann(d: int) -> LOOBasis:
-    """:func:`gell_mann_basis`, built once per d; d = 1 frames a 1-dim side."""
+    """:func:`gell_mann_basis`, built once per d from its frame's gather; d = 1 frames a 1-dim side."""
+    (p, q), (c, c_prime) = _gell_mann_gather(d).index, _gell_mann_gather(d).coefficients
+    frame = np.zeros((d * d, d * d), dtype=complex)
+    frame[np.arange(d * d), q] = c_prime
+    frame[np.arange(d * d), p] = c  # after c′, which is 0 at a projector's one entry
+    return LOOBasis(d, frame.reshape(d * d, d, d).transpose(0, 2, 1).copy())
+
+
+class _Gather(NamedTuple):
+    """The frame F of ``_gell_mann(d)`` as a gather: row k of F holds c_k = coefficients[0, k]
+    at p_k = index[0, k], c′_k = coefficients[1, k] at q_k = index[1, k] and nothing else, so
+    (F·X)_k = c_k·X_{p_k} + c′_k·X_{q_k}.  Each c is real or imaginary, so Re(c·x) is
+    real_coefficients times the float at real_index of x's float view (Re x, Im x side by
+    side).  traces t_k = Tr G_k and signs s_k = ±1, G_kᵀ = s_k·G_k, are exact."""
+
+    index: np.ndarray
+    coefficients: np.ndarray
+    real_index: np.ndarray
+    real_coefficients: np.ndarray
+    traces: np.ndarray
+    signs: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _gell_mann_gather(d: int) -> _Gather:
+    """The :class:`_Gather` of the Gell-Mann basis, from its block layout (see
+    :func:`gell_mann_basis`).  F[k, i·d + j] = G_k[j, i], so G_k[n, m] sits at m·d + n."""
     rows, cols = np.triu_indices(d, k=1)  # the pairs m < n, lexicographic in (m, n)
-    symmetric = np.arange(len(rows))
-    antisymmetric = symmetric + len(rows)
-    diagonal = np.arange(d)
-    obs = np.zeros((d * d, d, d), dtype=complex)
-    obs[symmetric, rows, cols] = obs[symmetric, cols, rows] = 1 / np.sqrt(2)
-    obs[antisymmetric, rows, cols] = 1j / np.sqrt(2)
-    obs[antisymmetric, cols, rows] = -1j / np.sqrt(2)
-    obs[2 * len(rows) + diagonal, diagonal, diagonal] = 1.0
-    return LOOBasis(d, obs)
+    pair, flipped, diagonal = rows * d + cols, cols * d + rows, np.arange(d) * (d + 1)
+    sizes = [len(rows), len(rows), d]  # the symmetric, antisymmetric and projector blocks
+    h, ih = 1 / np.sqrt(2), 1j / np.sqrt(2)
+    index = np.array([np.concatenate([pair, pair, diagonal]), np.concatenate([flipped, flipped, diagonal])])
+    coefficients = np.array([np.repeat([h, -ih, 1], sizes), np.repeat([h, ih, 0], sizes)])  # G_k[n, m], G_k[m, n]
+    real_index, real_coefficients = 2 * index + (coefficients.imag != 0), coefficients.real - coefficients.imag
+    traces, signs = np.repeat([0.0, 0.0, 1.0], sizes), np.repeat([1.0, -1.0, 1.0], sizes)
+    return _Gather(*map(_frozen, (index, coefficients, real_index, real_coefficients, traces, signs)))
 
 
 def pauli_basis() -> LOOBasis:
@@ -169,7 +196,11 @@ def correlations(
     expectation, and none is checked here.  For a non-Hermitian X the entries
     are those of its Hermitian part.  A complete basis has Σ_k t_k G_k = I, so
     a = ⟨G_l^A ⊗ I⟩ and b = ⟨I ⊗ G_m^B⟩, |a|² and |b|² are Tr ρ_A² and
-    Tr ρ_B², and τ = μ - a·bᵀ is the covariance matrix F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ."""
+    Tr ρ_B², and τ = μ - a·bᵀ is the covariance matrix F_A · R(ρ - ρ_A⊗ρ_B) · F_Bᵀ.
+
+    A side whose basis is the cached Gell-Mann one (a side left None, or
+    :func:`gell_mann_basis`) applies F by the index gather of :class:`_Gather`, with
+    exact traces; any other basis, a copy of Gell-Mann included, by the dense frame product."""
     basis_a, basis_b = (
         _gell_mann(math.isqrt(n)) if basis is None else basis
         for n, basis in zip(realigned.shape[-2:], (basis_a, basis_b))
@@ -179,7 +210,24 @@ def correlations(
             f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match the "
             f"{realigned.shape[-2]}x{realigned.shape[-1]} realigned matrix"
         )
-    raw = frame(basis_a.observables) @ realigned @ frame(basis_b.observables).T
-    mu = np.ascontiguousarray(raw.real)
-    t_a, t_b = (np.trace(basis.observables, axis1=1, axis2=2).real for basis in (basis_a, basis_b))
+    gather_a, gather_b = (
+        _gell_mann_gather(basis.dim) if basis is _gell_mann(basis.dim) else None for basis in (basis_a, basis_b)
+    )
+    if gather_a is None:
+        rows = frame(basis_a.observables) @ realigned
+    else:
+        (p, q), (c, c_prime) = gather_a.index, gather_a.coefficients[..., None]
+        rows = np.take(realigned, p, axis=-2) * c
+        rows += np.take(realigned, q, axis=-2) * c_prime
+    if gather_b is None:
+        mu = np.ascontiguousarray((rows @ frame(basis_b.observables).T).real)
+    else:
+        (p, q), (c, c_prime) = gather_b.real_index, gather_b.real_coefficients
+        floats = rows.view(float)  # Re x, Im x of each entry x, side by side
+        mu = np.take(floats, p, axis=-1) * c
+        mu += np.take(floats, q, axis=-1) * c_prime
+    t_a, t_b = (
+        np.trace(basis.observables, axis1=1, axis2=2).real if gather is None else gather.traces
+        for basis, gather in ((basis_a, gather_a), (basis_b, gather_b))
+    )
     return mu, mu @ t_b, t_a @ mu

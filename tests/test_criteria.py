@@ -11,7 +11,7 @@ from loowit.criteria import (
     optimum_bracket,
     spectra,
 )
-from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate
+from loowit.loo import LOOBasis, gell_mann_basis, pauli_basis, rotate, transpose_basis
 from loowit.qstate import DensityMatrix, make_state, schmidt
 
 import oracles
@@ -400,6 +400,17 @@ class TestSpectra:
         direct = spectra(qstate.mixture(first, second, 0.3))
         for got, want in zip(mixed.in_bases(basis_a, basis_b), direct.in_bases(basis_a, basis_b)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dims", [(8, 8), (4, 12)])
+    def test_reference_values_match_direct_products(self, dims):
+        # The reference pair is Gell-Mann on A and its transpose on B; its values read the
+        # record's diagonal with the exact signs s_m = ±1 of G_mᵀ = s_m·G_m.
+        rho = samplers.random_mixed_state(*dims, np.random.default_rng(sum(dims)))
+        record = spectra(rho)
+        pair = (gell_mann_basis(dims[0]), transpose_basis(gell_mann_basis(dims[1])))
+        for kind in ("linear", "nonlinear"):
+            expected = oracles.recompute_witness_direct(rho, *pair, kind)
+            assert abs(getattr(record, f"{kind}_at_reference") - expected) <= 1e-15, kind
 
     def test_stack_needs_equal_dims(self):
         # The last four axes of a stack must be one (d_a, d_b, d_a, d_b) tensor view.

@@ -17,6 +17,7 @@ from loowit.qstate import make_state
 
 import oracles
 import samplers
+from counting import count_calls
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -353,3 +354,45 @@ class TestGellMannCorrelations:
         explicit = loo.correlations(qstate.realign(rho), *gell_mann)
         assert all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
                    for x, y in zip(explicit, loo.correlations(qstate.realign(rho))))
+
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (2, 3), (4, 3), (8, 16), (16, 16)])
+    def test_gather_matches_dense_frame_product(self, dims):
+        # The cached Gell-Mann pair is applied by an index gather; a copy of it is
+        # not the cached object, so it takes the dense frame product.
+        rng = np.random.default_rng(sum(dims) + 100)
+        copies = [LOOBasis(d, loo._gell_mann(d).observables.copy()) for d in dims]
+        user = [rotate(basis, samplers.haar_rotation(basis.dim**2, rng)) for basis in copies]
+        states = [samplers.random_mixed_state(*dims, rng) for _ in range(2)]
+        stack = qstate.realign(np.stack([rho.as_tensor() for rho in states]))
+        for realigned in (qstate.realign(states[0]), stack):
+            for dense_a, dense_b, sides in ((copies[0], copies[1], (None, None)),
+                                            (user[0], copies[1], (user[0], None)),
+                                            (copies[0], user[1], (None, user[1]))):
+                for got, want in zip(loo.correlations(realigned, *sides),
+                                     loo.correlations(realigned, dense_a, dense_b)):
+                    assert got.shape == want.shape
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_gather_is_the_gell_mann_frame(self, d):
+        # Row k of the frame holds c_k at p_k and c'_k at q_k, to the bit; the traces and
+        # the transpose signs G_kᵀ = s_k·G_k are exact.
+        basis, gather = loo._gell_mann(d), loo._gell_mann_gather(d)
+        rebuilt = np.zeros((d * d, d * d), dtype=complex)
+        for index, coefficients in zip(gather.index, gather.coefficients):
+            rebuilt[np.arange(d * d), index] += coefficients
+        assert np.array_equal(rebuilt, loo.frame(basis.observables))
+        assert gather.traces.tolist() == np.trace(basis.observables, axis1=1, axis2=2).real.tolist()
+        assert set(gather.signs.tolist()) <= {1.0, -1.0}
+        assert np.array_equal(basis.observables.transpose(0, 2, 1), gather.signs[:, None, None] * basis.observables)
+
+    def test_scores_take_no_frame_product(self, monkeypatch):
+        # Every score reads the Gell-Mann record, which takes no dense frame product;
+        # a user pair's record takes one per side.
+        calls = count_calls(monkeypatch, [(loo, "frame")])
+        record = spectra(samplers.random_mixed_state(2, 4, np.random.default_rng(7)))
+        for name in criteria.SCORE_NAMES:
+            record.score(name)
+        assert calls == []
+        record.in_bases(pauli_basis(), LOOBasis(4, loo._gell_mann(4).observables.copy()))
+        assert calls == ["frame", "frame"]
