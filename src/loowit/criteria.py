@@ -273,8 +273,9 @@ class Spectra:
         bases rotated to diagonalize it; the only SVD here that computes factors.
         A stack, or a mixture at several p, has no one optimum and raises."""
         u, s, vt = np.linalg.svd(self._witness_matrix(kind, "optimum")[0])
-        # The matrix is u Σ vt, so rotating by uᵀ / vt diagonalizes the paired expectations.
-        basis_a, basis_b = loo.gell_mann_basis(self.dim_a), loo.gell_mann_basis(self.dim_b)
+        # The matrix is u Σ vt, so rotating by uᵀ / vt diagonalizes the paired expectations
+        # of the bases that built the record, a 1-dim side's included.
+        basis_a, basis_b = loo._gell_mann(self.dim_a), loo._gell_mann(self.dim_b)
         return float(s.sum()), loo.rotate(basis_a, u.T), loo.rotate(basis_b, vt)
 
     def score(self, name: str) -> float | np.ndarray:

@@ -198,6 +198,18 @@ class TestSpectra:
             sigma_sum, _, _ = spec.optimum(kind)
             assert sigma_sum == pytest.approx(spec.realigned.sum() if kind == "linear" else spec.covariance.sum())
 
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1)])
+    def test_optimum_of_a_one_dim_side(self, dims, kind):
+        # spectra accepts a 1-dim side, whose record loo.correlations builds with
+        # the d = 1 Gell-Mann basis; optimum used to ask gell_mann_basis(1), which raises.
+        record = spectra(samplers.random_mixed_state(*dims, np.random.default_rng(13)))
+        sigma_sum, basis_a, basis_b = record.optimum(kind)
+        expected = 1.0 - record.linear_min if kind == "linear" else record.covariance.sum()
+        assert sigma_sum == pytest.approx(expected, rel=0, abs=1e-12)
+        assert (basis_a.dim, basis_b.dim) == dims
+        assert optimum_bracket(record, kind, sigma_sum, basis_a, basis_b)[2]
+
     def test_one_state_answers_need_one_state(self):
         # On a stack optimum_bracket used to return (0.5, 2.08, False), and the
         # witness values failed with numpy's TypeError or a broadcast error.

@@ -864,7 +864,10 @@ def assert_same_text(text, expected):
 
 
 class TestPairsJson:
-    VALUES = [0.0, -0.0, 5e-324, 1e16, 1e-5, 1 / 3, 1.7976931348623157e308, -1e-17]
+    # Each class of codec._repr_texts: zero, subnormal, exponent notation, and
+    # each fixed-notation layout, at both notation switches.
+    VALUES = [0.0, -0.0, 5e-324, 1e16, 1e-5, 1 / 3, 1.7976931348623157e308, -1e-17, 1e-4,
+              float(np.nextafter(1e-4, 0.0)), 9999999999999998.0, 2.0**53 + 2, 123.0, 0.1, 2.2250738585072014e-308]
 
     SHAPES = [(4, 2, 2), (9, 3, 3), (5, 2, 1), (300, 4, 4), (144, 12, 12), (3, 4100)]
 
