@@ -98,15 +98,16 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
         i += 1
 
 
-def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> ScanResult:
-    """Scan the family p·ρ₁ + (1-p)·ρ₂ of ``endpoints`` (ρ₁, ρ₂): score the
-    grid in stacked chunks of at most GRID_CHUNK_ENTRIES matrix entries (one
-    chunk for the default 101-point grid while dim_a·dim_b <= 25), then
-    bisect the first crossing serially, one scored state per step.  Each is
-    scored as mixes (:meth:`criteria.Spectra.mixed`) of the endpoints' record,
-    whose :func:`criteria.spectra` checks that both are states;
-    a step mixes at its scalar midpoint, so its score and flag are a float and
-    a bool, to the bit those of that midpoint in a chunk.
+def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix] | criteria.Spectra) -> ScanResult:
+    """Scan the family p·ρ₁ + (1-p)·ρ₂ of ``endpoints``, the pair (ρ₁, ρ₂) or
+    the record of its stack: score the grid in stacked chunks of at most
+    GRID_CHUNK_ENTRIES matrix entries (one chunk for the default 101-point
+    grid while dim_a·dim_b <= 25), then bisect the first crossing serially,
+    one scored state per step.  Each is scored as mixes
+    (:meth:`criteria.Spectra.mixed`) of that record, whose :func:`criteria.spectra`
+    checks that both are states and which no scan writes to; a step mixes
+    at its scalar midpoint, so its score and flag are a float and a bool, to
+    the bit those of that midpoint in a chunk.
 
     Bisection assumes the detection flag changes once inside the bracketing
     grid cell.  That is not proven.  The only check, made at every step, is
@@ -116,8 +117,11 @@ def run_scan(spec: ScanSpec, endpoints: tuple[DensityMatrix, DensityMatrix]) -> 
     every check can still hold more than one crossing.
     """
     grid = _grid(spec.p_start, spec.p_stop, spec.step)
-    size = max(1, GRID_CHUNK_ENTRIES // endpoints[0].total_dim ** 2)
-    record = criteria.spectra(np.stack([rho.as_tensor() for rho in endpoints]))
+    if isinstance(endpoints, criteria.Spectra):
+        record = endpoints
+    else:
+        record = criteria.spectra(np.stack([rho.as_tensor() for rho in endpoints]))
+    size = max(1, GRID_CHUNK_ENTRIES // (record.dim_a * record.dim_b) ** 2)
     rows = []
     for start in range(0, len(grid), size):
         chunk = grid[start : start + size]
@@ -149,15 +153,25 @@ def scan_csv(result: ScanResult) -> str:
     return "p,score,detected\n" + rows % tuple(itertools.chain.from_iterable(result.rows))
 
 
-def _load_family(args) -> tuple[DensityMatrix, DensityMatrix]:
-    """The endpoints (ρ₁, ρ₂) of the family p·ρ₁ + (1-p)·ρ₂, checked by :func:`run_scan`."""
+@functools.cache
+def _fixed_family(name: str) -> criteria.Spectra:
+    """The checked record of the endpoints of ``upb_noise`` or ``noisy_singlet``, library
+    constants like those of :func:`qstate.make_state`: built on the first call and
+    shared read-only by every later scan of that family in the process."""
+    return criteria.spectra(np.stack([qstate.make_state(name, p).as_tensor() for p in (1.0, 0.0)]))
+
+
+def _load_family(args) -> tuple[DensityMatrix, DensityMatrix] | criteria.Spectra:
+    """The endpoints (ρ₁, ρ₂) of the family p·ρ₁ + (1-p)·ρ₂, as :func:`run_scan` takes them:
+    a fixed family's shared record, or the state files' pair, read again on every call
+    (a file may change between calls), whose record :func:`run_scan` builds and checks."""
     name = args.family
     if args.state and name in ("upb_noise", "noisy_singlet"):
         raise ValueError(f"family {name!r} reads no --state file")
     if args.state2 and name != "mixture":
         raise ValueError(f"family {name!r} reads no --state2 file")
     if name in ("upb_noise", "noisy_singlet"):
-        return qstate.make_state(name, 1.0), qstate.make_state(name, 0.0)
+        return _fixed_family(name)
     if name == "noise_mixture":
         if not args.state:
             raise ValueError("family 'noise_mixture' requires --state")

@@ -110,6 +110,9 @@ class Spectra:
     ``bound_combined`` all three.  The Gell-Mann record (μ, a, b) is built only
     for a field that needs it.  A ``LinAlgError`` from a decomposition is
     therefore raised by the first read of a field or score that needs it.
+    Every field is read-only and depends on the state alone, so threads may
+    read scores from one shared record: a field first read by two threads at
+    once may be computed twice, with equal values, and either is kept.
 
     For a stack of states every field, score and bound gains a leading batch
     axis; for one state they are Python floats.  Every record is of states: see :func:`spectra` and :meth:`mixed`."""

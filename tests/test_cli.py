@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -390,16 +391,99 @@ class TestScan:
     def test_scan_checks_its_endpoints_in_one_eigensolve(self, monkeypatch, tmp_path, capsys, family):
         # The endpoints' record checks both states with one batched eigensolve; a
         # realign scan takes no other, and no state file is checked on its own.
+        # A fixed family's record is built by its first scan in the process and
+        # shared by every later one, so a repeat takes none; the record of a
+        # family's state files is built, and checked, by every scan.
         rng = np.random.default_rng(49)
         paths = [tmp_path / "first.json", tmp_path / "second.json"]
         for path in paths:
             save_state(samplers.random_mixed_state(2, 3, rng), path)
         files = {"noise_mixture": ["--state", str(paths[0])],
                  "mixture": ["--state", str(paths[0]), "--state2", str(paths[1])]}.get(family, [])
+        cli._fixed_family.cache_clear()
         calls = count_decompositions(monkeypatch)
-        main(["scan", "--family", family, "--criterion", "realign", "--out", str(tmp_path / "scan.csv"), *files])
+        eigensolves = []
+        for _ in range(2):
+            calls.clear()
+            main(["scan", "--family", family, "--criterion", "realign", "--out", str(tmp_path / "scan.csv"), *files])
+            eigensolves.append(calls.count("eigvalsh") + calls.count("eigh"))
         capsys.readouterr()
-        assert calls.count("eigvalsh") + calls.count("eigh") == 1
+        assert eigensolves == ([1, 1] if files else [1, 0])
+
+    def test_shared_record_keeps_no_state_between_scans(self, tmp_path, capsys):
+        # Each order fills the lazy fields of a fresh shared record in its own
+        # order, and every later scan of the family reads that record warm.
+        def scan(family, name):
+            out = tmp_path / "scan.csv"
+            code = main(["scan", "--family", family, "--criterion", name, "--out", str(out)])
+            return code, out.read_text(), capsys.readouterr().out
+
+        families = ("upb_noise", "noisy_singlet")
+        cold = {}
+        for family in families:
+            for name in criteria.SCORE_NAMES:
+                cli._fixed_family.cache_clear()
+                cold[family, name] = scan(family, name)
+        for order in (criteria.SCORE_NAMES, criteria.SCORE_NAMES[::-1]):
+            cli._fixed_family.cache_clear()
+            for name in order:
+                for family in families:
+                    assert scan(family, name) == cold[family, name], (family, name)
+
+    def test_state_file_is_read_by_every_scan(self, tmp_path, capsys):
+        # A family of state files is never cached, not even by path: a scan
+        # after the file is rewritten follows the new file.
+        rng = np.random.default_rng(53)
+        path, out = tmp_path / "state.json", tmp_path / "scan.csv"
+        spec = ScanSpec("noise_mixture", 0.0, 1.0, criterion="nonlinear_opt")
+        argv = ["scan", "--family", "noise_mixture", "--criterion", "nonlinear_opt", "--state", str(path),
+                "--out", str(out)]
+        texts = []
+        for _ in range(2):
+            save_state(samplers.random_pure_state(2, 4, rng), path)
+            assert main(argv) == 0
+            capsys.readouterr()
+            base = load_state(path)
+            texts.append(scan_csv(run_scan(spec, (base, qstate.white_noise_mixture(base, 0.0)))))
+            assert out.read_text() == texts[-1]
+        assert texts[0] != texts[1]
+
+    def test_threads_share_the_fixed_records(self):
+        # More threads than cores, each scanning a fixed family's shared record
+        # with one criterion while the others fill its lazy fields; every
+        # thread's rows equal those of a serial scan of a record of its own.
+        specs = [ScanSpec(family, 0.0, 1.0, criterion=name)
+                 for family in ("upb_noise", "noisy_singlet") for name in criteria.SCORE_NAMES]
+        serial = {spec: run_scan(spec, (make_state(spec.family, 1.0), make_state(spec.family, 0.0))).rows
+                  for spec in specs}
+        count = max(2 * len(specs), (os.cpu_count() or 1) + 1)
+        barrier = threading.Barrier(count, timeout=30)
+        results = [None] * count
+
+        def work(i):
+            spec = specs[i % len(specs)]
+            try:
+                barrier.wait()
+                results[i] = [run_scan(spec, cli._fixed_family(spec.family)).rows for _ in range(3)]
+            except Exception as exc:
+                results[i] = exc
+
+        cli._fixed_family.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(count)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+                assert not thread.is_alive(), "a scan thread did not finish in 60 s"
+        finally:
+            sys.setswitchinterval(interval)
+        for i, rows in enumerate(results):
+            spec = specs[i % len(specs)]
+            assert rows == [serial[spec]] * 3, (i, spec)
 
     def test_upb_noise_nonlinear_threshold(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
